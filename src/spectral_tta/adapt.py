@@ -6,7 +6,6 @@ whole corruption run. Baselines: plain inference, batch-norm statistic
 recomputation, and entropy-trained batch-norm modulators.
 """
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -168,19 +167,23 @@ def _run_protocol(model: Model, test_batches, cfg: AdaptConfig, method: str, epi
     params0 = model.adapt_params()
     record = RunRecord(method=method, protocol="episodic" if episodic else "online")
     state = AdamState.zeros(n_params)
+    # the layers below the lowest adaptation layer are frozen: run them
+    # once per batch, then only the rest of the stack on every forward
+    k = model.adapt_start()
     for b_idx, (x, y) in enumerate(batches):
         if episodic:
             model.set_adapt_params(params0)
             state = AdamState.zeros(n_params)
-        logits, caches = model.forward(x)
+        h = model.forward_until(x, k - 1) if k > 0 else x
+        logits, caches = model.forward(h, start=k)
         h_before = entropy(logits)
         for step in range(cfg.steps_per_batch):
             if step > 0:
-                logits, caches = model.forward(x)
+                logits, caches = model.forward(h, start=k)
             gloss = entropy_grad(logits)
             grads = model.backward_adapt(caches, gloss)
             model.set_adapt_params(adam_step(state, model.adapt_params(), grads, cfg))
-        logits_after, _ = model.forward(x)
+        logits_after, _ = model.forward(h, start=k)
         record.add(
             b_idx,
             len(y),
@@ -246,12 +249,3 @@ def baseline_bn_modulators(model: Model, test_batches, cfg: AdaptConfig) -> RunR
         raise ContractViolationError("model has no batch-norm layers to modulate")
     return run_adaptation(work, test_batches, cfg, method="bn-modulators")
 
-
-def summary_csv(records: dict, path) -> None:
-    """Write a method -> mean error summary for a list of RunRecords."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "protocol", "mean_error", "batches"])
-        for name in sorted(records):
-            rec = records[name]
-            writer.writerow([rec.method, rec.protocol, repr(rec.mean_error()), len(rec.batches)])

@@ -33,10 +33,6 @@ from .network import (
 )
 from .pca import PcaBasis
 
-# rank used by full-scale variants of the adapter; the desk-scale default
-# below is min(64, p)
-FULL_SCALE_RANK = 2000
-
 GENERATORS = ("gaussian-textures", "shape-patterns")
 
 CORRUPTION_KINDS = (
@@ -62,6 +58,10 @@ METHODS = ("no-adapt", "bn-stats", "bn-modulators", "spectral-relu", "spectral-e
 _FILTER_KIND = {"spectral-relu": RELU_RIDGE, "spectral-exp": NEG_EXP}
 
 TABLE_FORMAT_VERSION = 1
+
+# batch sizes are range() steps: anything but a positive int would fail
+# deep inside the batching without naming the key
+_BATCH_KEYS = (("model", "train_batch"), ("pca", "fit_batch"), ("adapt", "batch_size"))
 
 
 # ---- dataset -------------------------------------------------------------
@@ -265,6 +265,10 @@ def load_config(override: dict | None = None) -> dict:
     for s in cfg["severities"]:
         if not (isinstance(s, int) and 1 <= s <= 5):
             bad.append(f"severities:{s}")
+    for section, key in _BATCH_KEYS:
+        v = cfg[section][key]
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            bad.append(f"{section}.{key}:{v!r}")
     if bad:
         raise ConfigError(f"invalid config values: {', '.join(bad)}", bad)
     return cfg

@@ -174,7 +174,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractViolationError) as exc:
+    except (ConfigError, ContractViolationError, FileNotFoundError) as exc:
+        # a missing model, basis or config file is a bad argument: exit 2
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailureError as exc:

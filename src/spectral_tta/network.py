@@ -41,11 +41,10 @@ class Conv2d:
         k = self.kernel
         p = k // 2
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        cols = np.empty((n, c, k, k, h, w))
-        for i in range(k):
-            for j in range(k):
-                cols[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
-        return cols.reshape(n, c * k * k, h * w)
+        # (n, c, h, w, k, k) window view -> (n, c, k, k, h, w); the reshape
+        # makes the one copy
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
 
     def forward(self, x):
         n, c, h, w = x.shape
@@ -116,21 +115,23 @@ class BatchNorm2d:
 
     def backward(self, cache, gy, need_param_grads=True):
         xhat, invstd, mode = cache
-        pgrads = {
-            "scale": np.sum(gy * xhat, axis=(0, 2, 3)),
-            "shift": np.sum(gy, axis=(0, 2, 3)),
-        }
+        # the per-channel sums are the scale/shift gradients; batch-stats
+        # mode also needs them for the input gradient
+        if need_param_grads or mode == BN_BATCH:
+            gdot = np.sum(gy * xhat, axis=(0, 2, 3))
+            gsum = np.sum(gy, axis=(0, 2, 3))
         sc = (self.scale * invstd)[None, :, None, None]
         if mode == BN_FROZEN:
             gx = gy * sc
         else:
             # standard batch-norm backward
             nhw = gy.shape[0] * gy.shape[2] * gy.shape[3]
-            gsum = np.sum(gy, axis=(0, 2, 3))[None, :, None, None]
-            gdot = np.sum(gy * xhat, axis=(0, 2, 3))[None, :, None, None]
-            gx = sc * (gy - gsum / nhw - xhat * gdot / nhw)
-        if not need_param_grads:
-            pgrads = {}
+            gx = sc * (
+                gy
+                - gsum[None, :, None, None] / nhw
+                - xhat * gdot[None, :, None, None] / nhw
+            )
+        pgrads = {"scale": gdot, "shift": gsum} if need_param_grads else {}
         return gx, pgrads
 
 
@@ -220,14 +221,27 @@ class Model:
 
     # ---- forward / backward -------------------------------------------
 
-    def forward(self, x):
+    def _check_input(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != self.input_shape:
             raise ContractViolationError(
                 f"batch shape {x.shape} does not match input spec {self.input_shape}"
             )
-        caches = []
-        for layer in self.layers:
+        return x
+
+    def forward(self, x, start=0):
+        """Logits and per-layer caches, running layers ``start`` onwards.
+
+        For ``start > 0``, ``x`` is the output of layer ``start - 1`` (see
+        :meth:`forward_until`) and the skipped layers get ``None`` caches,
+        so the cache list still lines up with the layer stack.
+        """
+        if not 0 <= start < len(self.layers):
+            raise ContractViolationError(f"start index {start} out of range")
+        if start == 0:
+            x = self._check_input(x)
+        caches = [None] * start
+        for layer in self.layers[start:]:
             x, cache = layer.forward(x)
             caches.append(cache)
         return x, caches
@@ -236,7 +250,7 @@ class Model:
         """Output of layer index j (inclusive)."""
         if not 0 <= j < len(self.layers):
             raise ContractViolationError(f"layer index {j} out of range")
-        x = np.asarray(x, dtype=np.float64)
+        x = self._check_input(x)
         for layer in self.layers[: j + 1]:
             x, _ = layer.forward(x)
         return x
@@ -251,14 +265,19 @@ class Model:
         return list(reversed(grads))
 
     def backward_adapt(self, caches, gloss):
-        """Backward pass collecting gradients only for adaptation params."""
+        """Backward pass collecting gradients only for adaptation params.
+
+        It stops at :meth:`adapt_start`: nothing below the lowest
+        adaptation layer has a gradient to collect, so those caches may be
+        the ``None`` slots of ``forward(h, start=model.adapt_start())``.
+        """
         if self.adapt_target is ADAPT_NONE:
             raise ContractViolationError("model has no adaptation parameter set")
         if len(caches) != len(self.layers):
             raise ContractViolationError("cache does not match the layer stack")
         per_layer = {}
         g = gloss
-        for idx in range(len(self.layers) - 1, -1, -1):
+        for idx in range(len(self.layers) - 1, self.adapt_start() - 1, -1):
             layer = self.layers[idx]
             need = self._is_adapt_layer(layer)
             g, pg = layer.backward(caches[idx], g, need_param_grads=need)
@@ -274,6 +293,14 @@ class Model:
         if self.adapt_target == ADAPT_BN:
             return isinstance(layer, BatchNorm2d)
         return False
+
+    def adapt_start(self) -> int:
+        """Index of the lowest adaptation layer. The layers below it are
+        frozen, so their output is a fixed function of the input batch."""
+        for idx, layer in enumerate(self.layers):
+            if self._is_adapt_layer(layer):
+                return idx
+        raise ContractViolationError("model has no adaptation parameter set")
 
     def _adapt_layers(self):
         return [l for l in self.layers if self._is_adapt_layer(l)]

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from spectral_tta import adapt
+from spectral_tta import adapt, bench, network
 from spectral_tta.adapt import (
     AdamState,
     AdaptConfig,
@@ -18,7 +19,13 @@ from spectral_tta.adapt import (
 )
 from spectral_tta.errors import ContractViolationError
 from spectral_tta.filters import RELU_RIDGE, SpectralFilter
-from spectral_tta.network import BN_BATCH, BatchNorm2d, build_model, insert_adapter
+from spectral_tta.network import (
+    BN_BATCH,
+    BatchNorm2d,
+    SpectralAdapterLayer,
+    build_model,
+    insert_adapter,
+)
 from spectral_tta.pca import fit as pca_fit
 from spectral_tta.network import fit_pca_from_source
 
@@ -355,3 +362,84 @@ def test_run_record_rejects_bad_error():
     rec = adapt.RunRecord(method="x", protocol="none")
     with pytest.raises(ContractViolationError):
         rec.add(0, 4, 1.5, 0.0, 0.0)
+
+
+# ---- the hot path against the full-forward/full-backward loop -----------
+
+
+def reference_protocol(model, batches, cfg, method, episodic):
+    """The protocol without prefix reuse, the reference for
+    adapt._run_protocol: every forward runs the whole stack and every
+    backward runs down to layer 0."""
+    adapt_kind = {network.ADAPT_FILTER: SpectralAdapterLayer, network.ADAPT_BN: BatchNorm2d}
+    kind = adapt_kind[model.adapt_target]
+
+    def full_backward(caches, gloss):
+        chunks = {}
+        g = gloss
+        for idx in range(len(model.layers) - 1, -1, -1):
+            layer = model.layers[idx]
+            need = isinstance(layer, kind)
+            g, pg = layer.backward(caches[idx], g, need_param_grads=need)
+            if need:
+                chunks[idx] = [pg[name] for name in sorted(pg)]  # gamma | scale, shift
+        return np.concatenate([c for idx in sorted(chunks) for c in chunks[idx]])
+
+    params0 = model.adapt_params()
+    record = adapt.RunRecord(method=method, protocol="episodic" if episodic else "online")
+    state = AdamState.zeros(len(params0))
+    for b_idx, (x, y) in enumerate(batches):
+        if episodic:
+            model.set_adapt_params(params0)
+            state = AdamState.zeros(len(params0))
+        logits, caches = model.forward(x)
+        h_before = entropy(logits)
+        for step in range(cfg.steps_per_batch):
+            if step > 0:
+                logits, caches = model.forward(x)
+            grads = full_backward(caches, entropy_grad(logits))
+            model.set_adapt_params(adam_step(state, model.adapt_params(), grads, cfg))
+        logits_after, _ = model.forward(x)
+        record.add(
+            b_idx,
+            len(y),
+            adapt._batch_error(logits_after, y),
+            h_before,
+            entropy(logits_after),
+            adapt._params_hash(model.adapt_params()),
+        )
+    if episodic:
+        model.set_adapt_params(params0)
+    return record
+
+
+def tiny_work_model(method, cfg, model, basis):
+    if method == "bn-modulators":
+        work = model.clone()
+        work.set_bn_mode(BN_BATCH)
+        work.adapt_target = network.ADAPT_BN
+        return work
+    return bench._spectral_model(model.clone(), cfg, basis, method)
+
+
+@pytest.mark.parametrize("protocol", ["episodic", "online"])
+@pytest.mark.parametrize("method", ["spectral-relu", "spectral-exp", "bn-modulators"])
+def test_protocol_records_match_full_forward_reference(
+    method, protocol, tiny_config, tiny_model, tiny_basis, tiny_test_set
+):
+    x, y = tiny_test_set
+    cx = bench.corrupt(x, bench.CorruptionSpec("gaussian-noise", 5, seed=7))
+    batches = bench.make_batches(cx, y, tiny_config["adapt"]["batch_size"])
+    cfg = dataclasses.replace(bench._adapt_config(tiny_config), protocol=protocol)
+    episodic = protocol == "episodic"
+
+    ref_model = tiny_work_model(method, tiny_config, tiny_model, tiny_basis)
+    expected = reference_protocol(ref_model, batches, cfg, method, episodic)
+    work = tiny_work_model(method, tiny_config, tiny_model, tiny_basis)
+    record = adapt.run_adaptation(work, batches, cfg, method=method)
+
+    assert len(record.batches) == len(batches) > 1
+    assert record.batches == expected.batches
+    assert np.array_equal(work.adapt_params(), ref_model.adapt_params())
+    # the filter moved, so the comparison covers real steps
+    assert len({b["params_hash"] for b in record.batches}) > 1

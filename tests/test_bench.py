@@ -375,3 +375,31 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["train", "--config", str(notjson), "--model", str(tmp_path / "m.npz")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+def test_cli_missing_model_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.npz"
+    args = ["--model", str(missing), "--basis", str(tmp_path / "b.json")]
+    assert cli.main(["bench"] + args + ["--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["adapt"] + args + ["--method", "no-adapt"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(str(missing)) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_zero_batch_size_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"adapt": {"batch_size": 0}}))
+    assert cli.main(["bench", "--config", str(cfg), "--model", str(tmp_path / "m.npz")]) == 2
+    assert "adapt.batch_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key", [("adapt", "batch_size"), ("pca", "fit_batch"), ("model", "train_batch")]
+)
+@pytest.mark.parametrize("value", [0, -4, 2.0, "8", True, None])
+def test_config_rejects_non_positive_int_batch_sizes(section, key, value):
+    with pytest.raises(ConfigError) as info:
+        load_config({section: {key: value}})
+    assert info.value.keys == [f"{section}.{key}:{value!r}"]
+    assert load_config({section: {key: 1}})[section][key] == 1

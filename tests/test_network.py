@@ -260,3 +260,92 @@ def test_checkpoint_round_trip(tmp_path, rng):
     logits2, _ = loaded.forward(x)
     assert np.array_equal(logits, logits2)
     assert loaded.weight_hash() == model.weight_hash()
+
+
+# ---- im2col, prefix reuse and truncated backward ------------------------
+
+
+def im2col_loop(x, k):
+    """The k x k copy loop: the reference for Conv2d._im2col."""
+    n, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = np.empty((n, c, k, k, h, w))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
+    return cols.reshape(n, c * k * k, h * w)
+
+
+@pytest.mark.parametrize(
+    "shape, k",
+    [((64, 8, 8, 8), 3), ((3, 2, 4, 4), 1), ((5, 3, 7, 6), 5), ((1, 1, 1, 1), 3), ((2, 4, 5, 9), 3)],
+)
+def test_im2col_matches_copy_loop(shape, k, rng):
+    conv = Conv2d(shape[1], 2, k, rng)
+    x = rng.normal(size=shape)
+    cols = conv._im2col(x)
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, im2col_loop(x, k))
+
+
+@pytest.mark.parametrize("mode", [network.BN_FROZEN, BN_BATCH])
+def test_bn_backward_input_grad_does_not_depend_on_param_grads(mode, rng):
+    bn = BatchNorm2d(3)
+    bn.scale = rng.uniform(0.5, 1.5, 3)
+    bn.mode = mode
+    _, cache = bn.forward(rng.normal(size=(4, 3, 2, 2)))
+    gy = rng.normal(size=(4, 3, 2, 2))
+    gx_with, pg = bn.backward(cache, gy, need_param_grads=True)
+    gx_without, none = bn.backward(cache, gy, need_param_grads=False)
+    assert np.array_equal(gx_with, gx_without) and none == {}
+    xhat = cache[0]
+    assert np.array_equal(pg["scale"], np.sum(gy * xhat, axis=(0, 2, 3)))
+    assert np.array_equal(pg["shift"], np.sum(gy, axis=(0, 2, 3)))
+
+
+def adapted_models(rng):
+    """A spectral model (adapter at 3) and a bn-modulator model (bn0 at 1)."""
+    model = small_model(seed=6)
+    basis = full_rank_basis_at(model, 2, rng)
+    filt = SpectralFilter(RELU_RIDGE, basis.singular_values, rng.uniform(0.2, 1, basis.rank))
+    spectral = insert_adapter(model, 3, basis, filt)
+    bn = model.clone()
+    bn.set_bn_mode(BN_BATCH)
+    bn.adapt_target = network.ADAPT_BN
+    return spectral, bn
+
+
+def test_adapt_start_is_the_lowest_adaptation_layer(rng):
+    spectral, bn = adapted_models(rng)
+    assert spectral.adapt_start() == 3
+    assert bn.adapt_start() == 1
+    with pytest.raises(ContractViolationError):
+        small_model().adapt_start()
+
+
+def test_forward_from_start_matches_full_forward_bitwise(rng):
+    x = rng.normal(size=(6,) + IN_SHAPE)
+    for model in adapted_models(rng):
+        full_logits, full_caches = model.forward(x)
+        for k in range(1, len(model.layers)):
+            logits, caches = model.forward(model.forward_until(x, k - 1), start=k)
+            assert np.array_equal(logits, full_logits)
+            assert len(caches) == len(model.layers)
+            assert caches[:k] == [None] * k
+            assert all(c is not None for c in caches[k:])
+        with pytest.raises(ContractViolationError):
+            model.forward(x, start=len(model.layers))
+
+
+def test_truncated_backward_matches_full_cache_backward(rng):
+    x = rng.normal(size=(6,) + IN_SHAPE)
+    for model in adapted_models(rng):
+        k = model.adapt_start()
+        full_logits, full_caches = model.forward(x)
+        _, caches = model.forward(model.forward_until(x, k - 1), start=k)
+        gloss = entropy_grad(full_logits)
+        grads = model.backward_adapt(caches, gloss)
+        assert grads.shape == (model.adapt_param_count(),)
+        assert np.array_equal(grads, model.backward_adapt(full_caches, gloss))
+        assert np.any(grads != 0)
