@@ -8,7 +8,7 @@ from .errors import (
     NumericalFailureError,
     RankDeficientError,
 )
-from .linalg import SvdResult, matmul, mean_center, svd
+from .linalg import SvdResult, mean_center, svd
 from .pca import (
     PcaBasis,
     fit,

@@ -59,8 +59,8 @@ _FILTER_KIND = {"spectral-relu": RELU_RIDGE, "spectral-exp": NEG_EXP}
 
 TABLE_FORMAT_VERSION = 1
 
-# batch sizes are range() steps: anything but a positive int would fail
-# deep inside the batching without naming the key
+# batch sizes are range() steps: a value below 1 would fail deep inside
+# the batching without naming the key
 _BATCH_KEYS = (("model", "train_batch"), ("pca", "fit_batch"), ("adapt", "batch_size"))
 
 
@@ -233,6 +233,19 @@ DEFAULT_CONFIG = {
 }
 
 
+def _has_default_type(default, value) -> bool:
+    """Whether an override leaf has its default's type: a bool is never an
+    int, an int is a valid float, and a list is checked element by element
+    against the default's first element."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_has_default_type(default[0], v) for v in value)
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _merge_config(defaults: dict, override: dict, prefix: str = "", bad: list | None = None) -> dict:
     top = bad is None
     bad = [] if top else bad
@@ -245,15 +258,24 @@ def _merge_config(defaults: dict, override: dict, prefix: str = "", bad: list | 
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {prefix + key!r} must be a mapping", [prefix + key])
             merged[key] = _merge_config(defaults[key], value, prefix + key + ".", bad)
-        else:
+        elif _has_default_type(defaults[key], value):
             merged[key] = copy.deepcopy(value)
+        else:
+            raise ConfigError(
+                f"config key {prefix + key!r} must have the type of its default "
+                f"{defaults[key]!r}, got {value!r}",
+                [f"{prefix + key}:{value!r}"],
+            )
     if top and bad:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(bad))}", sorted(bad))
     return merged
 
 
 def load_config(override: dict | None = None) -> dict:
-    """Merge a partial config over the defaults and validate it."""
+    """Merge a partial config over the defaults and validate it.
+
+    Each leaf must have the type of its default (see ``DEFAULT_CONFIG``);
+    the value checks below rely on that."""
     cfg = _merge_config(DEFAULT_CONFIG, override or {})
     bad = []
     for m in cfg["methods"]:
@@ -263,11 +285,11 @@ def load_config(override: dict | None = None) -> dict:
         if c not in CORRUPTION_KINDS:
             bad.append(f"corruptions:{c}")
     for s in cfg["severities"]:
-        if not (isinstance(s, int) and 1 <= s <= 5):
+        if not 1 <= s <= 5:
             bad.append(f"severities:{s}")
     for section, key in _BATCH_KEYS:
         v = cfg[section][key]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        if v < 1:
             bad.append(f"{section}.{key}:{v!r}")
     if bad:
         raise ConfigError(f"invalid config values: {', '.join(bad)}", bad)

@@ -147,12 +147,13 @@ def apply_filter(
 
 
 def apply_filter_backward(
-    cache: FilterCache, upstream_grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    cache: FilterCache, upstream_grad: np.ndarray, need_input_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Backward pass through :func:`apply_filter`.
 
     Returns (gamma_grad, input_grad) for the loss whose gradient w.r.t.
-    the filter output is ``upstream_grad``.
+    the filter output is ``upstream_grad``; ``input_grad`` is ``None``
+    when ``need_input_grad`` is false.
     """
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
     if upstream_grad.shape != (cache.scores.shape[0], cache.basis.p):
@@ -162,5 +163,7 @@ def apply_filter_backward(
         )
     gscores = upstream_grad @ cache.basis.components.T  # (m, L)
     gamma_grad = cache.filt.diag_grad() * np.sum(cache.scores * gscores, axis=0)
+    if not need_input_grad:
+        return gamma_grad, None
     input_grad = (gscores * cache.diag) @ cache.basis.components
     return gamma_grad, input_grad

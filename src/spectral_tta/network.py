@@ -5,6 +5,12 @@ Linear, and the PCA spectral adapter layer. The network is trained once
 with plain SGD and cross-entropy; after that every weight is frozen and
 only the adaptation parameters (the adapter's gamma, or the batch-norm
 scale/shift for the modulator baseline) ever receive gradients.
+
+Every layer's ``backward(cache, gy, need_param_grads, need_input_grad)``
+returns ``(input_grad, param_grads)``. With ``need_param_grads=False`` the
+dict is empty; with ``need_input_grad=False`` the input gradient is
+``None`` and is not computed, which is how a backward pass skips the work
+at the lowest layer it visits.
 """
 
 import copy
@@ -53,7 +59,7 @@ class Conv2d:
         y = np.matmul(w2, cols) + self.b[None, :, None]
         return y.reshape(n, -1, h, w), (x.shape, cols)
 
-    def backward(self, cache, gy, need_param_grads=True):
+    def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         (n, c, h, w), cols = cache
         k = self.kernel
         p = k // 2
@@ -64,6 +70,8 @@ class Conv2d:
         if need_param_grads:
             gw2 = np.einsum("nof,ncf->oc", gy2, cols)
             pgrads = {"w": gw2.reshape(self.w.shape), "b": gy2.sum(axis=(0, 2))}
+        if not need_input_grad:
+            return None, pgrads
         gcols = np.matmul(w2.T, gy2).reshape(n, c, k, k, h, w)
         gxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
         for i in range(k):
@@ -113,13 +121,16 @@ class BatchNorm2d:
         y = self.scale[None, :, None, None] * xhat + self.shift[None, :, None, None]
         return y, (xhat, invstd, self.mode)
 
-    def backward(self, cache, gy, need_param_grads=True):
+    def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         xhat, invstd, mode = cache
         # the per-channel sums are the scale/shift gradients; batch-stats
         # mode also needs them for the input gradient
-        if need_param_grads or mode == BN_BATCH:
+        if need_param_grads or (need_input_grad and mode == BN_BATCH):
             gdot = np.sum(gy * xhat, axis=(0, 2, 3))
             gsum = np.sum(gy, axis=(0, 2, 3))
+        pgrads = {"scale": gdot, "shift": gsum} if need_param_grads else {}
+        if not need_input_grad:
+            return None, pgrads
         sc = (self.scale * invstd)[None, :, None, None]
         if mode == BN_FROZEN:
             gx = gy * sc
@@ -131,7 +142,6 @@ class BatchNorm2d:
                 - gsum[None, :, None, None] / nhw
                 - xhat * gdot[None, :, None, None] / nhw
             )
-        pgrads = {"scale": gdot, "shift": gsum} if need_param_grads else {}
         return gx, pgrads
 
 
@@ -143,8 +153,8 @@ class ReLU:
         mask = x > 0
         return x * mask, mask
 
-    def backward(self, cache, gy, need_param_grads=True):
-        return gy * cache, {}
+    def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
+        return (gy * cache if need_input_grad else None), {}
 
 
 class Flatten:
@@ -154,8 +164,8 @@ class Flatten:
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, cache, gy, need_param_grads=True):
-        return gy.reshape(cache), {}
+    def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
+        return (gy.reshape(cache) if need_input_grad else None), {}
 
 
 class Linear:
@@ -169,11 +179,11 @@ class Linear:
     def forward(self, x):
         return x @ self.w.T + self.b, x
 
-    def backward(self, cache, gy, need_param_grads=True):
+    def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         pgrads = {}
         if need_param_grads:
             pgrads = {"w": gy.T @ cache, "b": gy.sum(axis=0)}
-        return gy @ self.w, pgrads
+        return (gy @ self.w if need_input_grad else None), pgrads
 
 
 class SpectralAdapterLayer:
@@ -197,12 +207,12 @@ class SpectralAdapterLayer:
         out, fcache = apply_filter(self.basis, self.filt, flat)
         return out.reshape(x.shape), (x.shape, fcache)
 
-    def backward(self, cache, gy, need_param_grads=True):
+    def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         shape, fcache = cache
         gflat = gy.reshape(gy.shape[0], -1)
-        gamma_grad, ginput = apply_filter_backward(fcache, gflat)
+        gamma_grad, ginput = apply_filter_backward(fcache, gflat, need_input_grad)
         pgrads = {"gamma": gamma_grad} if need_param_grads else {}
-        return ginput.reshape(shape), pgrads
+        return (ginput.reshape(shape) if need_input_grad else None), pgrads
 
 
 # adaptation targets
@@ -256,11 +266,14 @@ class Model:
         return x
 
     def backward_all(self, caches, gloss):
-        """Full backward pass; returns per-layer param grads (training)."""
+        """Full backward pass; returns per-layer param grads (training).
+        The gradient w.r.t. the network input is not computed."""
         grads = []
         g = gloss
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            g, pg = layer.backward(cache, g, need_param_grads=True)
+        for idx in range(len(self.layers) - 1, -1, -1):
+            g, pg = self.layers[idx].backward(
+                caches[idx], g, need_param_grads=True, need_input_grad=idx > 0
+            )
             grads.append(pg)
         return list(reversed(grads))
 
@@ -277,10 +290,13 @@ class Model:
             raise ContractViolationError("cache does not match the layer stack")
         per_layer = {}
         g = gloss
-        for idx in range(len(self.layers) - 1, self.adapt_start() - 1, -1):
+        start = self.adapt_start()
+        for idx in range(len(self.layers) - 1, start - 1, -1):
             layer = self.layers[idx]
             need = self._is_adapt_layer(layer)
-            g, pg = layer.backward(caches[idx], g, need_param_grads=need)
+            g, pg = layer.backward(
+                caches[idx], g, need_param_grads=need, need_input_grad=idx > start
+            )
             if need:
                 per_layer[idx] = pg
         return self._collect_adapt(per_layer)

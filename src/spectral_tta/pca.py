@@ -70,6 +70,21 @@ class PcaBasis:
         mean = np.asarray(payload["mean"], dtype=np.float64)
         sv = np.asarray(payload["singular_values"], dtype=np.float64)
         comp = np.asarray(payload["components"], dtype=np.float64)
+        problem = None
+        if not (isinstance(p, int) and isinstance(rank, int) and p >= 1 and rank >= 1):
+            problem = f"p and rank must be positive integers, got p={p!r}, rank={rank!r}"
+        elif comp.shape != (rank * p,):
+            problem = f"{comp.size} component entries, expected rank * p = {rank * p}"
+        elif mean.shape != (p,):
+            problem = f"{mean.size} mean entries, expected p = {p}"
+        elif sv.shape != (rank,):
+            problem = f"{sv.size} singular values, expected rank = {rank}"
+        elif not all(np.all(np.isfinite(a)) for a in (mean, sv, comp)):
+            problem = "non-finite entries"
+        elif not (np.all(sv > 0) and np.all(np.diff(sv) <= 0)):
+            problem = "singular values must be positive and non-increasing"
+        if problem is not None:
+            raise ContractViolationError(f"invalid basis file {path}: {problem}")
         return cls(
             mean=mean,
             components=comp.reshape(rank, p),

@@ -16,6 +16,8 @@ from spectral_tta.bench import (
     run_benchmark,
 )
 from spectral_tta.errors import ConfigError, ContractViolationError
+from spectral_tta.network import build_model, save_model
+from spectral_tta.pca import PcaBasis
 
 SMALL = DatasetSpec(n_train=60, n_test=40, channels=2, height=4, width=4, seed=3)
 
@@ -403,3 +405,81 @@ def test_config_rejects_non_positive_int_batch_sizes(section, key, value):
         load_config({section: {key: value}})
     assert info.value.keys == [f"{section}.{key}:{value!r}"]
     assert load_config({section: {key: 1}})[section][key] == 1
+
+
+def test_config_leaf_types_follow_the_defaults():
+    cfg = load_config({"adapt": {"learning_rate": 1, "protocol": "online"}, "severities": [2, 5]})
+    assert cfg["adapt"]["learning_rate"] == 1  # an int is a valid float
+    cases = [
+        ({"pca": {"rank": "8"}}, "pca.rank:'8'"),
+        ({"pca": {"rank": 8.0}}, "pca.rank:8.0"),
+        ({"seed": True}, "seed:True"),  # a bool is not an int
+        ({"adapt": {"learning_rate": "0.1"}}, "adapt.learning_rate:'0.1'"),
+        ({"adapt": {"adam_eps": False}}, "adapt.adam_eps:False"),
+        ({"adapt": {"protocol": 1}}, "adapt.protocol:1"),
+        ({"model": {"conv_channels": [8, 8.5]}}, "model.conv_channels:[8, 8.5]"),
+        ({"model": {"conv_channels": 8}}, "model.conv_channels:8"),
+        ({"methods": ["no-adapt", None]}, "methods:['no-adapt', None]"),
+        ({"severities": [5, True]}, "severities:[5, True]"),
+    ]
+    for override, key in cases:
+        with pytest.raises(ConfigError) as info:
+            load_config(override)
+        assert info.value.keys == [key]
+        assert repr(key.split(":")[0]) in str(info.value)
+
+
+def test_cli_string_rank_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pca": {"rank": "8"}}))
+    model = tmp_path / "m.npz"
+    save_model(build_model(0), model)
+    basis = tmp_path / "basis.json"
+    assert cli.main(["fit-pca", "--config", str(cfg), "--model", str(model), "--basis", str(basis)]) == 2
+    assert not basis.exists()
+    err = capsys.readouterr().err
+    assert "'pca.rank' must have the type of its default 64, got '8'" in err
+
+
+def _corrupt_basis(payload, case):
+    if case == "components":
+        payload["components"] = payload["components"][:-1]
+    elif case == "mean":
+        payload["mean"] = payload["mean"] + [0.0]
+    elif case == "singular-values":
+        payload["singular_values"] = payload["singular_values"][:1]
+    elif case == "non-finite":
+        payload["components"][3] = float("nan")
+    elif case == "increasing":
+        payload["singular_values"] = payload["singular_values"][::-1]
+    elif case == "non-positive":
+        payload["singular_values"][-1] = 0.0
+    elif case == "rank-type":
+        payload["rank"] = "2"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["components", "mean", "singular-values", "non-finite", "increasing", "non-positive", "rank-type"],
+)
+def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
+    model = tmp_path / "m.npz"
+    save_model(build_model(0), model)
+    basis = tmp_path / "basis.json"
+    PcaBasis(
+        mean=np.zeros(4),
+        components=np.eye(4)[:2],
+        singular_values=np.array([2.0, 1.0]),
+        n_fitted=10,
+    ).save(basis)
+    payload = json.loads(basis.read_text())
+    _corrupt_basis(payload, case)
+    basis.write_text(json.dumps(payload))
+    with pytest.raises(ContractViolationError, match="invalid basis file"):
+        PcaBasis.load(basis)
+    args = ["--model", str(model), "--basis", str(basis)]
+    assert cli.main(["bench"] + args + ["--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["adapt"] + args + ["--out", str(tmp_path / "r.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"invalid basis file {basis}") == 2
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectral_tta import linalg
+from spectral_tta import bench, linalg
 from spectral_tta.errors import ContractViolationError, NumericalFailureError
 
 
@@ -106,37 +106,109 @@ def test_mean_center_idempotent():
     assert np.abs(mean2).max() <= 1e-12
 
 
-def test_matmul_identity_and_hand_case():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(4, 4))
-    assert np.array_equal(linalg.matmul(np.eye(4), a), a)
-    assert np.array_equal(
-        linalg.matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]])),
-        np.array([[11.0]]),
-    )
+def _reference_jacobi_rows(x):
+    """The textbook per-pair Jacobi loop that ``linalg._jacobi_rows`` must
+    reproduce bit for bit: every pair recomputes its three dot products,
+    and a rotation rebuilds both rows of ``x`` and of ``rot`` from copies."""
+    m = x.shape[0]
+    x = x.copy()
+    rot = np.eye(m)
+    for _ in range(linalg.MAX_SWEEPS):
+        off = 0.0
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                ri = x[i]
+                rj = x[j]
+                aii = ri @ ri
+                ajj = rj @ rj
+                aij = ri @ rj
+                if aii == 0.0 or ajj == 0.0:
+                    continue
+                rel = abs(aij) / np.sqrt(aii * ajj)
+                if rel > off:
+                    off = rel
+                if rel <= linalg.OFFDIAG_TOL:
+                    continue
+                zeta = (ajj - aii) / (2.0 * aij)
+                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                if zeta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                ri = ri.copy()
+                x[i] = c * ri - s * rj
+                x[j] = s * ri + c * rj
+                gi = rot[i].copy()
+                gj = rot[j].copy()
+                rot[i] = c * gi - s * gj
+                rot[j] = s * gi + c * gj
+        if off <= linalg.OFFDIAG_TOL:
+            return x, rot
+    raise NumericalFailureError("reference Jacobi did not converge", residual=float(off))
 
 
-def test_matmul_shape_mismatch_names_shapes():
-    with pytest.raises(ContractViolationError, match=r"\(2, 3\).*\(2, 3\)"):
-        linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
+def _reference_svd(monkeypatch, a):
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_jacobi_rows", _reference_jacobi_rows)
+        return linalg.svd(a)
 
 
-def test_matmul_matches_naive_triple_loop():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(5, 7))
-    b = rng.normal(size=(7, 3))
-    naive = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            acc = 0.0
-            for k in range(7):
-                acc += a[i, k] * b[k, j]
-            naive[i, j] = acc
-    assert np.allclose(linalg.matmul(a, b), naive, atol=1e-12)
+def _assert_bitwise_equal(res, ref):
+    assert np.array_equal(res.u, ref.u)
+    assert np.array_equal(res.s, ref.s)
+    assert np.array_equal(res.vt, ref.vt)
 
 
-def test_matmul_transpose_associativity():
-    rng = np.random.default_rng(6)
-    a = rng.normal(size=(4, 5))
-    b = rng.normal(size=(5, 2))
-    assert np.allclose(linalg.matmul(a, b).T, linalg.matmul(b.T, a.T), atol=1e-12)
+def _reference_inputs():
+    rng = np.random.default_rng(17)
+    shapes = [(2, 2), (8, 3), (3, 8), (17, 17), (40, 40), (64, 31), (31, 64)]
+    inputs = [rng.normal(size=shape) for shape in shapes]
+    inputs.append(np.outer(rng.normal(size=7), rng.normal(size=4)))
+    # an exact zero row of the Jacobi input takes the a_ii == 0 skip: wide
+    # inputs are orthogonalized by rows, tall ones by columns
+    wide = rng.normal(size=(6, 11))
+    wide[2] = 0.0
+    tall = rng.normal(size=(11, 6))
+    tall[:, 4] = 0.0
+    return inputs + [wide, tall]
+
+
+@pytest.mark.parametrize("a", _reference_inputs(), ids=lambda a: "x".join(map(str, a.shape)))
+def test_svd_bitwise_equals_reference_jacobi(monkeypatch, a):
+    _assert_bitwise_equal(linalg.svd(a), _reference_svd(monkeypatch, a))
+
+
+def test_svd_bitwise_equals_reference_on_incremental_stacks(monkeypatch, tiny_config, tiny_model):
+    stacks = []
+    svd = linalg.svd
+
+    def recording_svd(a):
+        stacks.append(np.array(a, dtype=np.float64))
+        return svd(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "svd", recording_svd)
+        bench.fit_basis_from_config(tiny_config, tiny_model)
+    assert len(stacks) == 2
+    assert stacks[1].shape[0] > stacks[0].shape[0]  # factor + batch + mean row
+    for a in stacks:
+        _assert_bitwise_equal(linalg.svd(a), _reference_svd(monkeypatch, a))
+
+
+def test_svd_nonconvergence_residual_matches_reference(monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    a = np.random.default_rng(0).normal(size=(12, 12))
+    with pytest.raises(NumericalFailureError) as exc:
+        linalg.svd(a)
+    with pytest.raises(NumericalFailureError) as ref:
+        _reference_svd(monkeypatch, a)
+    assert exc.value.residual == ref.value.residual
+
+
+def test_svd_orthogonal_rows_with_underflowing_norm_product():
+    # a_ii * a_jj underflows to 0 for these rows; they are exactly
+    # orthogonal, so no pair is rotated and the factors stay finite
+    res = linalg.svd(np.diag([3e-100, 1e-100, 1e-100]))
+    assert np.array_equal(res.s, [3e-100, 1e-100, 1e-100])
+    assert np.array_equal(res.vt, np.eye(3))
+    assert np.array_equal(res.u, np.eye(3))

@@ -9,12 +9,14 @@ from spectral_tta.network import (
     BN_BATCH,
     BatchNorm2d,
     Conv2d,
+    Model,
     build_model,
     fit_pca_from_source,
     insert_adapter,
     load_model,
     remove_adapter,
     save_model,
+    train_model,
 )
 
 IN_SHAPE = (2, 4, 4)
@@ -349,3 +351,42 @@ def test_truncated_backward_matches_full_cache_backward(rng):
         assert grads.shape == (model.adapt_param_count(),)
         assert np.array_equal(grads, model.backward_adapt(full_caches, gloss))
         assert np.any(grads != 0)
+
+
+def test_backward_without_input_grad_returns_none_and_same_param_grads(rng):
+    x = rng.normal(size=(5,) + IN_SHAPE)
+    spectral, _ = adapted_models(rng)
+    for mode in (network.BN_FROZEN, BN_BATCH):
+        spectral.set_bn_mode(mode)
+        h = x
+        for layer in spectral.layers:
+            out, cache = layer.forward(h)
+            gy = rng.normal(size=out.shape)
+            gx, pg = layer.backward(cache, gy)
+            none, pg_skip = layer.backward(cache, gy, need_input_grad=False)
+            assert gx.shape == h.shape and none is None
+            assert pg.keys() == pg_skip.keys()
+            assert all(np.array_equal(pg[k], pg_skip[k]) for k in pg)
+            h = out
+
+
+def test_training_without_layer0_input_grad_matches_full_backward(monkeypatch, rng):
+    """backward_all skips the network-input gradient; the trained weights
+    must equal those of a backward pass that computes it."""
+
+    def full_backward_all(model, caches, gloss):
+        grads = []
+        g = gloss
+        for layer, cache in zip(reversed(model.layers), reversed(caches)):
+            g, pg = layer.backward(cache, g, need_param_grads=True)
+            grads.append(pg)
+        return list(reversed(grads))
+
+    x = rng.uniform(size=(48,) + IN_SHAPE)
+    y = rng.integers(0, 3, size=48)
+    trained = train_model(small_model(seed=4), x, y, epochs=3, batch_size=16, seed=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(Model, "backward_all", full_backward_all)
+        reference = train_model(small_model(seed=4), x, y, epochs=3, batch_size=16, seed=2)
+    assert trained.weight_hash() == reference.weight_hash()
+    assert trained.weight_hash() != small_model(seed=4).weight_hash()
