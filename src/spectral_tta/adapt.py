@@ -31,7 +31,6 @@ class AdaptConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     optimizer: str = OPT_ADAM
-    seed: int = 0
 
     def __post_init__(self):
         if self.protocol not in ("episodic", "online"):

@@ -310,7 +310,6 @@ def _adapt_config(cfg: dict) -> AdaptConfig:
         adam_beta1=a["adam_beta1"],
         adam_beta2=a["adam_beta2"],
         adam_eps=a["adam_eps"],
-        seed=cfg["seed"],
     )
 
 

@@ -7,7 +7,10 @@ values lam_i and a learnable vector gamma:
 * neg-exp:     F_ii = 1 / (1 + exp(gamma_i^2 - lam_i)),  F_ii in (0, 1)
 
 ``apply_filter`` runs the full project -> scale -> reconstruct map and
-returns a cache for the analytic backward pass.
+returns a cache for the analytic backward pass. The reconstruction may be
+given as any pair (out_components, out_offset) in place of (V, mean): a
+frozen affine map after the filter, composed with V and mean once, then
+costs no extra work per call.
 """
 
 import json
@@ -119,16 +122,22 @@ class FilterCache:
     filt: SpectralFilter
     scores: np.ndarray  # (m, L), pre-filter projections
     diag: np.ndarray    # (L,), F values used in the forward pass
+    out_components: np.ndarray  # (L, q), the reconstruction rows
 
 
 def apply_filter(
-    basis: PcaBasis, filt: SpectralFilter, features: np.ndarray
+    basis: PcaBasis,
+    filt: SpectralFilter,
+    features: np.ndarray,
+    out_components: np.ndarray | None = None,
+    out_offset: np.ndarray | None = None,
 ) -> tuple[np.ndarray, FilterCache]:
     """Project features onto the basis, scale each mode, reconstruct.
 
     Returns (output, cache). Output is
-    (features - mean) @ V.T * F @ V + mean, so an all-ones diagonal on a
-    full-rank basis is an exact identity.
+    (features - mean) @ V.T * F @ out_components + out_offset, where the
+    reconstruction defaults to (V, mean), so that an all-ones diagonal on
+    a full-rank basis is an exact identity.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != basis.p:
@@ -139,11 +148,15 @@ def apply_filter(
         raise ContractViolationError(
             f"filter length {len(filt)} != basis rank {basis.rank}"
         )
+    if out_components is None:
+        out_components, out_offset = basis.components, basis.mean
     centered = features - basis.mean
     scores = centered @ basis.components.T
     diag = filt.diag()
-    out = (scores * diag) @ basis.components + basis.mean
-    return out, FilterCache(basis=basis, filt=filt, scores=scores, diag=diag)
+    out = (scores * diag) @ out_components + out_offset
+    return out, FilterCache(
+        basis=basis, filt=filt, scores=scores, diag=diag, out_components=out_components
+    )
 
 
 def apply_filter_backward(
@@ -156,12 +169,13 @@ def apply_filter_backward(
     when ``need_input_grad`` is false.
     """
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
-    if upstream_grad.shape != (cache.scores.shape[0], cache.basis.p):
+    expected = (cache.scores.shape[0], cache.out_components.shape[1])
+    if upstream_grad.shape != expected:
         raise ContractViolationError(
             f"upstream gradient shape {upstream_grad.shape} does not match "
-            f"the cached forward pass ({cache.scores.shape[0]}, {cache.basis.p})"
+            f"the cached forward pass {expected}"
         )
-    gscores = upstream_grad @ cache.basis.components.T  # (m, L)
+    gscores = upstream_grad @ cache.out_components.T  # (m, L)
     gamma_grad = cache.filt.diag_grad() * np.sum(cache.scores * gscores, axis=0)
     if not need_input_grad:
         return gamma_grad, None

@@ -21,6 +21,11 @@ from .errors import ContractViolationError, NumericalFailureError
 MAX_SWEEPS = 100
 OFFDIAG_TOL = 1e-12
 
+# an input whose largest entry lies outside [2**-EXP_LIMIT, 2**EXP_LIMIT] is
+# scaled by a power of two first, so that products of squared row norms
+# neither overflow nor underflow; inside that range the input is used as is
+EXP_LIMIT = 200
+
 
 @dataclass(frozen=True)
 class SvdResult:
@@ -176,10 +181,17 @@ def svd(a: np.ndarray) -> SvdResult:
 
     Singular values are sorted descending. Each right singular vector is
     oriented so its largest-magnitude entry is positive (ties resolved by
-    lowest index), which fixes the otherwise arbitrary signs.
+    lowest index), which fixes the otherwise arbitrary signs. An input of
+    extreme scale (see ``EXP_LIMIT``) is decomposed as ``a * 2**-e`` and
+    its singular values are scaled back by ``2**e``. Both scalings are
+    exact for every entry that stays out of the subnormal range.
     """
     a = as_matrix(a)
     n, m = a.shape
+    _, e = math.frexp(float(np.abs(a).max()))
+    if abs(e) <= EXP_LIMIT:
+        e = 0
+    a = np.ldexp(a, -e)
     if n >= m:
         res = _svd_tall(a)
         u, s, vt = res.u, res.s, res.vt
@@ -194,4 +206,4 @@ def svd(a: np.ndarray) -> SvdResult:
         if vt[i, k] < 0.0:
             vt[i] = -vt[i]
             u[:, i] = -u[:, i]
-    return SvdResult(u=u, s=s, vt=vt)
+    return SvdResult(u=u, s=np.ldexp(s, e), vt=vt)

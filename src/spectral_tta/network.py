@@ -16,6 +16,7 @@ at the lowest layer it visits.
 import copy
 import hashlib
 import json
+import zipfile
 
 import numpy as np
 
@@ -51,6 +52,12 @@ class Conv2d:
         # makes the one copy
         windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
         return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
+
+    def linear(self, x):
+        """The convolution without its bias."""
+        n, _, h, w = x.shape
+        w2 = self.w.reshape(self.w.shape[0], -1)
+        return np.matmul(w2, self._im2col(x)).reshape(n, -1, h, w)
 
     def forward(self, x):
         n, c, h, w = x.shape
@@ -161,6 +168,9 @@ class Flatten:
     def params(self):
         return {}
 
+    def linear(self, x):
+        return x.reshape(x.shape[0], -1)
+
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
@@ -176,8 +186,12 @@ class Linear:
     def params(self):
         return {"w": self.w, "b": self.b}
 
+    def linear(self, x):
+        """The map without its bias."""
+        return x @ self.w.T
+
     def forward(self, x):
-        return x @ self.w.T + self.b, x
+        return self.linear(x) + self.b, x
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         pgrads = {}
@@ -187,15 +201,38 @@ class Linear:
 
 
 class SpectralAdapterLayer:
-    """Flatten -> PCA spectral filter -> unflatten, on a 4-D feature map."""
+    """Flatten -> PCA spectral filter -> unflatten, on a 4-D feature map.
 
-    def __init__(self, basis: PcaBasis, filt: SpectralFilter):
+    ``absorbed`` is a run of frozen layers that follow the filter and are
+    affine whatever the batch-norm mode (Conv2d, Flatten, Linear). Their
+    composition with the reconstruction is computed once here: the linear
+    part of the run applied to each basis row gives ``out_components``
+    (L x q) and the run applied to the mean gives ``out_offset``, so the
+    layer outputs the run's output directly. ``in_shape`` is the per-sample
+    input map shape, needed only to fold. With nothing absorbed the
+    reconstruction is (V, mean) and the output has the input's shape.
+    """
+
+    def __init__(self, basis: PcaBasis, filt: SpectralFilter, absorbed=(), in_shape=None):
         if basis.rank != len(filt):
             raise ContractViolationError(
                 f"basis rank {basis.rank} != filter length {len(filt)}"
             )
         self.basis = basis
         self.filt = filt
+        self.absorbed = list(absorbed)
+        self.out_components = basis.components
+        self.out_offset = basis.mean
+        self.out_shape = None
+        if self.absorbed:
+            rows = basis.components.reshape((basis.rank,) + tuple(in_shape))
+            offset = basis.mean.reshape((1,) + tuple(in_shape))
+            for layer in self.absorbed:
+                rows = layer.linear(rows)
+                offset, _ = layer.forward(offset)
+            self.out_shape = rows.shape[1:]
+            self.out_components = rows.reshape(basis.rank, -1)
+            self.out_offset = offset.reshape(-1)
 
     def params(self):
         return {"gamma": self.filt.gamma}
@@ -204,8 +241,11 @@ class SpectralAdapterLayer:
         if x.ndim != 4:
             raise ContractViolationError("adapter layer expects a 4-D feature map")
         flat = x.reshape(x.shape[0], -1)
-        out, fcache = apply_filter(self.basis, self.filt, flat)
-        return out.reshape(x.shape), (x.shape, fcache)
+        out, fcache = apply_filter(
+            self.basis, self.filt, flat, self.out_components, self.out_offset
+        )
+        shape = x.shape if self.out_shape is None else (x.shape[0],) + self.out_shape
+        return out.reshape(shape), (x.shape, fcache)
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         shape, fcache = cache
@@ -214,6 +254,10 @@ class SpectralAdapterLayer:
         pgrads = {"gamma": gamma_grad} if need_param_grads else {}
         return (ginput.reshape(shape) if need_input_grad else None), pgrads
 
+
+# frozen layers that are affine whatever the batch-norm mode; a run of them
+# right after the adapter folds into its reconstruction
+_FOLDABLE = (Conv2d, Flatten, Linear)
 
 # adaptation targets
 ADAPT_NONE = None
@@ -387,9 +431,12 @@ class Model:
         return copy.deepcopy(self)
 
     def frozen_param_items(self, include_bn_modulators: bool = True):
-        """(name, array) pairs for everything that is not an adaptation param."""
+        """(name, array) pairs for everything that is not an adaptation param.
+
+        Layers absorbed by an adapter are named by their place after it, as
+        in the stack without the fold."""
         items = []
-        for idx, layer in enumerate(self.layers):
+        for idx, layer in enumerate(_unfold(self.layers)):
             for name, arr in sorted(layer.params().items()):
                 if isinstance(layer, SpectralAdapterLayer):
                     continue  # gamma is never part of theta
@@ -443,13 +490,26 @@ def build_model(
     return Model(layers, input_shape)
 
 
+def _unfold(layers):
+    """The layer stack with each adapter followed by the layers it absorbed."""
+    out = []
+    for layer in layers:
+        out.append(layer)
+        out.extend(getattr(layer, "absorbed", ()))
+    return out
+
+
 def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) -> Model:
     """Insert the spectral adapter at position j of the layer stack.
 
     The adapter consumes the output of layer j - 1 (or the raw input for
     j == 0), which must be a 4-D map whose flattened width equals the
-    basis dimension. The original model object is left untouched, so
-    dropping the returned model restores pre-insertion behavior exactly.
+    basis dimension. The frozen Conv2d, Flatten and Linear layers from j
+    up to the first other layer are folded into the adapter's
+    reconstruction (see :class:`SpectralAdapterLayer`); this is exact in
+    real arithmetic, not bitwise. The original model object is left
+    untouched, so dropping the returned model restores pre-insertion
+    behavior exactly.
     """
     if not 0 <= j <= len(model.layers):
         raise ContractViolationError(f"insertion index {j} out of range")
@@ -467,15 +527,19 @@ def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) 
         raise ContractViolationError(
             f"flattened width {p} at position {j} != basis dimension {basis.p}"
         )
-    layers = list(model.layers)
-    layers.insert(j, SpectralAdapterLayer(basis, filt))
+    end = j
+    while end < len(model.layers) and isinstance(model.layers[end], _FOLDABLE):
+        end += 1
+    adapter = SpectralAdapterLayer(basis, filt, model.layers[j:end], in_shape)
+    layers = model.layers[:j] + [adapter] + model.layers[end:]
     return Model(layers, model.input_shape, adapt_target=ADAPT_FILTER)
 
 
 def remove_adapter(model: Model) -> Model:
-    layers = [l for l in model.layers if not isinstance(l, SpectralAdapterLayer)]
-    if len(layers) == len(model.layers):
+    """The base model: the adapter goes and the layers it absorbed return."""
+    if not any(isinstance(l, SpectralAdapterLayer) for l in model.layers):
         raise ContractViolationError("model has no adapter layer")
+    layers = [l for l in _unfold(model.layers) if not isinstance(l, SpectralAdapterLayer)]
     return Model(layers, model.input_shape, adapt_target=ADAPT_NONE)
 
 
@@ -549,6 +613,16 @@ def train_model(
 # ---- checkpointing -----------------------------------------------------
 
 
+# the arrays each layer kind stores, as layer{idx}.{name}
+_CHECKPOINT_ARRAYS = {
+    "Conv2d": ("w", "b"),
+    "BatchNorm2d": ("scale", "shift", "running_mean", "running_var"),
+    "ReLU": (),
+    "Flatten": (),
+    "Linear": ("w", "b"),
+}
+
+
 def save_model(model: Model, path) -> None:
     spec = {
         "version": MODEL_FORMAT_VERSION,
@@ -557,24 +631,16 @@ def save_model(model: Model, path) -> None:
     }
     arrays = {}
     for idx, layer in enumerate(model.layers):
+        if isinstance(layer, SpectralAdapterLayer):
+            raise ContractViolationError(
+                "checkpoints store the base network; remove the adapter first"
+            )
         kind = type(layer).__name__
         entry = {"kind": kind}
         if isinstance(layer, Conv2d):
             entry["kernel"] = layer.kernel
-            arrays[f"layer{idx}.w"] = layer.w
-            arrays[f"layer{idx}.b"] = layer.b
-        elif isinstance(layer, BatchNorm2d):
-            arrays[f"layer{idx}.scale"] = layer.scale
-            arrays[f"layer{idx}.shift"] = layer.shift
-            arrays[f"layer{idx}.running_mean"] = layer.running_mean
-            arrays[f"layer{idx}.running_var"] = layer.running_var
-        elif isinstance(layer, Linear):
-            arrays[f"layer{idx}.w"] = layer.w
-            arrays[f"layer{idx}.b"] = layer.b
-        elif isinstance(layer, SpectralAdapterLayer):
-            raise ContractViolationError(
-                "checkpoints store the base network; remove the adapter first"
-            )
+        for name in _CHECKPOINT_ARRAYS[kind]:
+            arrays[f"layer{idx}.{name}"] = getattr(layer, name)
         spec["layers"].append(entry)
     arrays["spec"] = np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -582,38 +648,77 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    data = np.load(path)
-    spec = json.loads(bytes(data["spec"]).decode())
+    """Read a checkpoint written by :func:`save_model`.
+
+    Every array must be present and finite, and the layer chain must fit
+    together: each conv's input channels and each batch norm's channels
+    equal the width before it, and the Linear input width equals the
+    flattened map. A failed check raises ContractViolationError naming
+    the file.
+    """
+
+    def invalid(problem):
+        return ContractViolationError(f"invalid checkpoint {path}: {problem}")
+
+    try:
+        with np.load(path) as npz:
+            data = dict(npz)
+        spec = json.loads(bytes(data["spec"]).decode())
+    except (ValueError, KeyError, zipfile.BadZipFile) as exc:
+        # not an npz archive, or one without a readable layer spec
+        raise invalid(f"not a model checkpoint ({exc!r})") from exc
     if spec.get("version") != MODEL_FORMAT_VERSION:
         raise ContractViolationError(
             f"unsupported checkpoint version {spec.get('version')!r}"
         )
     rng = np.random.default_rng(0)
+    shape = tuple(spec["input_shape"])  # per-sample shape entering each layer
     layers = []
     for idx, entry in enumerate(spec["layers"]):
-        kind = entry["kind"]
+        kind = entry.get("kind")
+        if kind not in _CHECKPOINT_ARRAYS:
+            raise invalid(f"unknown layer kind {kind!r}")
+        arrays = {}
+        for name in _CHECKPOINT_ARRAYS[kind]:
+            key = f"layer{idx}.{name}"
+            if key not in data:
+                raise invalid(f"missing array {key}")
+            arrays[name] = data[key].astype(np.float64)
+            if not np.all(np.isfinite(arrays[name])):
+                raise invalid(f"non-finite entries in {key}")
+        if kind in ("Conv2d", "BatchNorm2d") and len(shape) != 3:
+            raise invalid(f"layer {idx} ({kind}) receives shape {shape}, need a 4-D map")
         if kind == "Conv2d":
-            w = data[f"layer{idx}.w"]
-            layer = Conv2d(w.shape[1], w.shape[0], entry["kernel"], rng)
-            layer.w = w.astype(np.float64)
-            layer.b = data[f"layer{idx}.b"].astype(np.float64)
+            w, k = arrays["w"], entry.get("kernel")
+            if w.ndim != 4 or w.shape[1:] != (shape[0], k, k):
+                raise invalid(
+                    f"layer{idx}.w has shape {w.shape}, expected (out, {shape[0]}, {k}, {k})"
+                )
+            layer = Conv2d(shape[0], w.shape[0], k, rng)
+            shape = (w.shape[0],) + shape[1:]
         elif kind == "BatchNorm2d":
-            scale = data[f"layer{idx}.scale"].astype(np.float64)
-            layer = BatchNorm2d(len(scale))
-            layer.scale = scale
-            layer.shift = data[f"layer{idx}.shift"].astype(np.float64)
-            layer.running_mean = data[f"layer{idx}.running_mean"].astype(np.float64)
-            layer.running_var = data[f"layer{idx}.running_var"].astype(np.float64)
+            layer = BatchNorm2d(shape[0])
+            if np.any(arrays["running_var"] < 0):
+                raise invalid(f"negative entries in layer{idx}.running_var")
         elif kind == "ReLU":
             layer = ReLU()
         elif kind == "Flatten":
             layer = Flatten()
-        elif kind == "Linear":
-            w = data[f"layer{idx}.w"].astype(np.float64)
-            layer = Linear(w.shape[1], w.shape[0], rng)
-            layer.w = w
-            layer.b = data[f"layer{idx}.b"].astype(np.float64)
+            shape = (int(np.prod(shape)),)
         else:
-            raise ContractViolationError(f"unknown layer kind {kind!r}")
+            w = arrays["w"]
+            if len(shape) != 1 or w.ndim != 2 or w.shape[1] != shape[0]:
+                raise invalid(
+                    f"layer{idx}.w has shape {w.shape}, but the layer receives shape {shape}"
+                )
+            layer = Linear(w.shape[1], w.shape[0], rng)
+            shape = (w.shape[0],)
+        for name, arr in arrays.items():
+            if arr.shape != getattr(layer, name).shape:
+                raise invalid(
+                    f"layer{idx}.{name} has shape {arr.shape}, "
+                    f"expected {getattr(layer, name).shape}"
+                )
+            setattr(layer, name, arr)
         layers.append(layer)
     return Model(layers, tuple(spec["input_shape"]))

@@ -16,7 +16,7 @@ from spectral_tta.bench import (
     run_benchmark,
 )
 from spectral_tta.errors import ConfigError, ContractViolationError
-from spectral_tta.network import build_model, save_model
+from spectral_tta.network import build_model, load_model, save_model
 from spectral_tta.pca import PcaBasis
 
 SMALL = DatasetSpec(n_train=60, n_test=40, channels=2, height=4, width=4, seed=3)
@@ -483,3 +483,63 @@ def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.count(f"invalid basis file {basis}") == 2
     assert not (tmp_path / "out").exists()
+
+
+def _corrupt_checkpoint(arrays, case):
+    if case == "missing":
+        del arrays["layer0.w"]
+    elif case == "non-finite":
+        arrays["layer1.running_var"] = arrays["layer1.running_var"].copy()
+        arrays["layer1.running_var"][0] = np.inf
+    elif case == "conv-in-channels":
+        arrays["layer3.w"] = arrays["layer3.w"][:, :-1]
+    elif case == "bn-channels":
+        arrays["layer4.scale"] = arrays["layer4.scale"][:-1]
+    elif case == "linear-width":
+        arrays["layer7.w"] = arrays["layer7.w"][:, :-2]
+    elif case == "negative-variance":
+        arrays["layer4.running_var"] = -arrays["layer4.running_var"]
+    elif case == "no-kernel":
+        spec = json.loads(bytes(arrays["spec"]).decode())
+        del spec["layers"][0]["kernel"]
+        arrays["spec"] = np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8)
+    elif case == "no-spec":
+        del arrays["spec"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing", "non-finite", "conv-in-channels", "bn-channels", "linear-width",
+        "negative-variance", "no-kernel", "no-spec", "not-an-archive",
+    ],
+)
+def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
+    model = tmp_path / "m.npz"
+    save_model(build_model(0, input_shape=(2, 4, 4), conv_channels=(3, 3), n_classes=3), model)
+    with np.load(model) as data:
+        arrays = dict(data)
+    _corrupt_checkpoint(arrays, case)
+    with open(model, "wb") as fh:
+        np.savez(fh, **arrays)
+    if case == "not-an-archive":
+        model.write_bytes(model.read_bytes()[:100])  # a truncated download
+    with pytest.raises(ContractViolationError, match="invalid checkpoint"):
+        load_model(model)
+    cfg = write_tiny_cli_config(tmp_path)
+    args = ["--config", str(cfg), "--model", str(model), "--basis", str(tmp_path / "b.json")]
+    records = ["--method", "no-adapt", "--out", str(tmp_path / "r.jsonl")]
+    assert cli.main(["adapt"] + args + records) == 2
+    assert cli.main(["bench"] + args + ["--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["fit-pca"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"invalid checkpoint {model}") == 3
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "b.json").exists()
+
+
+def test_saved_checkpoint_loads_unchanged(tmp_path):
+    model = build_model(3, input_shape=(2, 4, 4), conv_channels=(3, 3), n_classes=3)
+    path = tmp_path / "m.npz"
+    save_model(model, path)
+    assert load_model(path).weight_hash() == model.weight_hash()

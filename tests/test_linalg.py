@@ -212,3 +212,17 @@ def test_svd_orthogonal_rows_with_underflowing_norm_product():
     assert np.array_equal(res.s, [3e-100, 1e-100, 1e-100])
     assert np.array_equal(res.vt, np.eye(3))
     assert np.array_equal(res.u, np.eye(3))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-100])
+def test_svd_extreme_scale_is_scaled_by_a_power_of_two(scale):
+    # unscaled, the squared row norms overflow (1e160) or their products
+    # underflow (1e-100)
+    a = np.random.default_rng(0).normal(size=(5, 3))
+    ref = linalg.svd(a)
+    res = linalg.svd(a * scale)
+    assert np.all(np.isfinite(res.s))
+    assert np.abs(res.s / (ref.s * scale) - 1.0).max() <= 1e-12
+    assert np.allclose(res.vt, ref.vt, atol=1e-12)
+    assert np.allclose(res.u, ref.u, atol=1e-12)
+    assert np.allclose(linalg.svd(a.T * scale).s, res.s, rtol=1e-12)
