@@ -10,8 +10,6 @@ scale/shift) is learned at test time; the backbone stays frozen.
 Runs in about half a minute.  python3 demos/04_adaptation_walkthrough.py
 """
 
-import numpy as np
-
 from spectral_tta import bench
 
 # A reduced config keeps the demo quick; drop the overrides to reproduce
@@ -27,9 +25,8 @@ cfg = bench.load_config(
 
 print("training the frozen source model ...")
 model = bench.train_from_config(cfg)
-_, (test_x, test_y) = bench.gen_dataset(bench._dataset_spec(cfg))
-logits, _ = model.forward(test_x)
-print(f"clean test accuracy: {np.mean(logits.argmax(1) == test_y):.3f}")
+clean = bench.run_cell(cfg, model, None, "no-adapt")  # corruption=None: the clean set
+print(f"clean test accuracy: {1 - clean.mean_error():.3f}")
 
 print("fitting the PCA basis at the insertion layer ...")
 basis = bench.fit_basis_from_config(cfg, model)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError
-from .network import BN_BATCH, BatchNorm2d, Model
+from .errors import ContractViolationError, NumericalFailureError
+from .network import ADAPT_BN, BN_BATCH, BatchNorm2d, Model
 
 OPT_ADAM = "adam"
 OPT_SGD = "sgd"  # plain gradient descent, kept for diagnostics
@@ -160,6 +160,10 @@ def _check_batches(test_batches):
     return batches
 
 
+def _diverged(method: str, b_idx: int, what: str) -> NumericalFailureError:
+    return NumericalFailureError(f"{method} adaptation diverged on batch {b_idx}: {what}")
+
+
 def _run_protocol(model: Model, test_batches, cfg: AdaptConfig, method: str, episodic: bool):
     batches = _check_batches(test_batches)
     n_params = model.adapt_param_count()
@@ -181,8 +185,13 @@ def _run_protocol(model: Model, test_batches, cfg: AdaptConfig, method: str, epi
                 logits, caches = model.forward(h, start=k)
             gloss = entropy_grad(logits)
             grads = model.backward_adapt(caches, gloss)
-            model.set_adapt_params(adam_step(state, model.adapt_params(), grads, cfg))
+            params = adam_step(state, model.adapt_params(), grads, cfg)
+            if not np.all(np.isfinite(params)):
+                raise _diverged(method, b_idx, f"non-finite parameters after step {step + 1}")
+            model.set_adapt_params(params)
         logits_after, _ = model.forward(h, start=k)
+        if not np.all(np.isfinite(logits_after)):
+            raise _diverged(method, b_idx, "non-finite logits after adaptation")
         record.add(
             b_idx,
             len(y),
@@ -207,9 +216,8 @@ def adapt_online(model: Model, test_batches, cfg: AdaptConfig, method: str = "ad
 
 
 def run_adaptation(model: Model, test_batches, cfg: AdaptConfig, method: str = "adapt") -> RunRecord:
-    if cfg.protocol == "episodic":
-        return adapt_episodic(model, test_batches, cfg, method)
-    return adapt_online(model, test_batches, cfg, method)
+    """Run the protocol that ``cfg.protocol`` names."""
+    return _run_protocol(model, test_batches, cfg, method, episodic=cfg.protocol == "episodic")
 
 
 # ---- baselines ----------------------------------------------------------
@@ -243,7 +251,7 @@ def baseline_bn_modulators(model: Model, test_batches, cfg: AdaptConfig) -> RunR
     """Entropy-train the batch-norm scale/shift with batch statistics."""
     work = model.clone()
     work.set_bn_mode(BN_BATCH)
-    work.adapt_target = "bn-modulators"
+    work.adapt_target = ADAPT_BN
     if not any(isinstance(l, BatchNorm2d) for l in work.layers):
         raise ContractViolationError("model has no batch-norm layers to modulate")
     return run_adaptation(work, test_batches, cfg, method="bn-modulators")

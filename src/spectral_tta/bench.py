@@ -436,25 +436,41 @@ def _cell_seed(base_seed: int, corruption: str, severity: int) -> int:
     return base_seed * 1009 + CORRUPTION_KINDS.index(corruption) * 13 + severity
 
 
+def _cell_batches(cfg: dict, test_set, corruption: str | None, severity: int):
+    """The test set, corrupted unless ``corruption`` is None, in batches."""
+    x, y = test_set
+    if corruption is not None:
+        seed = _cell_seed(cfg["seed"], corruption, severity)
+        x = corrupt(x, CorruptionSpec(kind=corruption, severity=severity, seed=seed))
+    return make_batches(x, y, cfg["adapt"]["batch_size"])
+
+
+def run_cell(
+    cfg: dict, model: Model, basis: PcaBasis | None, method: str, corruption=None, severity=5
+) -> RunRecord:
+    """Run one method on one (corruption, severity) cell of the grid, or on
+    the clean test set when ``corruption`` is None. ``basis`` is needed only
+    by the spectral methods. The record equals the grid's for that cell."""
+    _, test_set = gen_dataset(_dataset_spec(cfg))
+    batches = _cell_batches(cfg, test_set, corruption, severity)
+    return _evaluate_cell(model, basis, cfg, method, batches)
+
+
 def run_benchmark(cfg: dict, model: Model, basis: PcaBasis | None, out_dir=None):
     """Evaluate every configured method on every (corruption, severity).
 
     Returns (ErrorTable, {cell key: RunRecord}). With ``out_dir`` set,
-    also writes table.csv and one records JSON-lines file per cell.
+    also writes table.csv and one records JSON-lines file per cell. Each
+    cell is evaluated as :func:`run_cell` does, but the test set is
+    generated once and each (corruption, severity) is corrupted once for
+    all methods.
     """
-    _, (test_x, test_y) = gen_dataset(_dataset_spec(cfg))
-    batch_size = cfg["adapt"]["batch_size"]
+    _, test_set = gen_dataset(_dataset_spec(cfg))
     errors = {}
     records = {}
     for corruption in cfg["corruptions"]:
         for severity in cfg["severities"]:
-            cspec = CorruptionSpec(
-                kind=corruption,
-                severity=severity,
-                seed=_cell_seed(cfg["seed"], corruption, severity),
-            )
-            cx = corrupt(test_x, cspec)
-            batches = make_batches(cx, test_y, batch_size)
+            batches = _cell_batches(cfg, test_set, corruption, severity)
             for method in cfg["methods"]:
                 rec = _evaluate_cell(model, basis, cfg, method, batches)
                 errors[(method, corruption, severity)] = rec.mean_error()
@@ -474,18 +490,23 @@ def run_benchmark(cfg: dict, model: Model, basis: PcaBasis | None, out_dir=None)
     return table, records
 
 
-def run_benchmark_from_files(cfg: dict, model_path, basis_path, out_dir=None):
+def load_inputs(methods, model_path, basis_path):
+    """(model, basis) from their files; the basis is loaded only when one of
+    ``methods`` is spectral, and is None otherwise."""
     model_path = Path(model_path)
     if not model_path.exists():
         raise FileNotFoundError(f"model checkpoint not found: {model_path}")
     model = load_model(model_path)
-    basis = None
-    needs_basis = any(m in _FILTER_KIND for m in cfg["methods"])
-    if needs_basis:
-        basis_path = Path(basis_path)
-        if not basis_path.exists():
-            raise FileNotFoundError(f"PCA basis file not found: {basis_path}")
-        basis = PcaBasis.load(basis_path)
+    if not any(m in _FILTER_KIND for m in methods):
+        return model, None
+    basis_path = Path(basis_path)
+    if not basis_path.exists():
+        raise FileNotFoundError(f"PCA basis file not found: {basis_path}")
+    return model, PcaBasis.load(basis_path)
+
+
+def run_benchmark_from_files(cfg: dict, model_path, basis_path, out_dir=None):
+    model, basis = load_inputs(cfg["methods"], model_path, basis_path)
     return run_benchmark(cfg, model, basis, out_dir)
 
 

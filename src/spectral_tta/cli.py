@@ -8,13 +8,9 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import bench, ridge
-from .adapt import run_adaptation, baseline_bn_stats, baseline_no_adapt, baseline_bn_modulators
 from .errors import ConfigError, ContractViolationError, NumericalFailureError
-from .network import load_model
-from .pca import PcaBasis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,30 +46,10 @@ def _cmd_fit_pca(args) -> int:
 
 def _cmd_adapt(args) -> int:
     cfg = _read_config(args.config)
-    model = load_model(args.model)
-    method = args.method
-    _, (test_x, test_y) = bench.gen_dataset(bench._dataset_spec(cfg))
-    if args.corruption:
-        cspec = bench.CorruptionSpec(
-            kind=args.corruption,
-            severity=args.severity,
-            seed=bench._cell_seed(cfg["seed"], args.corruption, args.severity),
-        )
-        test_x = bench.corrupt(test_x, cspec)
-    batches = bench.make_batches(test_x, test_y, cfg["adapt"]["batch_size"])
-    acfg = bench._adapt_config(cfg)
-    if method == "no-adapt":
-        rec = baseline_no_adapt(model, batches)
-    elif method == "bn-stats":
-        rec = baseline_bn_stats(model, batches)
-    elif method == "bn-modulators":
-        rec = baseline_bn_modulators(model, batches, acfg)
-    else:
-        basis = PcaBasis.load(args.basis)
-        work = bench._spectral_model(model, cfg, basis, method)
-        rec = run_adaptation(work, batches, acfg, method=method)
+    model, basis = bench.load_inputs([args.method], args.model, args.basis)
+    rec = bench.run_cell(cfg, model, basis, args.method, args.corruption, args.severity)
     rec.to_jsonl(args.out)
-    print(f"{method}: mean error {rec.mean_error():.4f}; records in {args.out}")
+    print(f"{args.method}: mean error {rec.mean_error():.4f}; records in {args.out}")
     return EXIT_OK
 
 

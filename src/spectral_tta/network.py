@@ -259,10 +259,11 @@ class SpectralAdapterLayer:
 # right after the adapter folds into its reconstruction
 _FOLDABLE = (Conv2d, Flatten, Linear)
 
-# adaptation targets
+# adaptation targets, and the layer class whose params() each one adapts
 ADAPT_NONE = None
 ADAPT_FILTER = "filter"
 ADAPT_BN = "bn-modulators"
+_ADAPT_LAYER = {ADAPT_FILTER: SpectralAdapterLayer, ADAPT_BN: BatchNorm2d}
 
 
 class Model:
@@ -328,95 +329,63 @@ class Model:
         adaptation layer has a gradient to collect, so those caches may be
         the ``None`` slots of ``forward(h, start=model.adapt_start())``.
         """
-        if self.adapt_target is ADAPT_NONE:
-            raise ContractViolationError("model has no adaptation parameter set")
+        adapt_idx = self._adapt_indices()
         if len(caches) != len(self.layers):
             raise ContractViolationError("cache does not match the layer stack")
         per_layer = {}
         g = gloss
-        start = self.adapt_start()
+        start = adapt_idx[0]
         for idx in range(len(self.layers) - 1, start - 1, -1):
             layer = self.layers[idx]
-            need = self._is_adapt_layer(layer)
+            need = idx in adapt_idx
             g, pg = layer.backward(
                 caches[idx], g, need_param_grads=need, need_input_grad=idx > start
             )
             if need:
                 per_layer[idx] = pg
-        return self._collect_adapt(per_layer)
+        return np.concatenate(
+            [per_layer[i][name] for i in adapt_idx for name in self.layers[i].params()]
+        )
 
-    # ---- adaptation parameter plumbing --------------------------------
+    # ---- adaptation parameters -----------------------------------------
+    # The adaptation parameters are the arrays that ``params()`` returns on
+    # each layer of the target's class, in stack order.
 
-    def _is_adapt_layer(self, layer) -> bool:
-        if self.adapt_target == ADAPT_FILTER:
-            return isinstance(layer, SpectralAdapterLayer)
-        if self.adapt_target == ADAPT_BN:
-            return isinstance(layer, BatchNorm2d)
-        return False
+    def _adapt_indices(self) -> list:
+        """Stack indices of the adaptation layers, lowest first."""
+        kind = _ADAPT_LAYER.get(self.adapt_target, ())
+        idx = [i for i, layer in enumerate(self.layers) if isinstance(layer, kind)]
+        if not idx:
+            raise ContractViolationError("model has no adaptation parameter set")
+        return idx
+
+    def _adapt_arrays(self) -> list:
+        return [a for i in self._adapt_indices() for a in self.layers[i].params().values()]
 
     def adapt_start(self) -> int:
         """Index of the lowest adaptation layer. The layers below it are
         frozen, so their output is a fixed function of the input batch."""
-        for idx, layer in enumerate(self.layers):
-            if self._is_adapt_layer(layer):
-                return idx
-        raise ContractViolationError("model has no adaptation parameter set")
-
-    def _adapt_layers(self):
-        return [l for l in self.layers if self._is_adapt_layer(l)]
-
-    def _collect_adapt(self, per_layer):
-        chunks = []
-        for idx, layer in enumerate(self.layers):
-            if not self._is_adapt_layer(layer):
-                continue
-            pg = per_layer.get(idx, {})
-            if isinstance(layer, SpectralAdapterLayer):
-                chunks.append(pg.get("gamma", np.zeros(len(layer.filt))))
-            else:
-                chunks.append(pg.get("scale", np.zeros(layer.channels)))
-                chunks.append(pg.get("shift", np.zeros(layer.channels)))
-        return np.concatenate(chunks)
+        return self._adapt_indices()[0]
 
     def adapt_params(self) -> np.ndarray:
-        chunks = []
-        for layer in self._adapt_layers():
-            if isinstance(layer, SpectralAdapterLayer):
-                chunks.append(layer.filt.gamma.copy())
-            else:
-                chunks.append(layer.scale.copy())
-                chunks.append(layer.shift.copy())
-        if not chunks:
-            raise ContractViolationError("model has no adaptation parameter set")
-        return np.concatenate(chunks)
+        return np.concatenate(self._adapt_arrays())
 
     def set_adapt_params(self, vec: np.ndarray) -> None:
+        """Write ``vec`` into the adaptation arrays, in place."""
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.adapt_param_count(),):
+        arrays = self._adapt_arrays()
+        count = sum(a.size for a in arrays)
+        if vec.shape != (count,):
             raise ContractViolationError(
-                f"expected {self.adapt_param_count()} adaptation parameters, "
-                f"got {vec.shape}"
+                f"expected {count} adaptation parameters, got {vec.shape}"
             )
         pos = 0
-        for layer in self._adapt_layers():
-            if isinstance(layer, SpectralAdapterLayer):
-                n = len(layer.filt)
-                layer.filt.gamma = vec[pos : pos + n].copy()
-                pos += n
-            else:
-                n = layer.channels
-                layer.scale = vec[pos : pos + n].copy()
-                layer.shift = vec[pos + n : pos + 2 * n].copy()
-                pos += 2 * n
+        for a in arrays:
+            a[...] = vec[pos : pos + a.size]
+            pos += a.size
 
     def adapt_param_count(self) -> int:
-        total = 0
-        for layer in self._adapt_layers():
-            if isinstance(layer, SpectralAdapterLayer):
-                total += len(layer.filt)
-            else:
-                total += 2 * layer.channels
-        return total
+        return sum(a.size for a in self._adapt_arrays())
 
     # ---- state management ----------------------------------------------
 

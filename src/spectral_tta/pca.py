@@ -20,6 +20,10 @@ SV_DROP_THRESHOLD = 1e-12
 
 BASIS_FORMAT_VERSION = 1
 
+# largest |V V^T - I| entry a basis file may have; a fitted basis measures
+# about 1e-12
+ORTHONORMAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PcaBasis:
@@ -83,6 +87,11 @@ class PcaBasis:
             problem = "non-finite entries"
         elif not (np.all(sv > 0) and np.all(np.diff(sv) <= 0)):
             problem = "singular values must be positive and non-increasing"
+        else:
+            v = comp.reshape(rank, p)
+            residual = np.max(np.abs(v @ v.T - np.eye(rank)))
+            if residual > ORTHONORMAL_TOL:
+                problem = f"component rows are not orthonormal (max |V V^T - I| = {residual:.1e})"
         if problem is not None:
             raise ContractViolationError(f"invalid basis file {path}: {problem}")
         return cls(

@@ -456,11 +456,16 @@ def _corrupt_basis(payload, case):
         payload["singular_values"][-1] = 0.0
     elif case == "rank-type":
         payload["rank"] = "2"
+    elif case == "non-orthonormal":
+        payload["components"][0] = 1.5  # row 0 is no longer a unit vector
 
 
 @pytest.mark.parametrize(
     "case",
-    ["components", "mean", "singular-values", "non-finite", "increasing", "non-positive", "rank-type"],
+    [
+        "components", "mean", "singular-values", "non-finite", "increasing", "non-positive",
+        "rank-type", "non-orthonormal",
+    ],
 )
 def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
     model = tmp_path / "m.npz"
@@ -543,3 +548,106 @@ def test_saved_checkpoint_loads_unchanged(tmp_path):
     path = tmp_path / "m.npz"
     save_model(model, path)
     assert load_model(path).weight_hash() == model.weight_hash()
+
+
+# ---- the cell evaluator ---------------------------------------------------
+
+
+@pytest.mark.parametrize("method", list(bench.METHODS))
+def test_run_cell_returns_the_grid_record(method, tiny_config, tiny_model, tiny_basis):
+    cfg = one_cell_config(tiny_config)
+    cfg["methods"] = [method]
+    _, records = run_benchmark(cfg, tiny_model, tiny_basis)
+    grid = records[f"{method}__gaussian-noise__sev3"]
+    rec = bench.run_cell(cfg, tiny_model, tiny_basis, method, "gaussian-noise", 3)
+    assert (rec.method, rec.protocol) == (grid.method, grid.protocol)
+    assert rec.batches == grid.batches  # errors, both entropies, params_hash
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """The tiny CLI config and the model and basis files the CLI makes from it."""
+    tmp = tmp_path_factory.mktemp("cli")
+    cfg = write_tiny_cli_config(tmp)
+    model, basis = tmp / "model.npz", tmp / "basis.json"
+    assert cli.main(["train", "--config", str(cfg), "--model", str(model)]) == 0
+    assert cli.main(["fit-pca", "--config", str(cfg), "--model", str(model), "--basis", str(basis)]) == 0
+    return cfg, model, basis
+
+
+def cli_adapt(cli_files, config, method, out):
+    _, model, basis = cli_files
+    return cli.main(
+        [
+            "adapt", "--config", str(config), "--model", str(model), "--basis", str(basis),
+            "--method", method, "--out", str(out),
+        ]
+    )
+
+
+@pytest.mark.parametrize("method", ["no-adapt", "spectral-relu"])
+def test_cli_adapt_without_corruption_runs_on_the_clean_set(cli_files, tmp_path, method):
+    from spectral_tta.adapt import baseline_no_adapt, run_adaptation
+
+    out = tmp_path / "r.jsonl"
+    assert cli_adapt(cli_files, cli_files[0], method, out) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    cfg = load_config(json.loads(cli_files[0].read_text()))
+    model = load_model(cli_files[1])
+    _, (x, y) = gen_dataset(bench._dataset_spec(cfg))
+    batches = make_batches(x, y, cfg["adapt"]["batch_size"])
+    if method == "no-adapt":
+        expected = baseline_no_adapt(model, batches)
+    else:
+        basis = PcaBasis.load(cli_files[2])
+        work = bench._spectral_model(model, cfg, basis, method)
+        expected = run_adaptation(work, batches, bench._adapt_config(cfg), method=method)
+    assert len(rows) == len(batches) > 1
+    assert [{k: row[k] for k in expected.batches[0]} for row in rows] == expected.batches
+
+
+# (adapt overrides, method, what the error names); one online step leaves
+# the modulators finite but not the logits, so only the logits check sees it
+DIVERGING = [
+    ({"adam_eps": 0.0, "gamma_init": 0.0}, "spectral-relu", "non-finite parameters"),
+    ({"adam_eps": 0.0, "gamma_init": 0.0}, "spectral-exp", "non-finite parameters"),
+    ({"learning_rate": 1e308}, "spectral-exp", "non-finite parameters"),
+    ({"learning_rate": 1e308}, "bn-modulators", "non-finite parameters"),
+    (
+        {"learning_rate": 1e308, "steps_per_batch": 1, "protocol": "online"},
+        "bn-modulators",
+        "non-finite logits",
+    ),
+]
+
+
+def diverging_config(cli_files, tmp_path, adapt_over):
+    cfg = json.loads(cli_files[0].read_text())
+    cfg["adapt"].update(adapt_over)
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+# the overflow is provoked on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("adapt_over, method, cause", DIVERGING)
+def test_cli_diverged_adaptation_exits_3(cli_files, tmp_path, capsys, adapt_over, method, cause):
+    out = tmp_path / "r.jsonl"
+    assert cli_adapt(cli_files, diverging_config(cli_files, tmp_path, adapt_over), method, out) == 3
+    assert not out.exists()
+    assert f"{method} adaptation diverged on batch 0: {cause}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_diverged_bench_exits_3_and_writes_nothing(cli_files, tmp_path, capsys):
+    adapt_over, method, _ = DIVERGING[0]
+    _, model, basis = cli_files
+    out = tmp_path / "out"
+    args = [
+        "bench", "--config", str(diverging_config(cli_files, tmp_path, adapt_over)),
+        "--model", str(model), "--basis", str(basis), "--out", str(out),
+    ]
+    assert cli.main(args) == 3
+    assert not out.exists()
+    assert f"{method} adaptation diverged" in capsys.readouterr().err
