@@ -16,7 +16,6 @@ from .pca import (
     flatten_features,
     inverse_transform,
     transform,
-    unflatten_features,
 )
 from .filters import (
     NEG_EXP,

@@ -15,34 +15,35 @@ import numpy as np
 from .errors import ContractViolationError, NumericalFailureError
 from .network import ADAPT_BN, BN_BATCH, BatchNorm2d, Model
 
-OPT_ADAM = "adam"
-OPT_SGD = "sgd"  # plain gradient descent, kept for diagnostics
-
 RECORD_FORMAT_VERSION = 1
 
 
 @dataclass
 class AdaptConfig:
+    """The adaptation settings. These defaults are the ``adapt`` section of
+    ``bench.DEFAULT_CONFIG``, and each check names that section's key."""
+
     protocol: str = "episodic"
-    learning_rate: float = 0.001
-    steps_per_batch: int = 1
-    batch_size: int = 200
+    learning_rate: float = 0.25
+    steps_per_batch: int = 10
+    batch_size: int = 64
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    optimizer: str = OPT_ADAM
 
     def __post_init__(self):
-        if self.protocol not in ("episodic", "online"):
-            raise ContractViolationError(f"unknown protocol {self.protocol!r}")
-        if self.learning_rate < 0:
-            raise ContractViolationError("learning_rate must be >= 0")
-        if self.steps_per_batch < 1:
-            raise ContractViolationError("steps_per_batch must be >= 1")
-        if self.batch_size < 1:
-            raise ContractViolationError("batch_size must be >= 1")
-        if self.optimizer not in (OPT_ADAM, OPT_SGD):
-            raise ContractViolationError(f"unknown optimizer {self.optimizer!r}")
+        checks = [
+            ("protocol", "must be 'episodic' or 'online'", self.protocol in ("episodic", "online")),
+            ("learning_rate", "must be finite and >= 0", 0 <= self.learning_rate < np.inf),
+            ("steps_per_batch", "must be >= 1", self.steps_per_batch >= 1),
+            ("batch_size", "must be >= 1", self.batch_size >= 1),
+            ("adam_beta1", "must be in [0, 1)", 0 <= self.adam_beta1 < 1),
+            ("adam_beta2", "must be in [0, 1)", 0 <= self.adam_beta2 < 1),
+            ("adam_eps", "must be > 0", self.adam_eps > 0),
+        ]
+        for key, rule, ok in checks:
+            if not ok:
+                raise ContractViolationError(f"adapt.{key} {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -81,16 +82,13 @@ def entropy_grad(logits: np.ndarray) -> np.ndarray:
 def adam_step(
     state: AdamState, params: np.ndarray, grads: np.ndarray, cfg: AdaptConfig
 ) -> np.ndarray:
-    """One optimizer step; mutates ``state``, returns the new parameters."""
+    """One Adam step; mutates ``state``, returns the new parameters."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
         raise ContractViolationError(
             f"params shape {params.shape} != grads shape {grads.shape}"
         )
-    if cfg.optimizer == OPT_SGD:
-        state.timestep += 1
-        return params - cfg.learning_rate * grads
     state.timestep += 1
     t = state.timestep
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
@@ -223,10 +221,9 @@ def run_adaptation(model: Model, test_batches, cfg: AdaptConfig, method: str = "
 # ---- baselines ----------------------------------------------------------
 
 
-def baseline_no_adapt(model: Model, test_batches) -> RunRecord:
-    """Pure inference with frozen statistics."""
+def _infer(model: Model, test_batches, method: str) -> RunRecord:
     batches = _check_batches(test_batches)
-    record = RunRecord(method="no-adapt", protocol="none")
+    record = RunRecord(method=method, protocol="none")
     for b_idx, (x, y) in enumerate(batches):
         logits, _ = model.forward(x)
         h = entropy(logits)
@@ -234,17 +231,16 @@ def baseline_no_adapt(model: Model, test_batches) -> RunRecord:
     return record
 
 
+def baseline_no_adapt(model: Model, test_batches) -> RunRecord:
+    """Pure inference with frozen statistics."""
+    return _infer(model, test_batches, "no-adapt")
+
+
 def baseline_bn_stats(model: Model, test_batches) -> RunRecord:
     """Recompute batch-norm statistics per test batch; nothing is learned."""
-    batches = _check_batches(test_batches)
     work = model.clone()
     work.set_bn_mode(BN_BATCH)
-    record = RunRecord(method="bn-stats", protocol="none")
-    for b_idx, (x, y) in enumerate(batches):
-        logits, _ = work.forward(x)
-        h = entropy(logits)
-        record.add(b_idx, len(y), _batch_error(logits, y), h, h)
-    return record
+    return _infer(work, test_batches, "bn-stats")
 
 
 def baseline_bn_modulators(model: Model, test_batches, cfg: AdaptConfig) -> RunRecord:

@@ -5,6 +5,7 @@ ablations. Everything is a pure function of (config, seed, checkpoints).
 
 import copy
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,9 +60,15 @@ _FILTER_KIND = {"spectral-relu": RELU_RIDGE, "spectral-exp": NEG_EXP}
 
 TABLE_FORMAT_VERSION = 1
 
-# batch sizes are range() steps: a value below 1 would fail deep inside
-# the batching without naming the key
-_BATCH_KEYS = (("model", "train_batch"), ("pca", "fit_batch"), ("adapt", "batch_size"))
+# keys that must be at least 1: batch sizes are range() steps, so a value
+# below 1 would fail deep inside the batching without naming the key, and
+# an ablation over no seeds would average over nothing
+_POSITIVE_KEYS = (
+    ("model", "train_batch"),
+    ("pca", "fit_batch"),
+    ("adapt", "batch_size"),
+    ("ablation", "n_seeds"),
+)
 
 
 # ---- dataset -------------------------------------------------------------
@@ -213,16 +220,7 @@ DEFAULT_CONFIG = {
         "fit_samples": 512,
         "fit_batch": 64,
     },
-    "adapt": {
-        "protocol": "episodic",
-        "learning_rate": 0.25,
-        "steps_per_batch": 10,
-        "batch_size": 64,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_eps": 1e-8,
-        "gamma_init": 1e-3,
-    },
+    "adapt": {**dataclasses.asdict(AdaptConfig()), "gamma_init": 1e-3},
     "methods": list(METHODS),
     "corruptions": list(CORRUPTION_KINDS),
     "severities": [1, 2, 3, 4, 5],
@@ -287,12 +285,19 @@ def load_config(override: dict | None = None) -> dict:
     for s in cfg["severities"]:
         if not 1 <= s <= 5:
             bad.append(f"severities:{s}")
-    for section, key in _BATCH_KEYS:
+    for key in ("methods", "corruptions", "severities"):
+        if not cfg[key]:
+            bad.append(f"{key}:[]")
+    for section, key in _POSITIVE_KEYS:
         v = cfg[section][key]
         if v < 1:
             bad.append(f"{section}.{key}:{v!r}")
+    kernel = cfg["model"]["kernel"]
+    if kernel < 1 or kernel % 2 == 0:  # same padding needs a positive odd kernel
+        bad.append(f"model.kernel:{kernel!r}")
     if bad:
         raise ConfigError(f"invalid config values: {', '.join(bad)}", bad)
+    _adapt_config(cfg)  # AdaptConfig checks the adapt values, naming each key
     return cfg
 
 
@@ -301,16 +306,7 @@ def _dataset_spec(cfg: dict) -> DatasetSpec:
 
 
 def _adapt_config(cfg: dict) -> AdaptConfig:
-    a = cfg["adapt"]
-    return AdaptConfig(
-        protocol=a["protocol"],
-        learning_rate=a["learning_rate"],
-        steps_per_batch=a["steps_per_batch"],
-        batch_size=a["batch_size"],
-        adam_beta1=a["adam_beta1"],
-        adam_beta2=a["adam_beta2"],
-        adam_eps=a["adam_eps"],
-    )
+    return AdaptConfig(**{f.name: cfg["adapt"][f.name] for f in dataclasses.fields(AdaptConfig)})
 
 
 def make_batches(x: np.ndarray, y: np.ndarray, batch_size: int):
@@ -384,9 +380,6 @@ class ErrorTable:
 
     def row(self, method, corruption):
         return [self.errors[(method, corruption, s)] for s in self.severities]
-
-    def row_mean(self, method, corruption):
-        return float(np.mean(self.row(method, corruption)))
 
     def severity_mean(self, method, severity):
         return float(

@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="basis.json")
     p.add_argument("--method", default="spectral-relu", choices=bench.METHODS)
     p.add_argument("--corruption", default=None, choices=bench.CORRUPTION_KINDS)
-    p.add_argument("--severity", type=int, default=5)
+    p.add_argument("--severity", type=int, default=5, choices=range(1, 6))
     p.add_argument("--out", default="records.jsonl")
     p.set_defaults(fn=_cmd_adapt)
 

@@ -13,7 +13,6 @@ frozen affine map after the filter, composed with V and mean once, then
 costs no extra work per call.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ from .pca import PcaBasis
 RELU_RIDGE = "relu-ridge"
 NEG_EXP = "neg-exp"
 KINDS = (RELU_RIDGE, NEG_EXP)
-
-FILTER_FORMAT_VERSION = 1
 
 # keep the neg-exp diagonal inside the open interval (0, 1) even where the
 # sigmoid saturates in float64
@@ -88,30 +85,6 @@ class SpectralFilter:
             return g
         f = _sigmoid(self.lambda_ref - self.gamma**2)
         return -2.0 * self.gamma * f * (1.0 - f)
-
-    def save(self, path) -> None:
-        payload = {
-            "version": FILTER_FORMAT_VERSION,
-            "kind": self.kind,
-            "gamma": self.gamma.tolist(),
-            "lambda_ref": self.lambda_ref.tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def load(cls, path) -> "SpectralFilter":
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("version") != FILTER_FORMAT_VERSION:
-            raise ContractViolationError(
-                f"unsupported filter file version {payload.get('version')!r}"
-            )
-        return cls(
-            payload["kind"],
-            np.asarray(payload["lambda_ref"], dtype=np.float64),
-            np.asarray(payload["gamma"], dtype=np.float64),
-        )
 
 
 @dataclass

@@ -159,8 +159,8 @@ def _svd_tall(a: np.ndarray) -> SvdResult:
     n, m = a.shape
     # work on rows of a.T so every inner update touches contiguous memory
     xt, rot = _jacobi_rows(a.T)
-    # a @ rot.T has orthogonal columns: a = (xt.T) @ rot, xt rows = scaled V? no:
-    # xt = rot @ a.T  =>  a = xt.T @ rot  with xt.T having orthogonal columns.
+    # xt = rot @ a.T with rot orthogonal, so a = xt.T @ rot: row k of xt is
+    # s_k * u_k (its norm s_k) and row k of rot is v_k
     norms = np.sqrt(np.einsum("ij,ij->i", xt, xt))
     order = np.argsort(-norms, kind="stable")
     s = norms[order]

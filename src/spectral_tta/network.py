@@ -21,7 +21,7 @@ import zipfile
 import numpy as np
 
 from . import pca as pca_mod
-from .errors import ContractViolationError
+from .errors import ContractViolationError, NumericalFailureError
 from .filters import SpectralFilter, apply_filter, apply_filter_backward
 from .pca import PcaBasis
 
@@ -399,30 +399,25 @@ class Model:
     def clone(self) -> "Model":
         return copy.deepcopy(self)
 
-    def frozen_param_items(self, include_bn_modulators: bool = True):
-        """(name, array) pairs for everything that is not an adaptation param.
+    def frozen_param_items(self):
+        """(name, array) pairs for everything but the spectral filter's gamma.
 
         Layers absorbed by an adapter are named by their place after it, as
         in the stack without the fold."""
         items = []
         for idx, layer in enumerate(_unfold(self.layers)):
+            if isinstance(layer, SpectralAdapterLayer):
+                continue  # gamma is never part of theta
             for name, arr in sorted(layer.params().items()):
-                if isinstance(layer, SpectralAdapterLayer):
-                    continue  # gamma is never part of theta
-                if (
-                    not include_bn_modulators
-                    and isinstance(layer, BatchNorm2d)
-                ):
-                    continue
                 items.append((f"layer{idx}.{name}", arr))
             if isinstance(layer, BatchNorm2d):
                 items.append((f"layer{idx}.running_mean", layer.running_mean))
                 items.append((f"layer{idx}.running_var", layer.running_var))
         return items
 
-    def weight_hash(self, include_bn_modulators: bool = True) -> str:
+    def weight_hash(self) -> str:
         h = hashlib.sha256()
-        for name, arr in self.frozen_param_items(include_bn_modulators):
+        for name, arr in self.frozen_param_items():
             h.update(name.encode())
             h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
         return h.hexdigest()
@@ -576,6 +571,9 @@ def train_model(
         if isinstance(layer, BatchNorm2d):
             layer.track = False
     model.set_bn_mode(BN_FROZEN)
+    bad = [name for name, arr in model.frozen_param_items() if not np.all(np.isfinite(arr))]
+    if bad:
+        raise NumericalFailureError(f"training diverged at lr {lr!r}: non-finite {', '.join(bad)}")
     return model
 
 

@@ -113,17 +113,6 @@ def flatten_features(features: np.ndarray) -> np.ndarray:
     return features.reshape(n, -1)
 
 
-def unflatten_features(flat: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`flatten_features` for a known (c, h, w)."""
-    flat = linalg.as_matrix(flat, "flat features")
-    c, h, w = shape
-    if flat.shape[1] != c * h * w:
-        raise ContractViolationError(
-            f"cannot unflatten {flat.shape[1]} columns into shape {(c, h, w)}"
-        )
-    return flat.reshape(flat.shape[0], c, h, w)
-
-
 def _check_rank(rank: int, n: int, p: int) -> None:
     if not 1 <= rank <= min(n, p):
         raise ContractViolationError(

@@ -155,12 +155,22 @@ def test_adam_shape_mismatch():
 
 
 def test_config_validation():
-    with pytest.raises(ContractViolationError):
-        AdaptConfig(steps_per_batch=0)
-    with pytest.raises(ContractViolationError):
-        AdaptConfig(protocol="sometimes")
-    with pytest.raises(ContractViolationError):
-        AdaptConfig(batch_size=0)
+    cases = [
+        ({"steps_per_batch": 0}, "adapt.steps_per_batch"),
+        ({"protocol": "sometimes"}, "adapt.protocol"),
+        ({"batch_size": 0}, "adapt.batch_size"),
+        ({"learning_rate": -0.1}, "adapt.learning_rate"),
+        ({"learning_rate": float("inf")}, "adapt.learning_rate"),
+        ({"adam_beta1": 1.0}, "adapt.adam_beta1"),
+        ({"adam_beta1": -0.1}, "adapt.adam_beta1"),
+        ({"adam_beta2": 1.0}, "adapt.adam_beta2"),
+        ({"adam_eps": 0.0}, "adapt.adam_eps"),
+        ({"adam_eps": float("nan")}, "adapt.adam_eps"),
+    ]
+    for kwargs, key in cases:
+        with pytest.raises(ContractViolationError, match=key):
+            AdaptConfig(**kwargs)
+    AdaptConfig(adam_beta1=0.0, adam_beta2=0.0)
 
 
 # ---- protocols ---------------------------------------------------------------
@@ -244,9 +254,7 @@ def test_empty_stream_rejected(rng):
 def test_gradient_descent_step_does_not_increase_entropy(rng):
     model, _ = small_adapted_model(rng, seed=6)
     batches = make_batches(rng, n_batches=3)
-    cfg = AdaptConfig(
-        learning_rate=1e-4, steps_per_batch=1, batch_size=8, optimizer=adapt.OPT_SGD
-    )
+    cfg = AdaptConfig(learning_rate=1e-4, steps_per_batch=1, batch_size=8)
     rec = adapt_episodic(model, batches, cfg)
     for b in rec.batches:
         assert b["entropy_after"] <= b["entropy_before"] + 1e-9
@@ -307,7 +315,7 @@ def test_bn_modulators_lr_zero_equals_bn_stats(rng):
 
 def test_bn_modulators_gradient_check_and_theta_freeze(rng):
     model = build_model(11, input_shape=IN_SHAPE, conv_channels=(3, 3), n_classes=3)
-    non_bn_before = model.weight_hash(include_bn_modulators=False)
+    before = model.weight_hash()
     work = model.clone()
     work.set_bn_mode(BN_BATCH)
     work.adapt_target = "bn-modulators"
@@ -330,7 +338,7 @@ def test_bn_modulators_gradient_check_and_theta_freeze(rng):
         assert abs(fd - analytic[i]) / max(abs(fd), 1e-6) <= 1e-4
     cfg = AdaptConfig(learning_rate=0.05, steps_per_batch=3, batch_size=8)
     baseline_bn_modulators(model, make_batches(rng), cfg)
-    assert model.weight_hash(include_bn_modulators=False) == non_bn_before
+    assert model.weight_hash() == before  # the baseline adapts a clone
 
 
 def test_parameter_count_accounting(rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spectral_tta import bench, cli
+from spectral_tta.adapt import AdaptConfig
 from spectral_tta.bench import (
     CORRUPTION_KINDS,
     CorruptionSpec,
@@ -139,6 +140,7 @@ def test_config_defaults_and_override():
     assert cfg["pca"]["rank"] == 16
     assert cfg["seed"] == 5
     assert cfg["pca"]["fit_samples"] == 512  # untouched sibling keys survive
+    assert bench._adapt_config(cfg) == AdaptConfig()  # one set of adapt defaults
 
 
 def test_config_unknown_keys_listed():
@@ -156,6 +158,18 @@ def test_config_invalid_values():
         load_config({"severities": [0]})
     with pytest.raises(ConfigError):
         load_config({"pca": 3})
+    cases = [
+        ({"methods": []}, "methods:[]"),
+        ({"corruptions": []}, "corruptions:[]"),
+        ({"severities": []}, "severities:[]"),
+        ({"model": {"kernel": 2}}, "model.kernel:2"),
+    ]
+    for override, key in cases:
+        with pytest.raises(ConfigError) as info:
+            load_config(override)
+        assert info.value.keys == [key]
+    with pytest.raises(ContractViolationError, match="adapt.adam_beta1"):
+        load_config({"adapt": {"adam_beta1": 1.0}})  # AdaptConfig's own checks
 
 
 def test_make_batches_tail():
@@ -397,7 +411,11 @@ def test_cli_zero_batch_size_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "section, key", [("adapt", "batch_size"), ("pca", "fit_batch"), ("model", "train_batch")]
+    "section, key",
+    [
+        ("adapt", "batch_size"), ("pca", "fit_batch"), ("model", "train_batch"),
+        ("ablation", "n_seeds"), ("model", "kernel"),
+    ],
 )
 @pytest.mark.parametrize("value", [0, -4, 2.0, "8", True, None])
 def test_config_rejects_non_positive_int_batch_sizes(section, key, value):
@@ -609,8 +627,8 @@ def test_cli_adapt_without_corruption_runs_on_the_clean_set(cli_files, tmp_path,
 # (adapt overrides, method, what the error names); one online step leaves
 # the modulators finite but not the logits, so only the logits check sees it
 DIVERGING = [
-    ({"adam_eps": 0.0, "gamma_init": 0.0}, "spectral-relu", "non-finite parameters"),
-    ({"adam_eps": 0.0, "gamma_init": 0.0}, "spectral-exp", "non-finite parameters"),
+    ({"learning_rate": 1e308, "steps_per_batch": 3}, "spectral-relu", "non-finite parameters"),
+    ({"learning_rate": 1e308, "steps_per_batch": 3}, "spectral-exp", "non-finite parameters"),
     ({"learning_rate": 1e308}, "spectral-exp", "non-finite parameters"),
     ({"learning_rate": 1e308}, "bn-modulators", "non-finite parameters"),
     (
@@ -621,10 +639,10 @@ DIVERGING = [
 ]
 
 
-def diverging_config(cli_files, tmp_path, adapt_over):
+def adapt_config_file(cli_files, tmp_path, adapt_over):
     cfg = json.loads(cli_files[0].read_text())
     cfg["adapt"].update(adapt_over)
-    path = tmp_path / "diverging.json"
+    path = tmp_path / "adapt.json"
     path.write_text(json.dumps(cfg))
     return path
 
@@ -634,7 +652,7 @@ def diverging_config(cli_files, tmp_path, adapt_over):
 @pytest.mark.parametrize("adapt_over, method, cause", DIVERGING)
 def test_cli_diverged_adaptation_exits_3(cli_files, tmp_path, capsys, adapt_over, method, cause):
     out = tmp_path / "r.jsonl"
-    assert cli_adapt(cli_files, diverging_config(cli_files, tmp_path, adapt_over), method, out) == 3
+    assert cli_adapt(cli_files, adapt_config_file(cli_files, tmp_path, adapt_over), method, out) == 3
     assert not out.exists()
     assert f"{method} adaptation diverged on batch 0: {cause}" in capsys.readouterr().err
 
@@ -645,9 +663,51 @@ def test_cli_diverged_bench_exits_3_and_writes_nothing(cli_files, tmp_path, caps
     _, model, basis = cli_files
     out = tmp_path / "out"
     args = [
-        "bench", "--config", str(diverging_config(cli_files, tmp_path, adapt_over)),
+        "bench", "--config", str(adapt_config_file(cli_files, tmp_path, adapt_over)),
         "--model", str(model), "--basis", str(basis), "--out", str(out),
     ]
     assert cli.main(args) == 3
     assert not out.exists()
     assert f"{method} adaptation diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "adapt_over, key",
+    [
+        ({"adam_beta1": 1.0}, "adapt.adam_beta1"),
+        ({"adam_beta2": 1.5}, "adapt.adam_beta2"),
+        ({"adam_eps": 0.0}, "adapt.adam_eps"),
+        ({"protocol": "foo"}, "adapt.protocol"),
+    ],
+)
+def test_cli_invalid_adapt_value_exits_2_naming_the_key(cli_files, tmp_path, capsys, adapt_over, key):
+    out = tmp_path / "r.jsonl"
+    assert cli_adapt(cli_files, adapt_config_file(cli_files, tmp_path, adapt_over), "spectral-relu", out) == 2
+    assert not out.exists()
+    assert key in capsys.readouterr().err
+
+
+def test_cli_adapt_rejects_severity_out_of_range_without_corruption(cli_files, tmp_path, capsys):
+    cfg, model, basis = cli_files
+    args = [
+        "adapt", "--config", str(cfg), "--model", str(model), "--basis", str(basis),
+        "--method", "no-adapt", "--severity", "9", "--out", str(tmp_path / "r.jsonl"),
+    ]
+    with pytest.raises(SystemExit) as info:
+        cli.main(args)
+    assert info.value.code == 2
+    assert "--severity" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+# the overflow is provoked on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_diverged_training_exits_3_and_writes_no_checkpoint(cli_files, tmp_path, capsys):
+    cfg = json.loads(cli_files[0].read_text())
+    cfg["model"]["train_lr"] = 1e308
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    model = tmp_path / "m.npz"
+    assert cli.main(["train", "--config", str(path), "--model", str(model)]) == 3
+    assert not model.exists()
+    assert "training diverged" in capsys.readouterr().err

@@ -206,13 +206,3 @@ def test_apply_linear_in_centered_features(rng):
     lhs = centered_map(a * x + b * y)
     rhs = a * centered_map(x) + b * centered_map(y)
     assert np.allclose(lhs, rhs, atol=1e-9)
-
-
-def test_filter_serialization_round_trip(tmp_path, rng):
-    f = SpectralFilter(NEG_EXP, rng.uniform(0.5, 3, 4), gamma=rng.normal(size=4))
-    path = tmp_path / "filter.json"
-    f.save(path)
-    loaded = SpectralFilter.load(path)
-    assert loaded.kind == f.kind
-    assert np.array_equal(loaded.gamma, f.gamma)
-    assert np.array_equal(loaded.lambda_ref, f.lambda_ref)
