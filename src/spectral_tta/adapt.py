@@ -168,26 +168,26 @@ def _run_protocol(model: Model, test_batches, cfg: AdaptConfig, method: str, epi
     params0 = model.adapt_params()
     record = RunRecord(method=method, protocol="episodic" if episodic else "online")
     state = AdamState.zeros(n_params)
-    # the layers below the lowest adaptation layer are frozen: run them
-    # once per batch, then only the rest of the stack on every forward
+    # the layers below the lowest adaptation layer and its input-only half
+    # are frozen: run them once per batch, the rest on every forward
     k = model.adapt_start()
     for b_idx, (x, y) in enumerate(batches):
         if episodic:
             model.set_adapt_params(params0)
             state = AdamState.zeros(n_params)
-        h = model.forward_until(x, k - 1) if k > 0 else x
-        logits, caches = model.forward(h, start=k)
+        h, z = model.frozen_prefix(x)
+        logits, caches = model.forward(h, start=k, frozen=z)
         h_before = entropy(logits)
         for step in range(cfg.steps_per_batch):
             if step > 0:
-                logits, caches = model.forward(h, start=k)
+                logits, caches = model.forward(h, start=k, frozen=z)
             gloss = entropy_grad(logits)
             grads = model.backward_adapt(caches, gloss)
             params = adam_step(state, model.adapt_params(), grads, cfg)
             if not np.all(np.isfinite(params)):
                 raise _diverged(method, b_idx, f"non-finite parameters after step {step + 1}")
             model.set_adapt_params(params)
-        logits_after, _ = model.forward(h, start=k)
+        logits_after, _ = model.forward(h, start=k, frozen=z)
         if not np.all(np.isfinite(logits_after)):
             raise _diverged(method, b_idx, "non-finite logits after adaptation")
         record.add(

@@ -295,6 +295,16 @@ def load_config(override: dict | None = None) -> dict:
     kernel = cfg["model"]["kernel"]
     if kernel < 1 or kernel % 2 == 0:  # same padding needs a positive odd kernel
         bad.append(f"model.kernel:{kernel!r}")
+    channels = cfg["model"]["conv_channels"]
+    insert = cfg["model"]["insert_index"]
+    if not channels or min(channels) < 1:
+        bad.append(f"model.conv_channels:{channels!r}")
+    elif not 1 <= insert <= 3 * len(channels):
+        # the adapter takes the output of layer insert_index - 1, which
+        # must be one of the conv-bn-relu blocks' 4-D maps
+        bad.append(f"model.insert_index:{insert!r}")
+    if cfg["dataset"]["n_classes"] < 2:  # entropy needs two classes
+        bad.append(f"dataset.n_classes:{cfg['dataset']['n_classes']!r}")
     if bad:
         raise ConfigError(f"invalid config values: {', '.join(bad)}", bad)
     _adapt_config(cfg)  # AdaptConfig checks the adapt values, naming each key

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .pca import PcaBasis
+from .pca import PcaBasis, transform
 
 RELU_RIDGE = "relu-ridge"
 NEG_EXP = "neg-exp"
@@ -101,30 +101,28 @@ class FilterCache:
 def apply_filter(
     basis: PcaBasis,
     filt: SpectralFilter,
-    features: np.ndarray,
+    features: np.ndarray | None,
     out_components: np.ndarray | None = None,
     out_offset: np.ndarray | None = None,
+    scores: np.ndarray | None = None,
 ) -> tuple[np.ndarray, FilterCache]:
     """Project features onto the basis, scale each mode, reconstruct.
 
     Returns (output, cache). Output is
     (features - mean) @ V.T * F @ out_components + out_offset, where the
     reconstruction defaults to (V, mean), so that an all-ones diagonal on
-    a full-rank basis is an exact identity.
+    a full-rank basis is an exact identity. ``scores``, when given, is the
+    projection ``pca.transform(basis, features)``, which gamma does not
+    reach, computed beforehand; ``features`` is then not read.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != basis.p:
-        raise ContractViolationError(
-            f"features shape {features.shape} incompatible with basis p={basis.p}"
-        )
+    if scores is None:
+        scores = transform(basis, features)
     if len(filt) != basis.rank:
         raise ContractViolationError(
             f"filter length {len(filt)} != basis rank {basis.rank}"
         )
     if out_components is None:
         out_components, out_offset = basis.components, basis.mean
-    centered = features - basis.mean
-    scores = centered @ basis.components.T
     diag = filt.diag()
     out = (scores * diag) @ out_components + out_offset
     return out, FilterCache(

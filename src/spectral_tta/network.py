@@ -6,6 +6,10 @@ with plain SGD and cross-entropy; after that every weight is frozen and
 only the adaptation parameters (the adapter's gamma, or the batch-norm
 scale/shift for the modulator baseline) ever receive gradients.
 
+The adaptation layers split ``forward(x)`` into the input-only half
+``frozen_half(x)``, which no adaptation parameter reaches, and the
+adapted half ``forward(x, frozen=frozen_half(x))``.
+
 Every layer's ``backward(cache, gy, need_param_grads, need_input_grad)``
 returns ``(input_grad, param_grads)``. With ``need_param_grads=False`` the
 dict is empty; with ``need_input_grad=False`` the input gradient is
@@ -112,7 +116,9 @@ class BatchNorm2d:
     def channels(self) -> int:
         return len(self.scale)
 
-    def forward(self, x):
+    def frozen_half(self, x):
+        """The normalisation, which the scale and shift do not reach:
+        ``(xhat, invstd, mode)``, also the backward's cache."""
         if self.mode == BN_BATCH:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
@@ -125,8 +131,14 @@ class BatchNorm2d:
             var = self.running_var
         invstd = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
+        return xhat, invstd, self.mode
+
+    def forward(self, x, frozen=None):
+        if frozen is None:
+            frozen = self.frozen_half(x)
+        xhat = frozen[0]
         y = self.scale[None, :, None, None] * xhat + self.shift[None, :, None, None]
-        return y, (xhat, invstd, self.mode)
+        return y, frozen
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         xhat, invstd, mode = cache
@@ -237,15 +249,19 @@ class SpectralAdapterLayer:
     def params(self):
         return {"gamma": self.filt.gamma}
 
-    def forward(self, x):
+    def frozen_half(self, x):
+        """The projection, which gamma does not reach: ``(x.shape, scores)``."""
         if x.ndim != 4:
             raise ContractViolationError("adapter layer expects a 4-D feature map")
-        flat = x.reshape(x.shape[0], -1)
+        return x.shape, pca_mod.transform(self.basis, x.reshape(x.shape[0], -1))
+
+    def forward(self, x, frozen=None):
+        in_shape, scores = self.frozen_half(x) if frozen is None else frozen
         out, fcache = apply_filter(
-            self.basis, self.filt, flat, self.out_components, self.out_offset
+            self.basis, self.filt, None, self.out_components, self.out_offset, scores=scores
         )
-        shape = x.shape if self.out_shape is None else (x.shape[0],) + self.out_shape
-        return out.reshape(shape), (x.shape, fcache)
+        shape = in_shape if self.out_shape is None else (in_shape[0],) + self.out_shape
+        return out.reshape(shape), (in_shape, fcache)
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         shape, fcache = cache
@@ -284,18 +300,24 @@ class Model:
             )
         return x
 
-    def forward(self, x, start=0):
+    def forward(self, x, start=0, frozen=None):
         """Logits and per-layer caches, running layers ``start`` onwards.
 
         For ``start > 0``, ``x`` is the output of layer ``start - 1`` (see
         :meth:`forward_until`) and the skipped layers get ``None`` caches,
-        so the cache list still lines up with the layer stack.
+        so the cache list still lines up with the layer stack. ``frozen``,
+        if given, is layer ``start``'s input-only half (see
+        :meth:`frozen_prefix`), and that layer runs only its adapted half.
         """
         if not 0 <= start < len(self.layers):
             raise ContractViolationError(f"start index {start} out of range")
         if start == 0:
             x = self._check_input(x)
         caches = [None] * start
+        if frozen is not None:
+            x, cache = self.layers[start].forward(x, frozen=frozen)
+            caches.append(cache)
+            start += 1
         for layer in self.layers[start:]:
             x, cache = layer.forward(x)
             caches.append(cache)
@@ -309,6 +331,15 @@ class Model:
         for layer in self.layers[: j + 1]:
             x, _ = layer.forward(x)
         return x
+
+    def frozen_prefix(self, x):
+        """``(h, frozen)``: everything of a forward pass on batch ``x`` that
+        no adaptation parameter reaches, for ``forward(h, start=k,
+        frozen=frozen)`` with ``k = adapt_start()``. ``h`` is the input of
+        layer ``k`` and ``frozen`` that layer's input-only half."""
+        k = self.adapt_start()
+        h = self.forward_until(x, k - 1) if k > 0 else self._check_input(x)
+        return h, self.layers[k].frozen_half(h)
 
     def backward_all(self, caches, gloss):
         """Full backward pass; returns per-layer param grads (training).
@@ -327,7 +358,9 @@ class Model:
 
         It stops at :meth:`adapt_start`: nothing below the lowest
         adaptation layer has a gradient to collect, so those caches may be
-        the ``None`` slots of ``forward(h, start=model.adapt_start())``.
+        the ``None`` slots of ``forward(h, start=model.adapt_start())``,
+        and that layer's cache may hold the input-only half of
+        :meth:`frozen_prefix`, shared by every step on the batch.
         """
         adapt_idx = self._adapt_indices()
         if len(caches) != len(self.layers):

@@ -451,3 +451,37 @@ def test_protocol_records_match_full_forward_reference(
     assert np.array_equal(work.adapt_params(), ref_model.adapt_params())
     # the filter moved, so the comparison covers real steps
     assert len({b["params_hash"] for b in record.batches}) > 1
+
+
+@pytest.mark.parametrize("protocol", ["episodic", "online"])
+@pytest.mark.parametrize("method", ["spectral-relu", "bn-modulators"])
+def test_input_half_of_the_lowest_adaptation_layer_runs_once_per_batch(
+    method, protocol, monkeypatch, tiny_config, tiny_model, tiny_basis, tiny_test_set
+):
+    x, y = tiny_test_set
+    batches = bench.make_batches(x, y, tiny_config["adapt"]["batch_size"])
+    cfg = dataclasses.replace(bench._adapt_config(tiny_config), protocol=protocol)
+    work = tiny_work_model(method, tiny_config, tiny_model, tiny_basis)
+    lowest = work.layers[work.adapt_start()]
+    kind = type(lowest)
+    halves, frozen_args = [], []
+    frozen_half, forward = kind.frozen_half, kind.forward
+
+    def counted_half(layer, h):
+        if layer is lowest:
+            halves.append(h)
+        return frozen_half(layer, h)
+
+    def counted_forward(layer, h, frozen=None):
+        if layer is lowest:
+            frozen_args.append(frozen)
+        return forward(layer, h, frozen)
+
+    monkeypatch.setattr(kind, "frozen_half", counted_half)
+    monkeypatch.setattr(kind, "forward", counted_forward)
+    adapt.run_adaptation(work, batches, cfg, method=method)
+    assert len(halves) == len(batches) > 1
+    # every forward of a batch reuses that batch's one input-only half
+    assert len(frozen_args) == len(batches) * (cfg.steps_per_batch + 1)
+    assert all(f is not None for f in frozen_args)
+    assert len({id(f) for f in frozen_args}) == len(batches)

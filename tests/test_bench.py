@@ -163,11 +163,21 @@ def test_config_invalid_values():
         ({"corruptions": []}, "corruptions:[]"),
         ({"severities": []}, "severities:[]"),
         ({"model": {"kernel": 2}}, "model.kernel:2"),
+        ({"model": {"conv_channels": []}}, "model.conv_channels:[]"),
+        ({"model": {"conv_channels": [8, 0]}}, "model.conv_channels:[8, 0]"),
+        ({"model": {"insert_index": 0}}, "model.insert_index:0"),
+        ({"model": {"insert_index": 7}}, "model.insert_index:7"),
+        ({"model": {"conv_channels": [8], "insert_index": 4}}, "model.insert_index:4"),
+        ({"dataset": {"n_classes": 1}}, "dataset.n_classes:1"),
     ]
     for override, key in cases:
         with pytest.raises(ConfigError) as info:
             load_config(override)
         assert info.value.keys == [key]
+    # the bounds themselves are valid
+    assert load_config({"model": {"insert_index": 1}})["model"]["insert_index"] == 1
+    assert load_config({"model": {"insert_index": 6}})["model"]["insert_index"] == 6
+    assert load_config({"dataset": {"n_classes": 2}})["dataset"]["n_classes"] == 2
     with pytest.raises(ContractViolationError, match="adapt.adam_beta1"):
         load_config({"adapt": {"adam_beta1": 1.0}})  # AdaptConfig's own checks
 
@@ -445,6 +455,35 @@ def test_config_leaf_types_follow_the_defaults():
             load_config(override)
         assert info.value.keys == [key]
         assert repr(key.split(":")[0]) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"model": {"conv_channels": []}}, "model.conv_channels:[]"),
+        ({"model": {"conv_channels": [3, 0]}}, "model.conv_channels:[3, 0]"),
+        ({"model": {"insert_index": 0}}, "model.insert_index:0"),
+        ({"model": {"insert_index": 7}}, "model.insert_index:7"),
+        ({"dataset": {"n_classes": 1}}, "dataset.n_classes:1"),
+    ],
+)
+def test_cli_model_shape_config_exits_2_before_any_work(override, key, tmp_path, capsys):
+    cfg = json.loads(write_tiny_cli_config(tmp_path).read_text())
+    for section, values in override.items():
+        cfg[section].update(values)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    model, basis = tmp_path / "m.npz", tmp_path / "basis.json"
+    assert cli.main(["train", "--config", str(path), "--model", str(model)]) == 2
+    assert not model.exists()
+    save_model(build_model(0, (2, 4, 4), (3, 3)), model)
+    common = ["--config", str(path), "--model", str(model), "--basis", str(basis)]
+    assert cli.main(["fit-pca"] + common) == 2
+    assert not basis.exists()
+    assert cli.main(["bench"] + common + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.count(f"invalid config values: {key}") == 3
 
 
 def test_cli_string_rank_exits_2(tmp_path, capsys):

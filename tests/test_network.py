@@ -10,6 +10,7 @@ from spectral_tta.network import (
     BatchNorm2d,
     Conv2d,
     Model,
+    SpectralAdapterLayer,
     build_model,
     fit_pca_from_source,
     insert_adapter,
@@ -351,6 +352,65 @@ def test_truncated_backward_matches_full_cache_backward(rng):
         assert grads.shape == (model.adapt_param_count(),)
         assert np.array_equal(grads, model.backward_adapt(full_caches, gloss))
         assert np.any(grads != 0)
+
+
+@pytest.mark.parametrize("mode", [network.BN_FROZEN, BN_BATCH])
+def test_bn_forward_is_its_input_half_then_its_adapted_half(mode, rng):
+    bn = BatchNorm2d(3)
+    bn.scale, bn.shift = rng.uniform(0.5, 1.5, 3), rng.normal(size=3)
+    bn.running_mean, bn.running_var = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
+    bn.mode = mode
+    x = rng.normal(size=(4, 3, 2, 2))
+    y, cache = bn.forward(x)
+    frozen = bn.frozen_half(x)
+    y_split, cache_split = bn.forward(x, frozen=frozen)
+    assert np.array_equal(y, y_split)
+    assert cache_split is frozen and cache[2] == frozen[2] == mode
+    assert all(np.array_equal(a, b) for a, b in zip(cache[:2], frozen[:2]))
+
+
+def test_adapter_forward_is_its_input_half_then_its_adapted_half(rng):
+    spectral, _ = adapted_models(rng)
+    folded = spectral.layers[3]
+    assert folded.absorbed  # conv1 is folded into the reconstruction
+    unfolded = SpectralAdapterLayer(folded.basis, folded.filt)
+    h = spectral.forward_until(rng.normal(size=(5,) + IN_SHAPE), 2)
+    for layer in (folded, unfolded):
+        out, (shape, fcache) = layer.forward(h)
+        frozen = layer.frozen_half(h)
+        out_split, (shape_split, fcache_split) = layer.forward(h, frozen=frozen)
+        assert np.array_equal(out, out_split)
+        assert shape == shape_split == h.shape
+        assert fcache_split.scores is frozen[1]
+        assert np.array_equal(fcache.scores, fcache_split.scores)
+
+
+def test_forward_on_the_frozen_prefix_matches_full_forward_bitwise(rng):
+    x = rng.normal(size=(6,) + IN_SHAPE)
+    for model in adapted_models(rng):
+        k = model.adapt_start()
+        full_logits, full_caches = model.forward(x)
+        h, frozen = model.frozen_prefix(x)
+        logits, caches = model.forward(h, start=k, frozen=frozen)
+        assert np.array_equal(logits, full_logits)
+        assert caches[:k] == [None] * k
+        gloss = entropy_grad(full_logits)
+        assert np.array_equal(
+            model.backward_adapt(caches, gloss), model.backward_adapt(full_caches, gloss)
+        )
+
+
+def test_frozen_prefix_at_layer_0_checks_the_raw_batch(rng):
+    model = small_model()
+    basis = full_rank_basis_at(model, -1, rng)
+    adapted = insert_adapter(model, 0, basis, SpectralFilter(RELU_RIDGE, basis.singular_values))
+    assert adapted.adapt_start() == 0
+    x = rng.normal(size=(3,) + IN_SHAPE)
+    h, frozen = adapted.frozen_prefix(x)
+    assert np.array_equal(adapted.forward(h, frozen=frozen)[0], adapted.forward(x)[0])
+    # a 4-D batch of the wrong shape would reach the projection otherwise
+    with pytest.raises(ContractViolationError, match="input spec"):
+        adapted.frozen_prefix(rng.normal(size=(3, 1, 4, 8)))
 
 
 def test_backward_without_input_grad_returns_none_and_same_param_grads(rng):
