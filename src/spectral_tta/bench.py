@@ -25,6 +25,7 @@ from .errors import ConfigError, ContractViolationError
 from .filters import NEG_EXP, RELU_RIDGE, SpectralFilter
 from .network import (
     Model,
+    bad_model_args,
     build_model,
     fit_pca_from_source,
     insert_adapter,
@@ -60,14 +61,17 @@ _FILTER_KIND = {"spectral-relu": RELU_RIDGE, "spectral-exp": NEG_EXP}
 
 TABLE_FORMAT_VERSION = 1
 
-# keys that must be at least 1: batch sizes are range() steps, so a value
-# below 1 would fail deep inside the batching without naming the key, and
-# an ablation over no seeds would average over nothing
-_POSITIVE_KEYS = (
-    ("model", "train_batch"),
-    ("pca", "fit_batch"),
-    ("adapt", "batch_size"),
-    ("ablation", "n_seeds"),
+# (section, key, least value): batch sizes are range() steps, so a value
+# below 1 would fail deep inside the batching without naming the key; an
+# ablation over no seeds would average over nothing; a PCA fit needs a
+# rank of at least 1 and at least two samples
+_LEAST_VALUES = (
+    ("model", "train_batch", 1),
+    ("pca", "fit_batch", 1),
+    ("pca", "rank", 1),
+    ("pca", "fit_samples", 2),
+    ("adapt", "batch_size", 1),
+    ("ablation", "n_seeds", 1),
 )
 
 
@@ -86,10 +90,16 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.generator not in GENERATORS:
-            raise ContractViolationError(f"unknown generator {self.generator!r}")
-        if min(self.n_train, self.n_test, self.channels, self.height, self.width) < 1:
-            raise ContractViolationError("all dataset dimensions must be positive")
+        """Each check names its key in the config's ``dataset`` section."""
+        sizes = ("n_train", "n_test", "channels", "height", "width", "n_classes")
+        checks = [(key, "must be >= 1", getattr(self, key) >= 1) for key in sizes] + [
+            ("generator", f"must be one of {GENERATORS}", self.generator in GENERATORS),
+            ("n_classes", f"must be at most {len(_PATTERNS)} with shape-patterns",
+             self.generator != "shape-patterns" or self.n_classes <= len(_PATTERNS)),
+        ]
+        for key, rule, ok in checks:
+            if not ok:
+                raise ContractViolationError(f"dataset.{key} {rule}, got {getattr(self, key)!r}")
 
 
 # orientation/frequency pairs for the pattern generator; more classes than
@@ -109,10 +119,6 @@ def _class_templates(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
     k = spec.n_classes
     templates = np.empty((k, c, h, w))
     if spec.generator == "shape-patterns":
-        if k > len(_PATTERNS):
-            raise ContractViolationError(
-                f"at most {len(_PATTERNS)} pattern classes are expressible, got {k}"
-            )
         ys, xs = np.mgrid[0:h, 0:w]
         for cls in range(k):
             angle, freq = _PATTERNS[cls]
@@ -198,15 +204,7 @@ def corrupt(images: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
 
 DEFAULT_CONFIG = {
     "seed": 0,
-    "dataset": {
-        "n_train": 2000,
-        "n_test": 1000,
-        "channels": 3,
-        "height": 8,
-        "width": 8,
-        "n_classes": 4,
-        "generator": "shape-patterns",
-    },
+    "dataset": {k: v for k, v in dataclasses.asdict(DatasetSpec()).items() if k != "seed"},
     "model": {
         "conv_channels": [8, 8],
         "kernel": 3,
@@ -275,6 +273,7 @@ def load_config(override: dict | None = None) -> dict:
     Each leaf must have the type of its default (see ``DEFAULT_CONFIG``);
     the value checks below rely on that."""
     cfg = _merge_config(DEFAULT_CONFIG, override or {})
+    _dataset_spec(cfg)  # DatasetSpec checks the dataset values, naming each key
     bad = []
     for m in cfg["methods"]:
         if m not in METHODS:
@@ -288,23 +287,19 @@ def load_config(override: dict | None = None) -> dict:
     for key in ("methods", "corruptions", "severities"):
         if not cfg[key]:
             bad.append(f"{key}:[]")
-    for section, key in _POSITIVE_KEYS:
+    for section, key, least in _LEAST_VALUES:
         v = cfg[section][key]
-        if v < 1:
+        if v < least:
             bad.append(f"{section}.{key}:{v!r}")
-    kernel = cfg["model"]["kernel"]
-    if kernel < 1 or kernel % 2 == 0:  # same padding needs a positive odd kernel
-        bad.append(f"model.kernel:{kernel!r}")
-    channels = cfg["model"]["conv_channels"]
+    bad_args = bad_model_args(**_model_args(cfg))
+    # each argument has its config key's name; the input shape, which
+    # DatasetSpec has checked, is never among them
+    bad += [f"{'dataset' if k == 'n_classes' else 'model'}.{k}:{v!r}" for k, v in bad_args.items()]
     insert = cfg["model"]["insert_index"]
-    if not channels or min(channels) < 1:
-        bad.append(f"model.conv_channels:{channels!r}")
-    elif not 1 <= insert <= 3 * len(channels):
+    if "conv_channels" not in bad_args and not 1 <= insert <= 3 * len(cfg["model"]["conv_channels"]):
         # the adapter takes the output of layer insert_index - 1, which
         # must be one of the conv-bn-relu blocks' 4-D maps
         bad.append(f"model.insert_index:{insert!r}")
-    if cfg["dataset"]["n_classes"] < 2:  # entropy needs two classes
-        bad.append(f"dataset.n_classes:{cfg['dataset']['n_classes']!r}")
     if bad:
         raise ConfigError(f"invalid config values: {', '.join(bad)}", bad)
     _adapt_config(cfg)  # AdaptConfig checks the adapt values, naming each key
@@ -313,6 +308,17 @@ def load_config(override: dict | None = None) -> dict:
 
 def _dataset_spec(cfg: dict) -> DatasetSpec:
     return DatasetSpec(seed=cfg["seed"], **cfg["dataset"])
+
+
+def _model_args(cfg: dict) -> dict:
+    """The config's :func:`build_model` arguments, all but the seed."""
+    d = cfg["dataset"]
+    return {
+        "input_shape": (d["channels"], d["height"], d["width"]),
+        "conv_channels": cfg["model"]["conv_channels"],
+        "kernel": cfg["model"]["kernel"],
+        "n_classes": d["n_classes"],
+    }
 
 
 def _adapt_config(cfg: dict) -> AdaptConfig:
@@ -333,13 +339,7 @@ def make_batches(x: np.ndarray, y: np.ndarray, batch_size: int):
 def train_from_config(cfg: dict) -> Model:
     (train_x, train_y), _ = gen_dataset(_dataset_spec(cfg))
     m = cfg["model"]
-    model = build_model(
-        seed=cfg["seed"],
-        input_shape=(cfg["dataset"]["channels"], cfg["dataset"]["height"], cfg["dataset"]["width"]),
-        conv_channels=tuple(m["conv_channels"]),
-        n_classes=cfg["dataset"]["n_classes"],
-        kernel=m["kernel"],
-    )
+    model = build_model(cfg["seed"], **_model_args(cfg))
     return train_model(
         model,
         train_x,
@@ -496,15 +496,9 @@ def run_benchmark(cfg: dict, model: Model, basis: PcaBasis | None, out_dir=None)
 def load_inputs(methods, model_path, basis_path):
     """(model, basis) from their files; the basis is loaded only when one of
     ``methods`` is spectral, and is None otherwise."""
-    model_path = Path(model_path)
-    if not model_path.exists():
-        raise FileNotFoundError(f"model checkpoint not found: {model_path}")
     model = load_model(model_path)
     if not any(m in _FILTER_KIND for m in methods):
         return model, None
-    basis_path = Path(basis_path)
-    if not basis_path.exists():
-        raise FileNotFoundError(f"PCA basis file not found: {basis_path}")
     return model, PcaBasis.load(basis_path)
 
 

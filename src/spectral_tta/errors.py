@@ -16,7 +16,7 @@ class NumericalFailureError(RuntimeError):
         self.residual = residual
 
 
-class EmptyBasisError(ValueError):
+class EmptyBasisError(NumericalFailureError):
     """PCA fitting found no singular value above the drop threshold."""
 
 

@@ -21,15 +21,18 @@ import copy
 import hashlib
 import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 
 from . import pca as pca_mod
-from .errors import ContractViolationError, NumericalFailureError
+from .errors import ContractViolationError, EmptyBasisError, NumericalFailureError
 from .filters import SpectralFilter, apply_filter, apply_filter_backward
 from .pca import PcaBasis
 
-MODEL_FORMAT_VERSION = 1
+# a checkpoint stores build_model's arguments (MODEL_ARGS) and the frozen arrays
+MODEL_FORMAT_VERSION = 2
+MODEL_ARGS = ("input_shape", "conv_channels", "kernel", "n_classes")
 
 BN_FROZEN = "frozen-stats"
 BN_BATCH = "batch-stats"
@@ -465,6 +468,27 @@ class Model:
         return shapes
 
 
+def bad_model_args(input_shape, conv_channels, kernel, n_classes) -> dict:
+    """The arguments of :func:`build_model` that break its rule, name ->
+    value: three positive input dims, at least one conv block of width >= 1,
+    a positive odd kernel (same padding) and >= 2 classes (for entropy)."""
+
+    def ints(values, low):
+        return isinstance(values, (list, tuple)) and all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= low
+            for v in values
+        )
+
+    ok = (
+        ints(input_shape, 1) and len(input_shape) == 3,
+        ints(conv_channels, 1) and len(conv_channels) > 0,
+        ints([kernel], 1) and kernel % 2 == 1,
+        ints([n_classes], 2),
+    )
+    given = (input_shape, conv_channels, kernel, n_classes)
+    return {name: v for name, v, good in zip(MODEL_ARGS, given, ok) if not good}
+
+
 def build_model(
     seed: int,
     input_shape=(3, 8, 8),
@@ -473,6 +497,10 @@ def build_model(
     kernel: int = 3,
 ) -> Model:
     """conv-bn-relu blocks, then flatten and a linear classifier head."""
+    bad = bad_model_args(input_shape, conv_channels, kernel, n_classes)
+    if bad:
+        problems = ", ".join(f"{k}={v!r}" for k, v in bad.items())
+        raise ContractViolationError(f"bad build_model arguments: {problems}")
     rng = np.random.default_rng(seed)
     c, h, w = input_shape
     layers = []
@@ -556,7 +584,10 @@ def fit_pca_from_source(model: Model, source_batches, j: int, rank: int) -> PcaB
                 )
             yield pca_mod.flatten_features(out)
 
-    return pca_mod.fit_incremental(feature_stream(), rank)
+    try:
+        return pca_mod.fit_incremental(feature_stream(), rank)
+    except EmptyBasisError as exc:
+        raise EmptyBasisError(f"layer {j} output has no variance: {exc}") from exc
 
 
 # ---- supervised pre-training ------------------------------------------
@@ -613,35 +644,30 @@ def train_model(
 # ---- checkpointing -----------------------------------------------------
 
 
-# the arrays each layer kind stores, as layer{idx}.{name}
-_CHECKPOINT_ARRAYS = {
-    "Conv2d": ("w", "b"),
-    "BatchNorm2d": ("scale", "shift", "running_mean", "running_var"),
-    "ReLU": (),
-    "Flatten": (),
-    "Linear": ("w", "b"),
-}
-
-
 def save_model(model: Model, path) -> None:
-    spec = {
-        "version": MODEL_FORMAT_VERSION,
+    """Write ``build_model``'s arguments for the stack, plus its frozen
+    arrays (:meth:`Model.frozen_param_items`). A stack that ``build_model``
+    does not rebuild with the same layer kinds and array shapes is refused,
+    and so is one with an adapter."""
+    if any(isinstance(layer, SpectralAdapterLayer) for layer in model.layers):
+        raise ContractViolationError("checkpoints store the base network; remove the adapter first")
+    convs = [layer for layer in model.layers if isinstance(layer, Conv2d)]
+    head = model.layers[-1]
+    args = {
         "input_shape": list(model.input_shape),
-        "layers": [],
+        "conv_channels": [conv.w.shape[0] for conv in convs],
+        "kernel": convs[0].kernel if convs else None,
+        "n_classes": head.w.shape[0] if isinstance(head, Linear) else None,
     }
-    arrays = {}
-    for idx, layer in enumerate(model.layers):
-        if isinstance(layer, SpectralAdapterLayer):
-            raise ContractViolationError(
-                "checkpoints store the base network; remove the adapter first"
-            )
-        kind = type(layer).__name__
-        entry = {"kind": kind}
-        if isinstance(layer, Conv2d):
-            entry["kernel"] = layer.kernel
-        for name in _CHECKPOINT_ARRAYS[kind]:
-            arrays[f"layer{idx}.{name}"] = getattr(layer, name)
-        spec["layers"].append(entry)
+    rebuilt = build_model(0, **args)
+
+    def layout(m):
+        return [type(l) for l in m.layers], [(n, a.shape) for n, a in m.frozen_param_items()]
+
+    if layout(rebuilt) != layout(model):
+        raise ContractViolationError(f"build_model({args}) does not rebuild this layer stack")
+    arrays = dict(model.frozen_param_items())
+    spec = {"version": MODEL_FORMAT_VERSION, **args}
     arrays["spec"] = np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -650,12 +676,13 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """Read a checkpoint written by :func:`save_model`.
 
-    Every array must be present and finite, and the layer chain must fit
-    together: each conv's input channels and each batch norm's channels
-    equal the width before it, and the Linear input width equals the
-    flattened map. A failed check raises ContractViolationError naming
-    the file.
+    The model is ``build_model``'s, from the stored arguments; each of its
+    frozen arrays must be stored, finite and of the built shape, and each
+    running variance non-negative. A failed check raises
+    ContractViolationError naming the file.
     """
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"model checkpoint not found: {path}")
 
     def invalid(problem):
         return ContractViolationError(f"invalid checkpoint {path}: {problem}")
@@ -664,61 +691,27 @@ def load_model(path) -> Model:
         with np.load(path) as npz:
             data = dict(npz)
         spec = json.loads(bytes(data["spec"]).decode())
-    except (ValueError, KeyError, zipfile.BadZipFile) as exc:
-        # not an npz archive, or one without a readable layer spec
+        version = spec.get("version")
+    except (ValueError, KeyError, AttributeError, zipfile.BadZipFile) as exc:
+        # not an npz archive, or one without a readable spec
         raise invalid(f"not a model checkpoint ({exc!r})") from exc
-    if spec.get("version") != MODEL_FORMAT_VERSION:
-        raise ContractViolationError(
-            f"unsupported checkpoint version {spec.get('version')!r}"
-        )
-    rng = np.random.default_rng(0)
-    shape = tuple(spec["input_shape"])  # per-sample shape entering each layer
-    layers = []
-    for idx, entry in enumerate(spec["layers"]):
-        kind = entry.get("kind")
-        if kind not in _CHECKPOINT_ARRAYS:
-            raise invalid(f"unknown layer kind {kind!r}")
-        arrays = {}
-        for name in _CHECKPOINT_ARRAYS[kind]:
-            key = f"layer{idx}.{name}"
-            if key not in data:
-                raise invalid(f"missing array {key}")
-            arrays[name] = data[key].astype(np.float64)
-            if not np.all(np.isfinite(arrays[name])):
-                raise invalid(f"non-finite entries in {key}")
-        if kind in ("Conv2d", "BatchNorm2d") and len(shape) != 3:
-            raise invalid(f"layer {idx} ({kind}) receives shape {shape}, need a 4-D map")
-        if kind == "Conv2d":
-            w, k = arrays["w"], entry.get("kernel")
-            if w.ndim != 4 or w.shape[1:] != (shape[0], k, k):
-                raise invalid(
-                    f"layer{idx}.w has shape {w.shape}, expected (out, {shape[0]}, {k}, {k})"
-                )
-            layer = Conv2d(shape[0], w.shape[0], k, rng)
-            shape = (w.shape[0],) + shape[1:]
-        elif kind == "BatchNorm2d":
-            layer = BatchNorm2d(shape[0])
-            if np.any(arrays["running_var"] < 0):
-                raise invalid(f"negative entries in layer{idx}.running_var")
-        elif kind == "ReLU":
-            layer = ReLU()
-        elif kind == "Flatten":
-            layer = Flatten()
-            shape = (int(np.prod(shape)),)
-        else:
-            w = arrays["w"]
-            if len(shape) != 1 or w.ndim != 2 or w.shape[1] != shape[0]:
-                raise invalid(
-                    f"layer{idx}.w has shape {w.shape}, but the layer receives shape {shape}"
-                )
-            layer = Linear(w.shape[1], w.shape[0], rng)
-            shape = (w.shape[0],)
-        for name, arr in arrays.items():
-            if arr.shape != getattr(layer, name).shape:
-                raise invalid(
-                    f"layer{idx}.{name} has shape {arr.shape}, "
-                    f"expected {getattr(layer, name).shape}"
-                )
-            setattr(layer, name, arr)
-        layers.append(layer)
-    return Model(layers, tuple(spec["input_shape"]))
+    if version != MODEL_FORMAT_VERSION:
+        raise invalid(f"unsupported version {version!r}, expected {MODEL_FORMAT_VERSION}")
+    try:
+        model = build_model(0, **{name: spec[name] for name in MODEL_ARGS})
+    except KeyError as exc:
+        raise invalid(f"no build_model argument {exc}") from exc
+    except ContractViolationError as exc:
+        raise invalid(exc) from exc
+    for name, arr in model.frozen_param_items():
+        if name not in data:
+            raise invalid(f"missing array {name}")
+        stored = data[name]
+        if stored.shape != arr.shape:
+            raise invalid(f"{name} has shape {stored.shape}, expected {arr.shape}")
+        if not np.all(np.isfinite(stored)):
+            raise invalid(f"non-finite entries in {name}")
+        if name.endswith(".running_var") and np.any(stored < 0):
+            raise invalid(f"negative entries in {name}")
+        arr[...] = stored
+    return model

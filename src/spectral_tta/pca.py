@@ -8,6 +8,7 @@ O(L * p) regardless of how many samples stream through.
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -63,6 +64,8 @@ class PcaBasis:
 
     @classmethod
     def load(cls, path) -> "PcaBasis":
+        if not Path(path).is_file():
+            raise FileNotFoundError(f"PCA basis file not found: {path}")
         with open(path) as fh:
             payload = json.load(fh)
         if payload.get("version") != BASIS_FORMAT_VERSION:

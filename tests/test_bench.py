@@ -413,6 +413,58 @@ def test_cli_missing_model_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_missing_file_messages_name_the_file(tmp_path, capsys):
+    missing_model, missing_basis = tmp_path / "missing.npz", tmp_path / "missing.json"
+    assert cli.main(["fit-pca", "--model", str(missing_model), "--basis", str(missing_basis)]) == 2
+    assert not missing_basis.exists()
+    model = tmp_path / "m.npz"
+    save_model(build_model(0), model)
+    args = ["--model", str(model), "--basis", str(missing_basis)]
+    assert cli.main(["bench"] + args + ["--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["adapt"] + args + ["--out", str(tmp_path / "r.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"model checkpoint not found: {missing_model}") == 1
+    assert err.count(f"PCA basis file not found: {missing_basis}") == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_fit_pca_on_a_constant_feature_map_exits_3(tmp_path, capsys):
+    model = build_model(0, (2, 4, 4), (3, 3))
+    model.layers[0].w[:] = 0.0
+    model.layers[0].b[:] = 1.0
+    path, basis = tmp_path / "m.npz", tmp_path / "basis.json"
+    save_model(model, path)
+    cfg = write_tiny_cli_config(tmp_path)
+    assert cli.main(["fit-pca", "--config", str(cfg), "--model", str(path), "--basis", str(basis)]) == 3
+    assert not basis.exists()
+    assert "numerical failure: layer 2 output has no variance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"pca": {"rank": 0}}, "invalid config values: pca.rank:0"),
+        ({"pca": {"fit_samples": 1}}, "invalid config values: pca.fit_samples:1"),
+        ({"dataset": {"n_train": 0}}, "dataset.n_train must be >= 1, got 0"),
+        ({"dataset": {"width": -2}}, "dataset.width must be >= 1, got -2"),
+        ({"dataset": {"n_classes": 9}}, "dataset.n_classes must be at most 8 with shape-patterns"),
+    ],
+)
+def test_cli_dataset_and_pca_values_exit_2_before_any_work(override, message, tmp_path, capsys):
+    cfg = json.loads(write_tiny_cli_config(tmp_path).read_text())
+    for section, values in override.items():
+        cfg[section].update(values)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    model, basis = tmp_path / "m.npz", tmp_path / "basis.json"
+    assert cli.main(["train", "--config", str(path), "--model", str(model)]) == 2
+    assert not model.exists()
+    save_model(build_model(0, (2, 4, 4), (3, 3)), model)
+    assert cli.main(["fit-pca", "--config", str(path), "--model", str(model), "--basis", str(basis)]) == 2
+    assert not basis.exists()
+    assert capsys.readouterr().err.count(message) == 2
+
+
 def test_cli_zero_batch_size_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"adapt": {"batch_size": 0}}))
@@ -547,6 +599,13 @@ def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+def _respec(arrays, **changes):
+    """Change the checkpoint's spec; a key changed to None is deleted."""
+    spec = {**json.loads(bytes(arrays["spec"]).decode()), **changes}
+    spec = {key: value for key, value in spec.items() if value is not None}
+    arrays["spec"] = np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8)
+
+
 def _corrupt_checkpoint(arrays, case):
     if case == "missing":
         del arrays["layer0.w"]
@@ -562,18 +621,31 @@ def _corrupt_checkpoint(arrays, case):
     elif case == "negative-variance":
         arrays["layer4.running_var"] = -arrays["layer4.running_var"]
     elif case == "no-kernel":
-        spec = json.loads(bytes(arrays["spec"]).decode())
-        del spec["layers"][0]["kernel"]
-        arrays["spec"] = np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8)
+        _respec(arrays, kernel=None)
     elif case == "no-spec":
         del arrays["spec"]
+    elif case == "even-kernel":  # arrays that fit the kernel, which same padding cannot use
+        _respec(arrays, kernel=2)
+        for key in ("layer0.w", "layer3.w"):
+            arrays[key] = arrays[key][:, :, :2, :2]
+    elif case == "one-class":
+        _respec(arrays, n_classes=1)
+        arrays["layer7.w"] = arrays["layer7.w"][:1]
+        arrays["layer7.b"] = arrays["layer7.b"][:1]
+    elif case == "no-conv-channels":
+        _respec(arrays, conv_channels=None)
+    elif case == "version-1":  # the first format's spec: a list of layer kinds
+        kinds = ["Conv2d", "BatchNorm2d", "ReLU"] * 2 + ["Flatten", "Linear"]
+        layers = [{"kind": k, **({"kernel": 3} if k == "Conv2d" else {})} for k in kinds]
+        _respec(arrays, version=1, layers=layers, conv_channels=None, kernel=None, n_classes=None)
 
 
 @pytest.mark.parametrize(
     "case",
     [
         "missing", "non-finite", "conv-in-channels", "bn-channels", "linear-width",
-        "negative-variance", "no-kernel", "no-spec", "not-an-archive",
+        "negative-variance", "no-kernel", "no-spec", "not-an-archive", "even-kernel",
+        "one-class", "no-conv-channels", "version-1",
     ],
 )
 def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):

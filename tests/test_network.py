@@ -265,6 +265,41 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert loaded.weight_hash() == model.weight_hash()
 
 
+def _stack(kernels=(3, 3), relu=True):
+    """small_model's stack, or one like it with other kernels or no ReLUs."""
+    rng = np.random.default_rng(0)
+    layers, prev = [], IN_SHAPE[0]
+    for k in kernels:
+        layers += [Conv2d(prev, 3, k, rng), BatchNorm2d(3)] + ([network.ReLU()] if relu else [])
+        prev = 3
+    return Model(layers + [network.Flatten(), network.Linear(3 * 16, 3, rng)], IN_SHAPE)
+
+
+def _adapted_stack():
+    model = small_model()
+    basis = full_rank_basis_at(model, 2, np.random.default_rng(0))
+    return insert_adapter(model, 3, basis, SpectralFilter(RELU_RIDGE, basis.singular_values))
+
+
+@pytest.mark.parametrize(
+    "stack, problem",
+    [
+        (lambda: _stack(kernels=(2, 2)), "kernel=2"),
+        (lambda: _stack(kernels=(3, 5)), "does not rebuild"),
+        (lambda: _stack(relu=False), "does not rebuild"),
+        (lambda: Model(_stack().layers[:-1], IN_SHAPE), "n_classes=None"),
+        (_adapted_stack, "remove the adapter"),
+    ],
+)
+def test_save_model_refuses_a_stack_build_model_cannot_make(tmp_path, stack, problem):
+    path = tmp_path / "model.npz"
+    save_model(_stack(), path)  # the helper's own stack is build_model's
+    assert load_model(path).weight_hash() == _stack().weight_hash()
+    with pytest.raises(ContractViolationError, match=problem):
+        save_model(stack(), tmp_path / "refused.npz")
+    assert not (tmp_path / "refused.npz").exists()
+
+
 # ---- im2col, prefix reuse and truncated backward ------------------------
 
 
