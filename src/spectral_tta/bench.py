@@ -61,17 +61,20 @@ _FILTER_KIND = {"spectral-relu": RELU_RIDGE, "spectral-exp": NEG_EXP}
 
 TABLE_FORMAT_VERSION = 1
 
-# (section, key, least value): batch sizes are range() steps, so a value
-# below 1 would fail deep inside the batching without naming the key; an
-# ablation over no seeds would average over nothing; a PCA fit needs a
-# rank of at least 1 and at least two samples
+# (key, least value): numpy's generators take no negative seed; training
+# for no epochs writes an untrained checkpoint; batch sizes are range()
+# steps, so a value below 1 would fail deep inside the batching without
+# naming the key; an ablation over no seeds would average over nothing; a
+# PCA fit needs a rank of at least 1 and at least two samples
 _LEAST_VALUES = (
-    ("model", "train_batch", 1),
-    ("pca", "fit_batch", 1),
-    ("pca", "rank", 1),
-    ("pca", "fit_samples", 2),
-    ("adapt", "batch_size", 1),
-    ("ablation", "n_seeds", 1),
+    ("seed", 0),
+    ("model.train_epochs", 1),
+    ("model.train_batch", 1),
+    ("pca.fit_batch", 1),
+    ("pca.rank", 1),
+    ("pca.fit_samples", 2),
+    ("adapt.batch_size", 1),
+    ("ablation.n_seeds", 1),
 )
 
 
@@ -287,10 +290,11 @@ def load_config(override: dict | None = None) -> dict:
     for key in ("methods", "corruptions", "severities"):
         if not cfg[key]:
             bad.append(f"{key}:[]")
-    for section, key, least in _LEAST_VALUES:
-        v = cfg[section][key]
+    for key, least in _LEAST_VALUES:
+        section, _, name = key.rpartition(".")
+        v = cfg[section][name] if section else cfg[name]
         if v < least:
-            bad.append(f"{section}.{key}:{v!r}")
+            bad.append(f"{key}:{v!r}")
     bad_args = bad_model_args(**_model_args(cfg))
     # each argument has its config key's name; the input shape, which
     # DatasetSpec has checked, is never among them
@@ -302,8 +306,24 @@ def load_config(override: dict | None = None) -> dict:
         bad.append(f"model.insert_index:{insert!r}")
     if bad:
         raise ConfigError(f"invalid config values: {', '.join(bad)}", bad)
+    # a fit keeps at most one mode per sample and per entry of the adapter's
+    # input, the output map of conv-bn-relu block (insert_index - 1) // 3
+    d, rank = cfg["dataset"], cfg["pca"]["rank"]
+    width = cfg["model"]["conv_channels"][(insert - 1) // 3] * d["height"] * d["width"]
+    largest = min(cfg["pca"]["fit_samples"], d["n_train"], width)
+    if rank > largest:
+        raise ConfigError(
+            f"pca.rank {rank} is more than the fit can give: at most {largest}", [f"pca.rank:{rank!r}"]
+        )
     _adapt_config(cfg)  # AdaptConfig checks the adapt values, naming each key
     return cfg
+
+
+def with_value(cfg: dict, key: str, value) -> dict:
+    """``cfg`` with the ``section.name`` key set to ``value``, checked by
+    :func:`load_config`."""
+    section, name = key.split(".")
+    return load_config({**cfg, section: {**cfg[section], name: value}})
 
 
 def _dataset_spec(cfg: dict) -> DatasetSpec:
@@ -351,18 +371,14 @@ def train_from_config(cfg: dict) -> Model:
     )
 
 
-def fit_basis_from_config(cfg: dict, model: Model, rank: int | None = None) -> PcaBasis:
+def fit_basis_from_config(cfg: dict, model: Model) -> PcaBasis:
     (train_x, _), _ = gen_dataset(_dataset_spec(cfg))
     pca_cfg = cfg["pca"]
-    n_fit = min(pca_cfg["fit_samples"], len(train_x))
-    fit_x = train_x[:n_fit]
+    fit_x = train_x[: pca_cfg["fit_samples"]]
     batch = pca_cfg["fit_batch"]
-    batches = [fit_x[i : i + batch] for i in range(0, n_fit, batch)]
+    batches = [fit_x[i : i + batch] for i in range(0, len(fit_x), batch)]
     j = cfg["model"]["insert_index"] - 1  # adapter consumes this layer's output
-    rank = rank if rank is not None else pca_cfg["rank"]
-    shapes = model.layer_output_shapes()
-    p = int(np.prod(shapes[j]))
-    return fit_pca_from_source(model, batches, j, min(rank, n_fit, p))
+    return fit_pca_from_source(model, batches, j, pca_cfg["rank"])
 
 
 def train_checkpoint(cfg: dict, path) -> Model:
@@ -371,9 +387,9 @@ def train_checkpoint(cfg: dict, path) -> Model:
     return model
 
 
-def fit_basis_checkpoint(cfg: dict, model_path, basis_path, rank: int | None = None) -> PcaBasis:
+def fit_basis_checkpoint(cfg: dict, model_path, basis_path) -> PcaBasis:
     model = load_model(model_path)
-    basis = fit_basis_from_config(cfg, model, rank)
+    basis = fit_basis_from_config(cfg, model)
     basis.save(basis_path)
     return basis
 
@@ -510,64 +526,42 @@ def run_benchmark_from_files(cfg: dict, model_path, basis_path, out_dir=None):
 # ---- ablations ---------------------------------------------------------------
 
 
-def _ablation_seeds(cfg: dict):
-    return [cfg["seed"] + i for i in range(cfg["ablation"]["n_seeds"])]
-
-
-def _severity5_mean_error(cfg: dict, model, basis, method: str) -> float:
-    sub = copy.deepcopy(cfg)
-    sub["methods"] = [method]
-    sub["severities"] = [5]
-    table, _ = run_benchmark(sub, model, basis)
-    return float(np.mean([table.errors[(method, c, 5)] for c in sub["corruptions"]]))
+def _sweep(cfg: dict, key: str, values: list, protocol: str, label: str):
+    """Severity-5 mean error of the ablation method at each value of the
+    dotted config ``key``, averaged over ``ablation.n_seeds`` seeds. Per
+    seed, the model is trained once and a basis is fitted once per distinct
+    ``pca`` section."""
+    if not values or values[0] < 1 or any(b <= a for a, b in zip(values, values[1:])):
+        raise ContractViolationError(
+            f"{label} values must be positive and strictly increasing, got {values}"
+        )
+    method = cfg["ablation"]["method"]
+    base = with_value({**cfg, "methods": [method], "severities": [5]}, "adapt.protocol", protocol)
+    points = [with_value(base, key, v) for v in values]  # each value checked before any work
+    per_seed = [[] for _ in values]
+    for i in range(cfg["ablation"]["n_seeds"]):
+        seeded = [{**point, "seed": cfg["seed"] + i} for point in points]
+        model = train_from_config(seeded[0])  # the swept key is not a training key
+        fitted = None  # the pca section the basis was fitted with
+        for point, errors in zip(seeded, per_seed):
+            if point["pca"] != fitted:
+                basis, fitted = fit_basis_from_config(point, model), point["pca"]
+            table, _ = run_benchmark(point, model, basis)
+            errors.append(table.severity_mean(method, 5))
+    return [
+        {label: v, "mean_error": float(np.mean(errors)), "per_seed": errors}
+        for v, errors in zip(values, per_seed)
+    ]
 
 
 def ablate_rank(cfg: dict, ranks: list[int]):
     """Severity-5 episodic mean error vs PCA rank, seed-averaged."""
-    if not ranks or any(r < 1 for r in ranks):
-        raise ContractViolationError("ranks must be positive")
-    method = cfg["ablation"]["method"]
-    curve = []
-    per_seed = {r: [] for r in ranks}
-    for seed in _ablation_seeds(cfg):
-        scfg = copy.deepcopy(cfg)
-        scfg["seed"] = seed
-        scfg["adapt"]["protocol"] = "episodic"
-        model = train_from_config(scfg)
-        for r in ranks:
-            basis = fit_basis_from_config(scfg, model, rank=r)
-            per_seed[r].append(_severity5_mean_error(scfg, model, basis, method))
-    for r in ranks:
-        curve.append(
-            {"rank": r, "mean_error": float(np.mean(per_seed[r])), "per_seed": per_seed[r]}
-        )
-    return curve
+    return _sweep(cfg, "pca.rank", ranks, "episodic", "rank")
 
 
 def ablate_steps(cfg: dict, steps: list[int]):
     """Severity-5 online mean error vs steps per batch, seed-averaged."""
-    if not steps or any(s < 1 for s in steps):
-        raise ContractViolationError("steps must be positive")
-    if any(b >= a for a, b in zip(steps[1:], steps)):
-        raise ContractViolationError("steps must be strictly increasing")
-    method = cfg["ablation"]["method"]
-    curve = []
-    per_seed = {s: [] for s in steps}
-    for seed in _ablation_seeds(cfg):
-        scfg = copy.deepcopy(cfg)
-        scfg["seed"] = seed
-        scfg["adapt"]["protocol"] = "online"
-        model = train_from_config(scfg)
-        basis = fit_basis_from_config(scfg, model)
-        for s in steps:
-            run_cfg = copy.deepcopy(scfg)
-            run_cfg["adapt"]["steps_per_batch"] = s
-            per_seed[s].append(_severity5_mean_error(run_cfg, model, basis, method))
-    for s in steps:
-        curve.append(
-            {"steps": s, "mean_error": float(np.mean(per_seed[s])), "per_seed": per_seed[s]}
-        )
-    return curve
+    return _sweep(cfg, "adapt.steps_per_batch", steps, "online", "steps")
 
 
 def curve_to_json(curve, path) -> None:

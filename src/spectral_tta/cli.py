@@ -39,7 +39,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_fit_pca(args) -> int:
     cfg = _read_config(args.config)
-    basis = bench.fit_basis_checkpoint(cfg, args.model, args.basis, rank=args.rank)
+    if args.rank is not None:
+        cfg = bench.with_value(cfg, "pca.rank", args.rank)
+    basis = bench.fit_basis_checkpoint(cfg, args.model, args.basis)
     print(f"wrote PCA basis (rank {basis.rank}) to {args.basis}")
     return EXIT_OK
 
@@ -104,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--model", default="model.npz")
     p.add_argument("--basis", default="basis.json")
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--rank", type=int, default=None, help="overrides pca.rank")
     p.set_defaults(fn=_cmd_fit_pca)
 
     p = sub.add_parser("adapt", help="run one adaptation session")

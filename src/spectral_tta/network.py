@@ -34,8 +34,12 @@ from .pca import PcaBasis
 MODEL_FORMAT_VERSION = 2
 MODEL_ARGS = ("input_shape", "conv_channels", "kernel", "n_classes")
 
+# batch-norm modes: the stored running statistics, the batch's statistics,
+# or (training) the batch's statistics, which also update the running ones
 BN_FROZEN = "frozen-stats"
 BN_BATCH = "batch-stats"
+BN_TRAIN = "train-stats"
+BN_MODES = (BN_FROZEN, BN_BATCH, BN_TRAIN)
 
 
 class Conv2d:
@@ -96,11 +100,7 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    """Per-channel batch norm over (n, h, w).
-
-    ``mode`` selects frozen running statistics or per-batch statistics;
-    ``track`` additionally updates the running statistics (training only).
-    """
+    """Per-channel batch norm over (n, h, w); ``mode`` is one of BN_MODES."""
 
     def __init__(self, ch: int, eps: float = 1e-5, momentum: float = 0.1):
         self.scale = np.ones(ch)
@@ -110,7 +110,6 @@ class BatchNorm2d:
         self.eps = eps
         self.momentum = momentum
         self.mode = BN_FROZEN
-        self.track = False
 
     def params(self):
         return {"scale": self.scale, "shift": self.shift}
@@ -122,16 +121,16 @@ class BatchNorm2d:
     def frozen_half(self, x):
         """The normalisation, which the scale and shift do not reach:
         ``(xhat, invstd, mode)``, also the backward's cache."""
-        if self.mode == BN_BATCH:
+        if self.mode == BN_FROZEN:
+            mean = self.running_mean
+            var = self.running_var
+        else:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            if self.track:
+            if self.mode == BN_TRAIN:
                 m = self.momentum
                 self.running_mean = (1 - m) * self.running_mean + m * mean
                 self.running_var = (1 - m) * self.running_var + m * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
         invstd = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
         return xhat, invstd, self.mode
@@ -145,9 +144,9 @@ class BatchNorm2d:
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         xhat, invstd, mode = cache
-        # the per-channel sums are the scale/shift gradients; batch-stats
-        # mode also needs them for the input gradient
-        if need_param_grads or (need_input_grad and mode == BN_BATCH):
+        # the per-channel sums are the scale/shift gradients; batch
+        # statistics also need them for the input gradient
+        if need_param_grads or (need_input_grad and mode != BN_FROZEN):
             gdot = np.sum(gy * xhat, axis=(0, 2, 3))
             gsum = np.sum(gy, axis=(0, 2, 3))
         pgrads = {"scale": gdot, "shift": gsum} if need_param_grads else {}
@@ -344,20 +343,31 @@ class Model:
         h = self.forward_until(x, k - 1) if k > 0 else self._check_input(x)
         return h, self.layers[k].frozen_half(h)
 
-    def backward_all(self, caches, gloss):
-        """Full backward pass; returns per-layer param grads (training).
-        The gradient w.r.t. the network input is not computed."""
-        grads = []
+    def _backward(self, caches, gloss, stop, collect):
+        """The backward pass from the top down to layer ``stop``, which
+        computes no input gradient; ``{index: param grads}`` for the layers
+        in ``collect``."""
+        if len(caches) != len(self.layers):
+            raise ContractViolationError("cache does not match the layer stack")
+        grads = {}
         g = gloss
-        for idx in range(len(self.layers) - 1, -1, -1):
+        for idx in range(len(self.layers) - 1, stop - 1, -1):
+            need = idx in collect
             g, pg = self.layers[idx].backward(
-                caches[idx], g, need_param_grads=True, need_input_grad=idx > 0
+                caches[idx], g, need_param_grads=need, need_input_grad=idx > stop
             )
-            grads.append(pg)
-        return list(reversed(grads))
+            if need:
+                grads[idx] = pg
+        return grads
+
+    def backward_all(self, caches, gloss):
+        """Per-layer param grads of every layer (training). The gradient
+        w.r.t. the network input is not computed."""
+        grads = self._backward(caches, gloss, 0, range(len(self.layers)))
+        return [grads[idx] for idx in range(len(self.layers))]
 
     def backward_adapt(self, caches, gloss):
-        """Backward pass collecting gradients only for adaptation params.
+        """The adaptation params' gradient, one flat vector.
 
         It stops at :meth:`adapt_start`: nothing below the lowest
         adaptation layer has a gradient to collect, so those caches may be
@@ -366,21 +376,9 @@ class Model:
         :meth:`frozen_prefix`, shared by every step on the batch.
         """
         adapt_idx = self._adapt_indices()
-        if len(caches) != len(self.layers):
-            raise ContractViolationError("cache does not match the layer stack")
-        per_layer = {}
-        g = gloss
-        start = adapt_idx[0]
-        for idx in range(len(self.layers) - 1, start - 1, -1):
-            layer = self.layers[idx]
-            need = idx in adapt_idx
-            g, pg = layer.backward(
-                caches[idx], g, need_param_grads=need, need_input_grad=idx > start
-            )
-            if need:
-                per_layer[idx] = pg
+        grads = self._backward(caches, gloss, adapt_idx[0], adapt_idx)
         return np.concatenate(
-            [per_layer[i][name] for i in adapt_idx for name in self.layers[i].params()]
+            [grads[i][name] for i in adapt_idx for name in self.layers[i].params()]
         )
 
     # ---- adaptation parameters -----------------------------------------
@@ -426,7 +424,7 @@ class Model:
     # ---- state management ----------------------------------------------
 
     def set_bn_mode(self, mode: str) -> None:
-        if mode not in (BN_FROZEN, BN_BATCH):
+        if mode not in BN_MODES:
             raise ContractViolationError(f"unknown batch-norm mode {mode!r}")
         for layer in self.layers:
             if isinstance(layer, BatchNorm2d):
@@ -616,10 +614,7 @@ def train_model(
     """Plain SGD training; afterwards all weights are frozen and batch
     norm switches to its stored running statistics."""
     rng = np.random.default_rng(seed)
-    model.set_bn_mode(BN_BATCH)
-    for layer in model.layers:
-        if isinstance(layer, BatchNorm2d):
-            layer.track = True
+    model.set_bn_mode(BN_TRAIN)
     n = len(x)
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -631,9 +626,6 @@ def train_model(
             for layer, pg in zip(model.layers, grads):
                 for name, g in pg.items():
                     layer.params()[name] -= lr * g
-    for layer in model.layers:
-        if isinstance(layer, BatchNorm2d):
-            layer.track = False
     model.set_bn_mode(BN_FROZEN)
     bad = [name for name, arr in model.frozen_param_items() if not np.all(np.isfinite(arr))]
     if bad:

@@ -66,17 +66,29 @@ class PcaBasis:
     def load(cls, path) -> "PcaBasis":
         if not Path(path).is_file():
             raise FileNotFoundError(f"PCA basis file not found: {path}")
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("version") != BASIS_FORMAT_VERSION:
-            raise ContractViolationError(
-                f"unsupported basis file version {payload.get('version')!r}"
+
+        def invalid(problem):
+            return ContractViolationError(f"invalid basis file {path}: {problem}")
+
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+            version = payload.get("version")
+        except (ValueError, AttributeError) as exc:
+            # not JSON, or JSON whose top level is not an object
+            raise invalid(f"not a basis file ({exc!r})") from exc
+        if version != BASIS_FORMAT_VERSION:
+            raise invalid(f"unsupported version {version!r}, expected {BASIS_FORMAT_VERSION}")
+        try:
+            p, rank, n_fitted = payload["p"], payload["rank"], payload["n_fitted"]
+            mean, sv, comp = (
+                np.asarray(payload[key], dtype=np.float64)
+                for key in ("mean", "singular_values", "components")
             )
-        p = payload["p"]
-        rank = payload["rank"]
-        mean = np.asarray(payload["mean"], dtype=np.float64)
-        sv = np.asarray(payload["singular_values"], dtype=np.float64)
-        comp = np.asarray(payload["components"], dtype=np.float64)
+        except KeyError as exc:
+            raise invalid(f"no key {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise invalid(f"entries that are not numbers ({exc!r})") from exc
         problem = None
         if not (isinstance(p, int) and isinstance(rank, int) and p >= 1 and rank >= 1):
             problem = f"p and rank must be positive integers, got p={p!r}, rank={rank!r}"
@@ -96,12 +108,9 @@ class PcaBasis:
             if residual > ORTHONORMAL_TOL:
                 problem = f"component rows are not orthonormal (max |V V^T - I| = {residual:.1e})"
         if problem is not None:
-            raise ContractViolationError(f"invalid basis file {path}: {problem}")
+            raise invalid(problem)
         return cls(
-            mean=mean,
-            components=comp.reshape(rank, p),
-            singular_values=sv,
-            n_fitted=payload["n_fitted"],
+            mean=mean, components=comp.reshape(rank, p), singular_values=sv, n_fitted=n_fitted
         )
 
 

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_tta import bench, cli
 from spectral_tta.adapt import AdaptConfig
@@ -309,6 +311,36 @@ def test_ablate_rank_curve(tiny_config):
         bench.ablate_rank(cfg, [])
     with pytest.raises(ContractViolationError):
         bench.ablate_rank(cfg, [0, 4])
+    with pytest.raises(ContractViolationError, match=r"strictly increasing, got \[4, 4\]"):
+        bench.ablate_rank(cfg, [4, 4])
+    # the tiny fit gives at most 48 modes, the width of its 3 x 4 x 4 input map
+    for ranks, refused in [([8, 64], 64), ([500], 500)]:
+        with pytest.raises(ConfigError, match=f"pca.rank {refused} .* at most 48"):
+            bench.ablate_rank(cfg, ranks)
+
+
+def test_ablation_points_are_cells_of_the_grid(tiny_config):
+    """Each point equals the severity-5 mean of run_benchmark's table, with
+    a basis fitted at the point's rank and the point's steps per batch."""
+    cfg = ablation_config(tiny_config)
+    method = cfg["ablation"]["method"]
+    model = bench.train_from_config(cfg)
+    for ablate, key, protocol, values in [
+        (bench.ablate_rank, "rank", "episodic", [2, 8]),
+        (bench.ablate_steps, "steps", "online", [1, 3]),
+    ]:
+        curve = ablate(cfg, values)
+        for point, value in zip(curve, values):
+            grid_cfg = copy.deepcopy(cfg)
+            grid_cfg["adapt"]["protocol"] = protocol
+            if key == "rank":
+                grid_cfg["pca"]["rank"] = value
+            else:
+                grid_cfg["adapt"]["steps_per_batch"] = value
+            basis = bench.fit_basis_from_config(grid_cfg, model)
+            table, _ = run_benchmark(grid_cfg, model, basis)
+            assert point[key] == value
+            assert point["per_seed"] == [table.severity_mean(method, 5)]
 
 
 def test_ablate_steps_curve(tiny_config):
@@ -448,12 +480,15 @@ def test_cli_fit_pca_on_a_constant_feature_map_exits_3(tmp_path, capsys):
         ({"dataset": {"n_train": 0}}, "dataset.n_train must be >= 1, got 0"),
         ({"dataset": {"width": -2}}, "dataset.width must be >= 1, got -2"),
         ({"dataset": {"n_classes": 9}}, "dataset.n_classes must be at most 8 with shape-patterns"),
+        ({"seed": -1}, "invalid config values: seed:-1"),
+        ({"model": {"train_epochs": -1}}, "invalid config values: model.train_epochs:-1"),
+        ({"model": {"train_epochs": 0}}, "invalid config values: model.train_epochs:0"),
     ],
 )
 def test_cli_dataset_and_pca_values_exit_2_before_any_work(override, message, tmp_path, capsys):
     cfg = json.loads(write_tiny_cli_config(tmp_path).read_text())
-    for section, values in override.items():
-        cfg[section].update(values)
+    for key, value in override.items():
+        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     model, basis = tmp_path / "m.npz", tmp_path / "basis.json"
@@ -485,6 +520,30 @@ def test_config_rejects_non_positive_int_batch_sizes(section, key, value):
         load_config({section: {key: value}})
     assert info.value.keys == [f"{section}.{key}:{value!r}"]
     assert load_config({section: {key: 1}})[section][key] == 1
+
+
+def _overrides(default):
+    """Partial configs drawn from a default's own values: any subset of
+    keys, and for a list any non-empty selection of its entries."""
+    if isinstance(default, dict):
+        return st.fixed_dictionaries({}, optional={k: _overrides(v) for k, v in default.items()})
+    if isinstance(default, list):
+        return st.lists(st.sampled_from(default), min_size=1, max_size=len(default))
+    return st.just(default)
+
+
+def _merged(default, override):
+    if not isinstance(default, dict):
+        return override
+    return {k: _merged(v, override[k]) if k in override else v for k, v in default.items()}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(override=_overrides(bench.DEFAULT_CONFIG))
+def test_config_accepts_overrides_drawn_from_the_defaults_unchanged(override):
+    given_override = copy.deepcopy(override)
+    assert load_config(override) == _merged(bench.DEFAULT_CONFIG, given_override)
+    assert override == given_override
 
 
 def test_config_leaf_types_follow_the_defaults():
@@ -550,8 +609,53 @@ def test_cli_string_rank_exits_2(tmp_path, capsys):
     assert "'pca.rank' must have the type of its default 64, got '8'" in err
 
 
+def test_cli_fit_pca_rank_overrides_pca_rank(tmp_path, capsys):
+    cfg = write_tiny_cli_config(tmp_path)
+    model, basis = tmp_path / "m.npz", tmp_path / "basis.json"
+    save_model(build_model(0, (2, 4, 4), (3, 3)), model)
+    fit_pca = ["fit-pca", "--config", str(cfg), "--model", str(model), "--basis", str(basis)]
+    assert cli.main(fit_pca + ["--rank", "0"]) == 2
+    assert cli.main(fit_pca + ["--rank", "49"]) == 2
+    assert not basis.exists()
+    err = capsys.readouterr().err
+    assert "invalid config values: pca.rank:0" in err
+    assert "pca.rank 49 is more than the fit can give: at most 48" in err
+    assert cli.main(fit_pca + ["--rank", "8"]) == 0
+    assert PcaBasis.load(basis).rank == 8
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        (["4", "4"], "rank values must be positive and strictly increasing, got [4, 4]"),
+        (["8", "64"], "pca.rank 64 is more than the fit can give: at most 48"),
+        (["500"], "pca.rank 500 is more than the fit can give: at most 48"),
+    ],
+)
+def test_cli_ablate_rank_refuses_ranks_before_any_work(ranks, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "train_from_config", lambda cfg: pytest.fail("trained"))
+    out = tmp_path / "curve.json"
+    cfg = write_tiny_cli_config(tmp_path)
+    assert cli.main(["ablate-rank", "--config", str(cfg), "--ranks", *ranks, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def _corrupt_basis(payload, case):
-    if case == "components":
+    """The text of a basis file broken as ``case`` says."""
+    if case == "not-json":
+        return json.dumps(payload)[:-1]
+    if case == "top-level-list":
+        return json.dumps([payload])
+    if case == "no-p":
+        del payload["p"]
+    elif case == "no-n-fitted":
+        del payload["n_fitted"]
+    elif case == "version-2":
+        payload["version"] = 2
+    elif case == "string-mean":
+        payload["mean"] = ["zero"] * 4
+    elif case == "components":
         payload["components"] = payload["components"][:-1]
     elif case == "mean":
         payload["mean"] = payload["mean"] + [0.0]
@@ -567,13 +671,15 @@ def _corrupt_basis(payload, case):
         payload["rank"] = "2"
     elif case == "non-orthonormal":
         payload["components"][0] = 1.5  # row 0 is no longer a unit vector
+    return json.dumps(payload)
 
 
 @pytest.mark.parametrize(
     "case",
     [
         "components", "mean", "singular-values", "non-finite", "increasing", "non-positive",
-        "rank-type", "non-orthonormal",
+        "rank-type", "non-orthonormal", "not-json", "top-level-list", "no-p", "no-n-fitted",
+        "version-2", "string-mean",
     ],
 )
 def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
@@ -586,9 +692,7 @@ def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
         singular_values=np.array([2.0, 1.0]),
         n_fitted=10,
     ).save(basis)
-    payload = json.loads(basis.read_text())
-    _corrupt_basis(payload, case)
-    basis.write_text(json.dumps(payload))
+    basis.write_text(_corrupt_basis(json.loads(basis.read_text()), case))
     with pytest.raises(ContractViolationError, match="invalid basis file"):
         PcaBasis.load(basis)
     args = ["--model", str(model), "--basis", str(basis)]

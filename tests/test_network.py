@@ -7,6 +7,8 @@ from spectral_tta.errors import ContractViolationError, EmptyBasisError
 from spectral_tta.filters import RELU_RIDGE, SpectralFilter
 from spectral_tta.network import (
     BN_BATCH,
+    BN_MODES,
+    BN_TRAIN,
     BatchNorm2d,
     Conv2d,
     Model,
@@ -340,6 +342,25 @@ def test_bn_backward_input_grad_does_not_depend_on_param_grads(mode, rng):
     xhat = cache[0]
     assert np.array_equal(pg["scale"], np.sum(gy * xhat, axis=(0, 2, 3)))
     assert np.array_equal(pg["shift"], np.sum(gy, axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("mode", BN_MODES)
+def test_only_the_training_mode_moves_running_statistics(mode, rng):
+    bn = BatchNorm2d(3)
+    bn.running_mean, bn.running_var = rng.normal(size=3), rng.uniform(0.5, 2, 3)
+    before = bn.running_mean.copy(), bn.running_var.copy()
+    bn.mode = mode
+    x = rng.normal(2.0, 3.0, size=(4, 3, 2, 2))
+    bn.forward(x)
+    bn.frozen_half(x)
+    if mode != BN_TRAIN:
+        assert np.array_equal(bn.running_mean, before[0])
+        assert np.array_equal(bn.running_var, before[1])
+        return
+    batch, expected = (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))), before
+    for _ in range(2):  # one update per normalisation, momentum 0.1
+        expected = [0.9 * e + 0.1 * b for e, b in zip(expected, batch)]
+    assert np.allclose(bn.running_mean, expected[0]) and np.allclose(bn.running_var, expected[1])
 
 
 def adapted_models(rng):

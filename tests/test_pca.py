@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spectral_tta import linalg, pca
 from spectral_tta.errors import ContractViolationError, EmptyBasisError
@@ -177,4 +180,35 @@ def test_basis_serialization_round_trip(tmp_path):
     assert np.array_equal(loaded.mean, basis.mean)
     assert np.array_equal(loaded.components, basis.components)
     assert np.array_equal(loaded.singular_values, basis.singular_values)
+    assert loaded.n_fitted == basis.n_fitted
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def bases(draw):
+    """A basis that passes the load checks: any finite mean, orthonormal
+    component rows and positive non-increasing singular values."""
+    p = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, p))
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(p, p)))
+    positive = st.floats(min_value=5e-324, allow_infinity=False)
+    sv = draw(hnp.arrays(np.float64, rank, elements=positive))
+    return pca.PcaBasis(
+        mean=draw(hnp.arrays(np.float64, p, elements=FINITE)),
+        components=q.T[:rank].copy(),
+        singular_values=-np.sort(-sv),
+        n_fitted=draw(st.integers(2, 10**6)),
+    )
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(basis=bases())
+def test_basis_file_round_trip_is_bitwise(basis, tmp_path_factory):
+    path = tmp_path_factory.mktemp("basis") / "basis.json"
+    basis.save(path)
+    loaded = pca.PcaBasis.load(path)
+    for name in ("mean", "components", "singular_values"):
+        assert getattr(loaded, name).tobytes() == getattr(basis, name).tobytes()
     assert loaded.n_fitted == basis.n_fitted
