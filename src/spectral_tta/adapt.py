@@ -8,7 +8,7 @@ recomputation, and entropy-trained batch-norm modulators.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -162,40 +162,43 @@ def _diverged(method: str, b_idx: int, what: str) -> NumericalFailureError:
     return NumericalFailureError(f"{method} adaptation diverged on batch {b_idx}: {what}")
 
 
-def _run_protocol(model: Model, test_batches, cfg: AdaptConfig, method: str, episodic: bool):
+def run_adaptation(model: Model, test_batches, cfg: AdaptConfig, method: str = "adapt") -> RunRecord:
+    """Adapt on each batch and evaluate it, in the protocol that
+    ``cfg.protocol`` names: ``episodic`` resets the parameters and the
+    optimizer before every batch, ``online`` carries them across the
+    stream."""
     batches = _check_batches(test_batches)
+    episodic = cfg.protocol == "episodic"
     n_params = model.adapt_param_count()
     params0 = model.adapt_params()
-    record = RunRecord(method=method, protocol="episodic" if episodic else "online")
+    record = RunRecord(method=method, protocol=cfg.protocol)
     state = AdamState.zeros(n_params)
-    # the layers below the lowest adaptation layer and its input-only half
-    # are frozen: run them once per batch, the rest on every forward
+    # the layers below the lowest adaptation layer k run once per batch;
+    # every later forward on the batch reuses layer k's first cache
     k = model.adapt_start()
     for b_idx, (x, y) in enumerate(batches):
         if episodic:
             model.set_adapt_params(params0)
             state = AdamState.zeros(n_params)
-        h, z = model.frozen_prefix(x)
-        logits, caches = model.forward(h, start=k, frozen=z)
+        h = model.forward_until(x, k - 1)
+        logits, caches = model.forward(h, start=k)
+        first = caches[k]
         h_before = entropy(logits)
         for step in range(cfg.steps_per_batch):
-            if step > 0:
-                logits, caches = model.forward(h, start=k, frozen=z)
-            gloss = entropy_grad(logits)
-            grads = model.backward_adapt(caches, gloss)
+            grads = model.backward_adapt(caches, entropy_grad(logits))
             params = adam_step(state, model.adapt_params(), grads, cfg)
             if not np.all(np.isfinite(params)):
                 raise _diverged(method, b_idx, f"non-finite parameters after step {step + 1}")
             model.set_adapt_params(params)
-        logits_after, _ = model.forward(h, start=k, frozen=z)
-        if not np.all(np.isfinite(logits_after)):
+            logits, caches = model.forward(h, start=k, frozen=first)
+        if not np.all(np.isfinite(logits)):
             raise _diverged(method, b_idx, "non-finite logits after adaptation")
         record.add(
             b_idx,
             len(y),
-            _batch_error(logits_after, y),
+            _batch_error(logits, y),
             h_before,
-            entropy(logits_after),
+            entropy(logits),
             _params_hash(model.adapt_params()),
         )
     if episodic:
@@ -204,18 +207,13 @@ def _run_protocol(model: Model, test_batches, cfg: AdaptConfig, method: str, epi
 
 
 def adapt_episodic(model: Model, test_batches, cfg: AdaptConfig, method: str = "adapt") -> RunRecord:
-    """Adapt-and-evaluate each batch independently, resetting in between."""
-    return _run_protocol(model, test_batches, cfg, method, episodic=True)
+    """:func:`run_adaptation` with the episodic protocol."""
+    return run_adaptation(model, test_batches, replace(cfg, protocol="episodic"), method)
 
 
 def adapt_online(model: Model, test_batches, cfg: AdaptConfig, method: str = "adapt") -> RunRecord:
-    """Adapt across the batch stream without resets."""
-    return _run_protocol(model, test_batches, cfg, method, episodic=False)
-
-
-def run_adaptation(model: Model, test_batches, cfg: AdaptConfig, method: str = "adapt") -> RunRecord:
-    """Run the protocol that ``cfg.protocol`` names."""
-    return _run_protocol(model, test_batches, cfg, method, episodic=cfg.protocol == "episodic")
+    """:func:`run_adaptation` with the online protocol."""
+    return run_adaptation(model, test_batches, replace(cfg, protocol="online"), method)
 
 
 # ---- baselines ----------------------------------------------------------

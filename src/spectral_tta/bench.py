@@ -59,8 +59,6 @@ METHODS = ("no-adapt", "bn-stats", "bn-modulators", "spectral-relu", "spectral-e
 
 _FILTER_KIND = {"spectral-relu": RELU_RIDGE, "spectral-exp": NEG_EXP}
 
-TABLE_FORMAT_VERSION = 1
-
 # (key, least value): numpy's generators take no negative seed; training
 # for no epochs writes an untrained checkpoint; batch sizes are range()
 # steps, so a value below 1 would fail deep inside the batching without

@@ -2,7 +2,8 @@
 
 Subcommands: train, fit-pca, adapt, bench, ablate-rank, ablate-steps,
 verify-ridge. All take a single JSON config file (merged over defaults).
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error (also a file that cannot be read
+or written), 3 numerical failure.
 """
 
 import argparse
@@ -152,8 +153,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractViolationError, FileNotFoundError) as exc:
-        # a missing model, basis or config file is a bad argument: exit 2
+    except (ConfigError, ContractViolationError, OSError) as exc:
+        # a path that cannot be read or written (a missing file, a directory
+        # given as a file, an existing file as bench's output directory) is
+        # a bad argument: exit 2
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailureError as exc:

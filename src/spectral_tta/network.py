@@ -6,9 +6,9 @@ with plain SGD and cross-entropy; after that every weight is frozen and
 only the adaptation parameters (the adapter's gamma, or the batch-norm
 scale/shift for the modulator baseline) ever receive gradients.
 
-The adaptation layers split ``forward(x)`` into the input-only half
-``frozen_half(x)``, which no adaptation parameter reaches, and the
-adapted half ``forward(x, frozen=frozen_half(x))``.
+An adaptation layer's ``forward(x, frozen=cache)`` takes its own cache
+from an earlier forward on the same ``x`` and reuses the part of it that
+no adaptation parameter reaches.
 
 Every layer's ``backward(cache, gy, need_param_grads, need_input_grad)``
 returns ``(input_grad, param_grads)``. With ``need_param_grads=False`` the
@@ -118,28 +118,25 @@ class BatchNorm2d:
     def channels(self) -> int:
         return len(self.scale)
 
-    def frozen_half(self, x):
-        """The normalisation, which the scale and shift do not reach:
-        ``(xhat, invstd, mode)``, also the backward's cache."""
-        if self.mode == BN_FROZEN:
-            mean = self.running_mean
-            var = self.running_var
-        else:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            if self.mode == BN_TRAIN:
-                m = self.momentum
-                self.running_mean = (1 - m) * self.running_mean + m * mean
-                self.running_var = (1 - m) * self.running_var + m * var
-        invstd = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
-        return xhat, invstd, self.mode
-
     def forward(self, x, frozen=None):
+        """The cache is ``(xhat, invstd, mode)``, the normalisation, which
+        the scale and shift do not reach; a ``frozen`` cache of this ``x``
+        is reused as it is (and moves no running statistics)."""
         if frozen is None:
-            frozen = self.frozen_half(x)
-        xhat = frozen[0]
-        y = self.scale[None, :, None, None] * xhat + self.shift[None, :, None, None]
+            if self.mode == BN_FROZEN:
+                mean = self.running_mean
+                var = self.running_var
+            else:
+                mean = x.mean(axis=(0, 2, 3))
+                var = x.var(axis=(0, 2, 3))
+                if self.mode == BN_TRAIN:
+                    m = self.momentum
+                    self.running_mean = (1 - m) * self.running_mean + m * mean
+                    self.running_var = (1 - m) * self.running_var + m * var
+            invstd = 1.0 / np.sqrt(var + self.eps)
+            xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
+            frozen = (xhat, invstd, self.mode)
+        y = self.scale[None, :, None, None] * frozen[0] + self.shift[None, :, None, None]
         return y, frozen
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
@@ -251,14 +248,16 @@ class SpectralAdapterLayer:
     def params(self):
         return {"gamma": self.filt.gamma}
 
-    def frozen_half(self, x):
-        """The projection, which gamma does not reach: ``(x.shape, scores)``."""
-        if x.ndim != 4:
-            raise ContractViolationError("adapter layer expects a 4-D feature map")
-        return x.shape, pca_mod.transform(self.basis, x.reshape(x.shape[0], -1))
-
     def forward(self, x, frozen=None):
-        in_shape, scores = self.frozen_half(x) if frozen is None else frozen
+        """The cache is ``(x.shape, FilterCache)``; a ``frozen`` cache of
+        this ``x`` gives the projection ``scores``, which gamma does not
+        reach."""
+        if frozen is not None:
+            in_shape, scores = frozen[0], frozen[1].scores
+        elif x.ndim != 4:
+            raise ContractViolationError("adapter layer expects a 4-D feature map")
+        else:
+            in_shape, scores = x.shape, pca_mod.transform(self.basis, x.reshape(x.shape[0], -1))
         out, fcache = apply_filter(
             self.basis, self.filt, None, self.out_components, self.out_offset, scores=scores
         )
@@ -308,8 +307,8 @@ class Model:
         For ``start > 0``, ``x`` is the output of layer ``start - 1`` (see
         :meth:`forward_until`) and the skipped layers get ``None`` caches,
         so the cache list still lines up with the layer stack. ``frozen``,
-        if given, is layer ``start``'s input-only half (see
-        :meth:`frozen_prefix`), and that layer runs only its adapted half.
+        if given, is layer ``start``'s cache from an earlier forward on the
+        same ``x``, and that layer reuses its input-only part.
         """
         if not 0 <= start < len(self.layers):
             raise ContractViolationError(f"start index {start} out of range")
@@ -326,22 +325,14 @@ class Model:
         return x, caches
 
     def forward_until(self, x, j):
-        """Output of layer index j (inclusive)."""
-        if not 0 <= j < len(self.layers):
+        """Output of layer index j (inclusive); ``j = -1`` gives the
+        checked input."""
+        if not -1 <= j < len(self.layers):
             raise ContractViolationError(f"layer index {j} out of range")
         x = self._check_input(x)
         for layer in self.layers[: j + 1]:
             x, _ = layer.forward(x)
         return x
-
-    def frozen_prefix(self, x):
-        """``(h, frozen)``: everything of a forward pass on batch ``x`` that
-        no adaptation parameter reaches, for ``forward(h, start=k,
-        frozen=frozen)`` with ``k = adapt_start()``. ``h`` is the input of
-        layer ``k`` and ``frozen`` that layer's input-only half."""
-        k = self.adapt_start()
-        h = self.forward_until(x, k - 1) if k > 0 else self._check_input(x)
-        return h, self.layers[k].frozen_half(h)
 
     def _backward(self, caches, gloss, stop, collect):
         """The backward pass from the top down to layer ``stop``, which
@@ -372,8 +363,8 @@ class Model:
         It stops at :meth:`adapt_start`: nothing below the lowest
         adaptation layer has a gradient to collect, so those caches may be
         the ``None`` slots of ``forward(h, start=model.adapt_start())``,
-        and that layer's cache may hold the input-only half of
-        :meth:`frozen_prefix`, shared by every step on the batch.
+        and that layer's cache may be the batch's first one, shared by
+        every step on the batch.
         """
         adapt_idx = self._adapt_indices()
         grads = self._backward(caches, gloss, adapt_idx[0], adapt_idx)

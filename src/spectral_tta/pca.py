@@ -89,9 +89,16 @@ class PcaBasis:
             raise invalid(f"no key {exc}") from exc
         except (ValueError, TypeError) as exc:
             raise invalid(f"entries that are not numbers ({exc!r})") from exc
+
+        def count(value, least):
+            return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
         problem = None
-        if not (isinstance(p, int) and isinstance(rank, int) and p >= 1 and rank >= 1):
+        if not (count(p, 1) and count(rank, 1)):
             problem = f"p and rank must be positive integers, got p={p!r}, rank={rank!r}"
+        elif not count(n_fitted, max(2, rank)):
+            # a fit takes at least two samples and keeps at most that many modes
+            problem = f"n_fitted must be an integer >= max(2, rank), got {n_fitted!r}"
         elif comp.shape != (rank * p,):
             problem = f"{comp.size} component entries, expected rank * p = {rank * p}"
         elif mean.shape != (p,):
@@ -175,6 +182,8 @@ def fit_incremental(batches: Iterable[np.ndarray], rank: int) -> PcaBasis:
         batch = linalg.as_matrix(batch, "batch")
         if p is None:
             p = batch.shape[1]
+            if rank > p:
+                raise ContractViolationError(f"rank must be in [1, p={p}], got {rank}")
         elif batch.shape[1] != p:
             raise ContractViolationError(
                 f"inconsistent feature count: expected {p}, got {batch.shape[1]}"

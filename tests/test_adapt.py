@@ -209,6 +209,23 @@ def test_online_single_batch_equals_episodic(rng):
     assert e.batches[0]["entropy_after"] == o.batches[0]["entropy_after"]
 
 
+@pytest.mark.parametrize(
+    "caller, protocol, other",
+    [(adapt_online, "online", "episodic"), (adapt_episodic, "episodic", "online")],
+)
+def test_protocol_callers_override_the_configured_protocol(caller, protocol, other, rng):
+    model, _ = small_adapted_model(rng, seed=2)
+    batches = make_batches(rng, n_batches=3)
+    cfg = AdaptConfig(protocol=other, learning_rate=0.3, steps_per_batch=2, batch_size=8)
+    got = caller(model.clone(), batches, cfg)
+    wanted = dataclasses.replace(cfg, protocol=protocol)
+    expected = adapt.run_adaptation(model.clone(), batches, wanted)
+    assert got.protocol == expected.protocol == protocol
+    assert got.batches == expected.batches
+    # the two protocols differ on this stream, so the override is seen
+    assert got.batches != adapt.run_adaptation(model.clone(), batches, cfg).batches
+
+
 def test_online_two_batch_hand_trace(rng):
     model, _ = small_adapted_model(rng, seed=3)
     batches = make_batches(rng, n_batches=2)
@@ -377,7 +394,7 @@ def test_run_record_rejects_bad_error():
 
 def reference_protocol(model, batches, cfg, method, episodic):
     """The protocol without prefix reuse, the reference for
-    adapt._run_protocol: every forward runs the whole stack and every
+    adapt.run_adaptation: every forward runs the whole stack and every
     backward runs down to layer 0."""
     adapt_kind = {network.ADAPT_FILTER: SpectralAdapterLayer, network.ADAPT_BN: BatchNorm2d}
     kind = adapt_kind[model.adapt_target]
@@ -464,24 +481,22 @@ def test_input_half_of_the_lowest_adaptation_layer_runs_once_per_batch(
     work = tiny_work_model(method, tiny_config, tiny_model, tiny_basis)
     lowest = work.layers[work.adapt_start()]
     kind = type(lowest)
-    halves, frozen_args = [], []
-    frozen_half, forward = kind.frozen_half, kind.forward
-
-    def counted_half(layer, h):
-        if layer is lowest:
-            halves.append(h)
-        return frozen_half(layer, h)
+    calls = []  # (frozen argument, returned cache) of each forward of the lowest layer
+    forward = kind.forward
 
     def counted_forward(layer, h, frozen=None):
+        out, cache = forward(layer, h, frozen)
         if layer is lowest:
-            frozen_args.append(frozen)
-        return forward(layer, h, frozen)
+            calls.append((frozen, cache))
+        return out, cache
 
-    monkeypatch.setattr(kind, "frozen_half", counted_half)
     monkeypatch.setattr(kind, "forward", counted_forward)
     adapt.run_adaptation(work, batches, cfg, method=method)
-    assert len(halves) == len(batches) > 1
-    # every forward of a batch reuses that batch's one input-only half
-    assert len(frozen_args) == len(batches) * (cfg.steps_per_batch + 1)
-    assert all(f is not None for f in frozen_args)
-    assert len({id(f) for f in frozen_args}) == len(batches)
+    per_batch = cfg.steps_per_batch + 1
+    assert len(calls) == len(batches) * per_batch and len(batches) > 1
+    for b in range(len(batches)):
+        (none, first), *steps = calls[b * per_batch : (b + 1) * per_batch]
+        # the batch's first forward computes the cache, every step reuses it
+        assert none is None
+        assert all(frozen is first for frozen, _ in steps)
+    assert len({id(frozen) for frozen, _ in calls if frozen is not None}) == len(batches)

@@ -641,6 +641,17 @@ def test_cli_ablate_rank_refuses_ranks_before_any_work(ranks, message, tmp_path,
     assert message in capsys.readouterr().err
 
 
+# n_fitted values a fitted basis cannot have: it counts at least two samples
+# and at least rank of them
+_BAD_N_FITTED = {
+    "n-fitted-string": "many",
+    "n-fitted-negative": -5,
+    "n-fitted-zero": 0,
+    "n-fitted-float": 1.5,
+    "n-fitted-bool": True,
+}
+
+
 def _corrupt_basis(payload, case):
     """The text of a basis file broken as ``case`` says."""
     if case == "not-json":
@@ -671,6 +682,8 @@ def _corrupt_basis(payload, case):
         payload["rank"] = "2"
     elif case == "non-orthonormal":
         payload["components"][0] = 1.5  # row 0 is no longer a unit vector
+    elif case in _BAD_N_FITTED:
+        payload["n_fitted"] = _BAD_N_FITTED[case]
     return json.dumps(payload)
 
 
@@ -679,7 +692,7 @@ def _corrupt_basis(payload, case):
     [
         "components", "mean", "singular-values", "non-finite", "increasing", "non-positive",
         "rank-type", "non-orthonormal", "not-json", "top-level-list", "no-p", "no-n-fitted",
-        "version-2", "string-mean",
+        "version-2", "string-mean", *_BAD_N_FITTED,
     ],
 )
 def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
@@ -806,6 +819,34 @@ def cli_files(tmp_path_factory):
     assert cli.main(["train", "--config", str(cfg), "--model", str(model)]) == 0
     assert cli.main(["fit-pca", "--config", str(cfg), "--model", str(model), "--basis", str(basis)]) == 0
     return cfg, model, basis
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "train --config {cfg} --model {bad}",
+        "fit-pca --config {cfg} --model {model} --basis {bad}",
+        "bench --config {cfg} --model {model} --basis {basis} --out {bad}",
+        "adapt --config {cfg} --model {model} --basis {basis} --out {bad}",
+        "ablate-steps --config {cfg} --steps 1 --out {bad}",
+        "train --config {bad}",
+    ],
+    ids=["train-model", "fit-pca-basis", "bench-out", "adapt-out", "ablate-steps-out", "config"],
+)
+def test_cli_unwritable_or_unreadable_path_exits_2_naming_it(cli_files, tmp_path, capsys, argv):
+    """A directory given as a file, or an existing file given as bench's
+    output directory, is a bad argument: exit 2 naming the path, no
+    traceback."""
+    cfg, model, basis = cli_files
+    bad = tmp_path / "taken"
+    if argv.startswith("bench"):
+        bad.write_text("")
+    else:
+        bad.mkdir()
+    words = argv.format(cfg=cfg, model=model, basis=basis, bad=bad).split()
+    assert cli.main(words) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad) in err
 
 
 def cli_adapt(cli_files, config, method, out):

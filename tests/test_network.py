@@ -351,8 +351,9 @@ def test_only_the_training_mode_moves_running_statistics(mode, rng):
     before = bn.running_mean.copy(), bn.running_var.copy()
     bn.mode = mode
     x = rng.normal(2.0, 3.0, size=(4, 3, 2, 2))
+    _, cache = bn.forward(x)
     bn.forward(x)
-    bn.frozen_half(x)
+    bn.forward(x, frozen=cache)  # reuses the normalisation: no update
     if mode != BN_TRAIN:
         assert np.array_equal(bn.running_mean, before[0])
         assert np.array_equal(bn.running_var, before[1])
@@ -412,17 +413,21 @@ def test_truncated_backward_matches_full_cache_backward(rng):
 
 @pytest.mark.parametrize("mode", [network.BN_FROZEN, BN_BATCH])
 def test_bn_forward_is_its_input_half_then_its_adapted_half(mode, rng):
+    """forward(x, frozen=cache) reuses the normalisation of an earlier
+    forward(x) and gives its output bitwise, after the scale and shift
+    moved too."""
     bn = BatchNorm2d(3)
     bn.scale, bn.shift = rng.uniform(0.5, 1.5, 3), rng.normal(size=3)
     bn.running_mean, bn.running_var = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
     bn.mode = mode
     x = rng.normal(size=(4, 3, 2, 2))
-    y, cache = bn.forward(x)
-    frozen = bn.frozen_half(x)
-    y_split, cache_split = bn.forward(x, frozen=frozen)
-    assert np.array_equal(y, y_split)
-    assert cache_split is frozen and cache[2] == frozen[2] == mode
-    assert all(np.array_equal(a, b) for a, b in zip(cache[:2], frozen[:2]))
+    _, cache = bn.forward(x)
+    bn.scale, bn.shift = rng.uniform(0.5, 1.5, 3), rng.normal(size=3)
+    y, fresh = bn.forward(x)
+    y_reused, reused = bn.forward(x, frozen=cache)
+    assert np.array_equal(y, y_reused)
+    assert reused is cache and reused[2] == fresh[2] == mode
+    assert all(np.array_equal(a, b) for a, b in zip(fresh[:2], reused[:2]))
 
 
 def test_adapter_forward_is_its_input_half_then_its_adapted_half(rng):
@@ -432,22 +437,25 @@ def test_adapter_forward_is_its_input_half_then_its_adapted_half(rng):
     unfolded = SpectralAdapterLayer(folded.basis, folded.filt)
     h = spectral.forward_until(rng.normal(size=(5,) + IN_SHAPE), 2)
     for layer in (folded, unfolded):
+        _, cache = layer.forward(h)
+        layer.filt.gamma = rng.uniform(0.2, 1, len(layer.filt))
         out, (shape, fcache) = layer.forward(h)
-        frozen = layer.frozen_half(h)
-        out_split, (shape_split, fcache_split) = layer.forward(h, frozen=frozen)
-        assert np.array_equal(out, out_split)
-        assert shape == shape_split == h.shape
-        assert fcache_split.scores is frozen[1]
-        assert np.array_equal(fcache.scores, fcache_split.scores)
+        out_reused, (shape_reused, fcache_reused) = layer.forward(h, frozen=cache)
+        assert np.array_equal(out, out_reused)
+        assert shape == shape_reused == h.shape
+        assert shape_reused is cache[0] and fcache_reused.scores is cache[1].scores
+        assert np.array_equal(fcache.scores, fcache_reused.scores)
+        assert np.array_equal(fcache.diag, fcache_reused.diag)
 
 
-def test_forward_on_the_frozen_prefix_matches_full_forward_bitwise(rng):
+def test_forward_reusing_the_first_cache_matches_full_forward_bitwise(rng):
     x = rng.normal(size=(6,) + IN_SHAPE)
     for model in adapted_models(rng):
         k = model.adapt_start()
+        h = model.forward_until(x, k - 1)
+        first = model.forward(h, start=k)[1][k]
         full_logits, full_caches = model.forward(x)
-        h, frozen = model.frozen_prefix(x)
-        logits, caches = model.forward(h, start=k, frozen=frozen)
+        logits, caches = model.forward(h, start=k, frozen=first)
         assert np.array_equal(logits, full_logits)
         assert caches[:k] == [None] * k
         gloss = entropy_grad(full_logits)
@@ -456,17 +464,21 @@ def test_forward_on_the_frozen_prefix_matches_full_forward_bitwise(rng):
         )
 
 
-def test_frozen_prefix_at_layer_0_checks_the_raw_batch(rng):
+def test_forward_until_minus_1_checks_the_raw_batch(rng):
     model = small_model()
     basis = full_rank_basis_at(model, -1, rng)
     adapted = insert_adapter(model, 0, basis, SpectralFilter(RELU_RIDGE, basis.singular_values))
     assert adapted.adapt_start() == 0
     x = rng.normal(size=(3,) + IN_SHAPE)
-    h, frozen = adapted.frozen_prefix(x)
-    assert np.array_equal(adapted.forward(h, frozen=frozen)[0], adapted.forward(x)[0])
+    h = adapted.forward_until(x, -1)
+    assert np.array_equal(h, x)
+    first = adapted.forward(h)[1][0]
+    assert np.array_equal(adapted.forward(h, frozen=first)[0], adapted.forward(x)[0])
     # a 4-D batch of the wrong shape would reach the projection otherwise
     with pytest.raises(ContractViolationError, match="input spec"):
-        adapted.frozen_prefix(rng.normal(size=(3, 1, 4, 8)))
+        adapted.forward_until(rng.normal(size=(3, 1, 4, 8)), -1)
+    with pytest.raises(ContractViolationError, match="out of range"):
+        adapted.forward_until(x, -2)
 
 
 def test_backward_without_input_grad_returns_none_and_same_param_grads(rng):

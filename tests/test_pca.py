@@ -105,6 +105,15 @@ def test_incremental_inconsistent_width_raises():
         pca.fit_incremental([np.ones((2, 3)), np.ones((2, 4))], rank=2)
 
 
+def test_incremental_rank_above_width_raises_before_any_svd(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pca.linalg, "svd", lambda a: calls.append(a))
+    batches = (np.ones((64, 48)) for _ in range(4))
+    with pytest.raises(ContractViolationError, match="p=48"):
+        pca.fit_incremental(batches, rank=100)
+    assert calls == []
+
+
 def test_incremental_memory_bound_is_rank_by_p():
     # the retained state after any number of batches is rank x p
     rng = np.random.default_rng(6)
@@ -189,7 +198,8 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def bases(draw):
     """A basis that passes the load checks: any finite mean, orthonormal
-    component rows and positive non-increasing singular values."""
+    component rows, positive non-increasing singular values and an
+    integer n_fitted of at least 2 and at least rank."""
     p = draw(st.integers(1, 6))
     rank = draw(st.integers(1, p))
     q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(p, p)))
@@ -199,7 +209,7 @@ def bases(draw):
         mean=draw(hnp.arrays(np.float64, p, elements=FINITE)),
         components=q.T[:rank].copy(),
         singular_values=-np.sort(-sv),
-        n_fitted=draw(st.integers(2, 10**6)),
+        n_fitted=draw(st.integers(max(2, rank), 10**6)),
     )
 
 
