@@ -7,6 +7,7 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from .network import (
     fit_pca_from_source,
     insert_adapter,
     load_model,
-    save_model,
     train_model,
 )
 from .pca import PcaBasis
@@ -59,20 +59,31 @@ METHODS = ("no-adapt", "bn-stats", "bn-modulators", "spectral-relu", "spectral-e
 
 _FILTER_KIND = {"spectral-relu": RELU_RIDGE, "spectral-exp": NEG_EXP}
 
-# (key, least value): numpy's generators take no negative seed; training
-# for no epochs writes an untrained checkpoint; batch sizes are range()
-# steps, so a value below 1 would fail deep inside the batching without
-# naming the key; an ablation over no seeds would average over nothing; a
-# PCA fit needs a rank of at least 1 and at least two samples
-_LEAST_VALUES = (
-    ("seed", 0),
-    ("model.train_epochs", 1),
-    ("model.train_batch", 1),
-    ("pca.fit_batch", 1),
-    ("pca.rank", 1),
-    ("pca.fit_samples", 2),
-    ("adapt.batch_size", 1),
-    ("ablation.n_seeds", 1),
+# the methods that take entropy steps, the only ones whose error an
+# ablation's rank or step count can change
+_ENTROPY_METHODS = ("bn-modulators", *_FILTER_KIND)
+
+# (key, rule its value must meet): numpy's generators take no negative
+# seed; training for no epochs writes an untrained checkpoint; batch sizes
+# are range() steps, so a value below 1 would fail deep inside the batching
+# without naming the key; an ablation over no seeds would average over
+# nothing; a PCA fit needs a rank of at least 1 and at least two samples; a
+# NaN or non-positive train_lr would show only after every epoch, as a
+# divergence; a relu-ridge mode with gamma_i <= 0 has zero subgradient, so
+# a negative gamma_init silently makes spectral-relu projection-only; an
+# ablation of a method without entropy steps would train and fit for nothing
+_VALUE_RULES = (
+    ("seed", lambda v: v >= 0),
+    ("model.train_epochs", lambda v: v >= 1),
+    ("model.train_batch", lambda v: v >= 1),
+    ("pca.fit_batch", lambda v: v >= 1),
+    ("pca.rank", lambda v: v >= 1),
+    ("pca.fit_samples", lambda v: v >= 2),
+    ("adapt.batch_size", lambda v: v >= 1),
+    ("ablation.n_seeds", lambda v: v >= 1),
+    ("model.train_lr", lambda v: 0 < v < math.inf),
+    ("adapt.gamma_init", lambda v: 0 <= v < math.inf),
+    ("ablation.method", lambda v: v in _ENTROPY_METHODS),
 )
 
 
@@ -288,10 +299,10 @@ def load_config(override: dict | None = None) -> dict:
     for key in ("methods", "corruptions", "severities"):
         if not cfg[key]:
             bad.append(f"{key}:[]")
-    for key, least in _LEAST_VALUES:
+    for key, ok in _VALUE_RULES:
         section, _, name = key.rpartition(".")
         v = cfg[section][name] if section else cfg[name]
-        if v < least:
+        if not ok(v):
             bad.append(f"{key}:{v!r}")
     bad_args = bad_model_args(**_model_args(cfg))
     # each argument has its config key's name; the input shape, which
@@ -377,19 +388,6 @@ def fit_basis_from_config(cfg: dict, model: Model) -> PcaBasis:
     batches = [fit_x[i : i + batch] for i in range(0, len(fit_x), batch)]
     j = cfg["model"]["insert_index"] - 1  # adapter consumes this layer's output
     return fit_pca_from_source(model, batches, j, pca_cfg["rank"])
-
-
-def train_checkpoint(cfg: dict, path) -> Model:
-    model = train_from_config(cfg)
-    save_model(model, path)
-    return model
-
-
-def fit_basis_checkpoint(cfg: dict, model_path, basis_path) -> PcaBasis:
-    model = load_model(model_path)
-    basis = fit_basis_from_config(cfg, model)
-    basis.save(basis_path)
-    return basis
 
 
 # ---- benchmark --------------------------------------------------------------
@@ -514,11 +512,6 @@ def load_inputs(methods, model_path, basis_path):
     if not any(m in _FILTER_KIND for m in methods):
         return model, None
     return model, PcaBasis.load(basis_path)
-
-
-def run_benchmark_from_files(cfg: dict, model_path, basis_path, out_dir=None):
-    model, basis = load_inputs(cfg["methods"], model_path, basis_path)
-    return run_benchmark(cfg, model, basis, out_dir)
 
 
 # ---- ablations ---------------------------------------------------------------

@@ -9,9 +9,11 @@ or written), 3 numerical failure.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import bench, ridge
 from .errors import ConfigError, ContractViolationError, NumericalFailureError
+from .network import load_model, save_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,9 +33,20 @@ def _read_config(path: str | None) -> dict:
     return bench.load_config(override)
 
 
+def _check_output_file(path: str) -> None:
+    """Refuse, before any work, a file to write whose directory does not
+    exist or that is itself a directory."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ConfigError(f"cannot write {path}: no directory {parent}")
+    if Path(path).is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_train(args) -> int:
     cfg = _read_config(args.config)
-    bench.train_checkpoint(cfg, args.model)
+    _check_output_file(args.model)
+    save_model(bench.train_from_config(cfg), args.model)
     print(f"wrote model checkpoint to {args.model}")
     return EXIT_OK
 
@@ -42,13 +55,16 @@ def _cmd_fit_pca(args) -> int:
     cfg = _read_config(args.config)
     if args.rank is not None:
         cfg = bench.with_value(cfg, "pca.rank", args.rank)
-    basis = bench.fit_basis_checkpoint(cfg, args.model, args.basis)
+    _check_output_file(args.basis)
+    basis = bench.fit_basis_from_config(cfg, load_model(args.model))
+    basis.save(args.basis)
     print(f"wrote PCA basis (rank {basis.rank}) to {args.basis}")
     return EXIT_OK
 
 
 def _cmd_adapt(args) -> int:
     cfg = _read_config(args.config)
+    _check_output_file(args.out)
     model, basis = bench.load_inputs([args.method], args.model, args.basis)
     rec = bench.run_cell(cfg, model, basis, args.method, args.corruption, args.severity)
     rec.to_jsonl(args.out)
@@ -58,7 +74,10 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _read_config(args.config)
-    table, _ = bench.run_benchmark_from_files(cfg, args.model, args.basis, args.out)
+    if Path(args.out).is_file():
+        raise ConfigError(f"cannot write into {args.out}: it is a file")
+    model, basis = bench.load_inputs(cfg["methods"], args.model, args.basis)
+    table, _ = bench.run_benchmark(cfg, model, basis, args.out)
     print(f"wrote benchmark outputs to {args.out}")
     for method in table.methods:
         means = [table.severity_mean(method, s) for s in table.severities]
@@ -68,6 +87,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_ablate_rank(args) -> int:
     cfg = _read_config(args.config)
+    _check_output_file(args.out)
     curve = bench.ablate_rank(cfg, args.ranks)
     bench.curve_to_json(curve, args.out)
     print(f"wrote rank ablation curve to {args.out}")
@@ -76,6 +96,7 @@ def _cmd_ablate_rank(args) -> int:
 
 def _cmd_ablate_steps(args) -> int:
     cfg = _read_config(args.config)
+    _check_output_file(args.out)
     curve = bench.ablate_steps(cfg, args.steps)
     bench.curve_to_json(curve, args.out)
     print(f"wrote steps ablation curve to {args.out}")
@@ -83,6 +104,7 @@ def _cmd_ablate_steps(args) -> int:
 
 
 def _cmd_verify_ridge(args) -> int:
+    _check_output_file(args.out)
     report = ridge.verify_equivalence(trials=args.trials, seed=args.seed)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -4,6 +4,8 @@ Everything here operates on plain 2-D ``numpy`` arrays of float64 (the
 "matrix" carrier used throughout the package). The SVD is a cyclic
 one-sided Jacobi method: accurate for small singular values and fully
 deterministic thanks to a fixed pair order and a fixed sign convention.
+It runs once per call, on the rows of the input's short side (the input
+itself if it is wide, its transpose otherwise).
 A rotation is only elementwise float64 multiplies and adds (no fused
 multiply-add, no batched dot products), so the factors equal those of
 the textbook per-pair loop kept in ``tests/test_linalg.py`` bit for bit.
@@ -154,28 +156,6 @@ def _complete_columns(u: np.ndarray, k: int) -> np.ndarray:
     return u
 
 
-def _svd_tall(a: np.ndarray) -> SvdResult:
-    """Thin SVD of an n x m matrix with n >= m."""
-    n, m = a.shape
-    # work on rows of a.T so every inner update touches contiguous memory
-    xt, rot = _jacobi_rows(a.T)
-    # xt = rot @ a.T with rot orthogonal, so a = xt.T @ rot: row k of xt is
-    # s_k * u_k (its norm s_k) and row k of rot is v_k
-    norms = np.sqrt(np.einsum("ij,ij->i", xt, xt))
-    order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    u = np.zeros((n, m))
-    nonzero = 0
-    for k, idx in enumerate(order):
-        if s[k] > 0.0:
-            u[:, k] = xt[idx] / s[k]
-            nonzero = k + 1
-    vt = rot[order]
-    if nonzero < m:
-        u = _complete_columns(u, nonzero)
-    return SvdResult(u=u, s=s, vt=vt)
-
-
 def svd(a: np.ndarray) -> SvdResult:
     """Deterministic thin SVD by one-sided Jacobi.
 
@@ -192,18 +172,26 @@ def svd(a: np.ndarray) -> SvdResult:
     if abs(e) <= EXP_LIMIT:
         e = 0
     a = np.ldexp(a, -e)
-    if n >= m:
-        res = _svd_tall(a)
-        u, s, vt = res.u, res.s, res.vt
-    else:
-        res = _svd_tall(a.T)
-        u, s, vt = res.vt.T, res.s, res.u.T
-    # sign convention on right singular vectors
-    u = u.copy()
-    vt = vt.copy()
-    for i in range(vt.shape[0]):
-        k = int(np.argmax(np.abs(vt[i])))
-        if vt[i, k] < 0.0:
-            vt[i] = -vt[i]
-            u[:, i] = -u[:, i]
-    return SvdResult(u=u, s=np.ldexp(s, e), vt=vt)
+    wide = n < m
+    # Jacobi orthogonalizes rows, so it runs on the r = min(n, m) rows of
+    # the short side
+    x, rot = _jacobi_rows(a if wide else a.T)
+    # x = rot @ a (or a.T) with rot orthogonal: row k of x is s_k times a
+    # long-side singular vector (its norm is s_k), row k of rot the
+    # matching short-side one
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    order = np.argsort(-norms, kind="stable")
+    s = norms[order]
+    nonzero = int(np.count_nonzero(s > 0.0))
+    long = np.zeros((x.shape[1], len(s)))
+    long[:, :nonzero] = (x[order[:nonzero]] / s[:nonzero, None]).T
+    if nonzero < len(s):
+        long = _complete_columns(long, nonzero)
+    short = rot[order].T
+    u, v = (short, long) if wide else (long, short)
+    # sign convention on the right singular vectors, the columns of v
+    cols = np.arange(len(s))
+    sign = np.where(v[np.argmax(np.abs(v), axis=0), cols] < 0.0, -1.0, 1.0)
+    return SvdResult(
+        u=np.ascontiguousarray(u * sign), s=np.ldexp(s, e), vt=np.ascontiguousarray((v * sign).T)
+    )

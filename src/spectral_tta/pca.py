@@ -1,9 +1,10 @@
-"""PCA on flattened feature maps: batch and incremental fitting,
-transform/inverse transform, rank truncation, and serialization.
+"""PCA on flattened feature maps: fitting, transform/inverse transform,
+rank truncation, and serialization.
 
-The incremental path keeps only a running mean plus a rank-L factor
-(singular values and right singular vectors), so its memory footprint is
-O(L * p) regardless of how many samples stream through.
+There is one fit path, the incremental (streaming) one: it keeps only a
+running mean plus a rank-L factor (singular values and right singular
+vectors), so its memory footprint is O(L * p) regardless of how many
+samples stream through. The batch fit ``fit`` is its one-batch case.
 """
 
 import json
@@ -132,13 +133,6 @@ def flatten_features(features: np.ndarray) -> np.ndarray:
     return features.reshape(n, -1)
 
 
-def _check_rank(rank: int, n: int, p: int) -> None:
-    if not 1 <= rank <= min(n, p):
-        raise ContractViolationError(
-            f"rank must be in [1, min(n={n}, p={p})], got {rank}"
-        )
-
-
 def fit(features: np.ndarray, rank: int) -> PcaBasis:
     """Fit PCA on an N x p matrix, keeping at most ``rank`` components.
 
@@ -146,30 +140,20 @@ def fit(features: np.ndarray, rank: int) -> PcaBasis:
     discarded, so the effective rank can be lower than requested.
     """
     features = linalg.as_matrix(features, "features")
-    n, p = features.shape
-    if n < 2:
-        raise ContractViolationError(f"need at least 2 samples to fit, got {n}")
-    _check_rank(rank, n, p)
-    centered, mean = linalg.mean_center(features)
-    res = linalg.svd(centered)
-    keep = min(rank, int(np.sum(res.s > SV_DROP_THRESHOLD)))
-    if keep == 0:
-        raise EmptyBasisError("all singular values below drop threshold")
-    return PcaBasis(
-        mean=mean,
-        components=res.vt[:keep].copy(),
-        singular_values=res.s[:keep].copy(),
-        n_fitted=n,
-    )
+    if len(features) < 2:
+        raise ContractViolationError(f"need at least 2 samples to fit, got {len(features)}")
+    return fit_incremental([features], rank)
 
 
 def fit_incremental(batches: Iterable[np.ndarray], rank: int) -> PcaBasis:
     """Fit PCA from a stream of row batches in O(rank * p) memory.
 
     Per batch, the retained factor diag(s) @ Vt is stacked with the
-    centered new rows plus a mean-correction row, and re-decomposed. This
-    reproduces the batch fit exactly whenever no variance is lost to the
-    rank truncation, and closely otherwise.
+    centered new rows plus a mean-correction row, and re-decomposed (Ross
+    et al., IJCV 2008). The first batch is decomposed on its own, so one
+    batch gives the batch fit. More batches reproduce the one-batch fit of
+    all their rows exactly whenever no variance is lost to the rank
+    truncation, and closely otherwise.
     """
     if rank < 1:
         raise ContractViolationError(f"rank must be >= 1, got {rank}")
@@ -208,7 +192,8 @@ def fit_incremental(batches: Iterable[np.ndarray], rank: int) -> PcaBasis:
         n += m
     if n < 2:
         raise ContractViolationError(f"need at least 2 samples in total, got {n}")
-    _check_rank(rank, n, p)
+    if rank > n:
+        raise ContractViolationError(f"rank must be in [1, min(n={n}, p={p})], got {rank}")
     if len(s) == 0:
         raise EmptyBasisError("all singular values below drop threshold")
     return PcaBasis(mean=mean, components=vt, singular_values=s, n_fitted=n)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_tta import bench, cli
+from spectral_tta import bench, cli, ridge
 from spectral_tta.adapt import AdaptConfig
 from spectral_tta.bench import (
     CORRUPTION_KINDS,
@@ -483,12 +483,22 @@ def test_cli_fit_pca_on_a_constant_feature_map_exits_3(tmp_path, capsys):
         ({"seed": -1}, "invalid config values: seed:-1"),
         ({"model": {"train_epochs": -1}}, "invalid config values: model.train_epochs:-1"),
         ({"model": {"train_epochs": 0}}, "invalid config values: model.train_epochs:0"),
+        ({"model": {"train_lr": float("nan")}}, "invalid config values: model.train_lr:nan"),
+        ({"model": {"train_lr": float("inf")}}, "invalid config values: model.train_lr:inf"),
+        ({"model": {"train_lr": 0.0}}, "invalid config values: model.train_lr:0.0"),
+        ({"adapt": {"gamma_init": -5.0}}, "invalid config values: adapt.gamma_init:-5.0"),
+        ({"adapt": {"gamma_init": float("nan")}}, "invalid config values: adapt.gamma_init:nan"),
+        ({"ablation": {"method": "nope"}}, "invalid config values: ablation.method:'nope'"),
+        ({"ablation": {"method": "no-adapt"}}, "invalid config values: ablation.method:'no-adapt'"),
     ],
 )
-def test_cli_dataset_and_pca_values_exit_2_before_any_work(override, message, tmp_path, capsys):
+def test_cli_dataset_and_pca_values_exit_2_before_any_work(
+    override, message, tmp_path, capsys, monkeypatch
+):
     cfg = json.loads(write_tiny_cli_config(tmp_path).read_text())
+    monkeypatch.setattr(bench, "gen_dataset", lambda spec: pytest.fail("work started"))
     for key, value in override.items():
-        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+        cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     model, basis = tmp_path / "m.npz", tmp_path / "basis.json"
@@ -830,18 +840,32 @@ def cli_files(tmp_path_factory):
         "adapt --config {cfg} --model {model} --basis {basis} --out {bad}",
         "ablate-steps --config {cfg} --steps 1 --out {bad}",
         "train --config {bad}",
+        "ablate-rank --config {cfg} --ranks 2 --out {bad}",
+        "verify-ridge --trials 1 --out {bad}",
+        "train --config {cfg} --model {bad}/m.npz",
     ],
-    ids=["train-model", "fit-pca-basis", "bench-out", "adapt-out", "ablate-steps-out", "config"],
+    ids=[
+        "train-model", "fit-pca-basis", "bench-out", "adapt-out", "ablate-steps-out", "config",
+        "ablate-rank-out", "verify-ridge-out", "train-model-missing-parent",
+    ],
 )
-def test_cli_unwritable_or_unreadable_path_exits_2_naming_it(cli_files, tmp_path, capsys, argv):
-    """A directory given as a file, or an existing file given as bench's
-    output directory, is a bad argument: exit 2 naming the path, no
-    traceback."""
+def test_cli_unwritable_or_unreadable_path_exits_2_naming_it(
+    cli_files, tmp_path, capsys, monkeypatch, argv
+):
+    """A directory given as a file, a file in a missing directory, or an
+    existing file given as bench's output directory, is a bad argument:
+    exit 2 naming the path, no traceback, and before any work."""
     cfg, model, basis = cli_files
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the paths were checked")
+
+    monkeypatch.setattr(bench, "gen_dataset", work)
+    monkeypatch.setattr(ridge, "verify_equivalence", work)
     bad = tmp_path / "taken"
     if argv.startswith("bench"):
         bad.write_text("")
-    else:
+    elif not argv.endswith("/m.npz"):
         bad.mkdir()
     words = argv.format(cfg=cfg, model=model, basis=basis, bad=bad).split()
     assert cli.main(words) == 2

@@ -39,6 +39,22 @@ def test_svd_properties_random(shape):
     assert np.linalg.norm(rec - a) / np.linalg.norm(a) <= 1e-8
 
 
+@pytest.mark.parametrize("kind", ["random", "rank1"])
+@pytest.mark.parametrize("shape", [(8, 3), (3, 8), (64, 31)], ids=lambda s: "x".join(map(str, s)))
+def test_svd_of_the_transpose_swaps_the_factors(shape, kind):
+    rng = np.random.default_rng(11)
+    if kind == "random":
+        a = rng.normal(size=shape)
+    else:
+        a = np.outer(rng.normal(size=shape[0]), rng.normal(size=shape[1]))
+    # a and a.T feed Jacobi the same rows (those of the short side), so the
+    # singular values agree bitwise and the factors swap up to sign
+    r, rt = linalg.svd(a), linalg.svd(a.T)
+    assert np.array_equal(rt.s, r.s)
+    assert np.array_equal(np.abs(rt.vt), np.abs(r.u.T))
+    assert np.array_equal(np.abs(rt.u), np.abs(r.vt.T))
+
+
 def test_svd_orthogonal_matrix_singular_values_one():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))

@@ -63,13 +63,17 @@ def test_fit_rank_out_of_range():
         pca.fit(data[:1], rank=1)
 
 
-def test_incremental_single_batch_matches_fit():
-    rng = np.random.default_rng(3)
-    data = rng.normal(size=(12, 4))
-    a = pca.fit(data, rank=3)
-    b = pca.fit_incremental([data], rank=3)
-    assert np.allclose(a.singular_values, b.singular_values, rtol=1e-10)
-    assert np.allclose(np.abs(a.components), np.abs(b.components), atol=1e-10)
+@pytest.mark.parametrize(
+    "shape, rank",
+    [((12, 4), 3), ((40, 12), 5), ((10, 30), 8), ((64, 48), 48)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"r{v}",
+)
+def test_incremental_single_batch_matches_fit(shape, rank):
+    data = np.random.default_rng(3).normal(size=shape)
+    a = pca.fit(data, rank=rank)
+    b = pca.fit_incremental([data], rank=rank)
+    for name in ("mean", "components", "singular_values", "n_fitted"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_incremental_matches_batch_split():
