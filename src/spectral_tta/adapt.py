@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalFailureError
+from .errors import ConfigError, ContractViolationError, NumericalFailureError
 from .network import ADAPT_BN, BN_BATCH, BatchNorm2d, Model
 
 RECORD_FORMAT_VERSION = 1
@@ -43,7 +43,8 @@ class AdaptConfig:
         ]
         for key, rule, ok in checks:
             if not ok:
-                raise ContractViolationError(f"adapt.{key} {rule}, got {getattr(self, key)!r}")
+                value = getattr(self, key)
+                raise ConfigError(f"adapt.{key} {rule}, got {value!r}", [f"adapt.{key}:{value!r}"])
 
 
 @dataclass

@@ -63,23 +63,26 @@ _FILTER_KIND = {"spectral-relu": RELU_RIDGE, "spectral-exp": NEG_EXP}
 # ablation's rank or step count can change
 _ENTROPY_METHODS = ("bn-modulators", *_FILTER_KIND)
 
-# (key, rule its value must meet): numpy's generators take no negative
-# seed; training for no epochs writes an untrained checkpoint; batch sizes
-# are range() steps, so a value below 1 would fail deep inside the batching
-# without naming the key; an ablation over no seeds would average over
-# nothing; a PCA fit needs a rank of at least 1 and at least two samples; a
-# NaN or non-positive train_lr would show only after every epoch, as a
-# divergence; a relu-ridge mode with gamma_i <= 0 has zero subgradient, so
-# a negative gamma_init silently makes spectral-relu projection-only; an
-# ablation of a method without entropy steps would train and fit for nothing
+# (key, rule its value must meet): the grid's lists are non-empty and known;
+# numpy's generators take no negative seed; training for no epochs writes an
+# untrained checkpoint; batch sizes are range() steps, so a value below 1
+# would fail deep inside the batching without naming the key; an ablation
+# over no seeds would average over nothing; a PCA fit needs a rank of at
+# least 1 and at least two samples; a NaN or non-positive train_lr would show
+# only after every epoch, as a divergence; a relu-ridge mode with gamma_i <= 0
+# has zero subgradient, so a negative gamma_init silently makes spectral-relu
+# projection-only; an ablation of a method without entropy steps would train
+# and fit for nothing
 _VALUE_RULES = (
+    ("methods", lambda v: len(v) > 0 and set(v) <= set(METHODS)),
+    ("corruptions", lambda v: len(v) > 0 and set(v) <= set(CORRUPTION_KINDS)),
+    ("severities", lambda v: len(v) > 0 and set(v) <= set(range(1, 6))),
     ("seed", lambda v: v >= 0),
     ("model.train_epochs", lambda v: v >= 1),
     ("model.train_batch", lambda v: v >= 1),
     ("pca.fit_batch", lambda v: v >= 1),
     ("pca.rank", lambda v: v >= 1),
     ("pca.fit_samples", lambda v: v >= 2),
-    ("adapt.batch_size", lambda v: v >= 1),
     ("ablation.n_seeds", lambda v: v >= 1),
     ("model.train_lr", lambda v: 0 < v < math.inf),
     ("adapt.gamma_init", lambda v: 0 <= v < math.inf),
@@ -111,7 +114,8 @@ class DatasetSpec:
         ]
         for key, rule, ok in checks:
             if not ok:
-                raise ContractViolationError(f"dataset.{key} {rule}, got {getattr(self, key)!r}")
+                value = getattr(self, key)
+                raise ConfigError(f"dataset.{key} {rule}, got {value!r}", [f"dataset.{key}:{value!r}"])
 
 
 # orientation/frequency pairs for the pattern generator; more classes than
@@ -287,18 +291,6 @@ def load_config(override: dict | None = None) -> dict:
     cfg = _merge_config(DEFAULT_CONFIG, override or {})
     _dataset_spec(cfg)  # DatasetSpec checks the dataset values, naming each key
     bad = []
-    for m in cfg["methods"]:
-        if m not in METHODS:
-            bad.append(f"methods:{m}")
-    for c in cfg["corruptions"]:
-        if c not in CORRUPTION_KINDS:
-            bad.append(f"corruptions:{c}")
-    for s in cfg["severities"]:
-        if not 1 <= s <= 5:
-            bad.append(f"severities:{s}")
-    for key in ("methods", "corruptions", "severities"):
-        if not cfg[key]:
-            bad.append(f"{key}:[]")
     for key, ok in _VALUE_RULES:
         section, _, name = key.rpartition(".")
         v = cfg[section][name] if section else cfg[name]

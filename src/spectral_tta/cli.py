@@ -74,8 +74,9 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _read_config(args.config)
-    if Path(args.out).is_file():
-        raise ConfigError(f"cannot write into {args.out}: it is a file")
+    nearest = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+    if not nearest.is_dir():  # checked now, as the directory is made only after the grid
+        raise ConfigError(f"cannot write into {args.out}: {nearest} is not a directory")
     model, basis = bench.load_inputs(cfg["methods"], args.model, args.basis)
     table, _ = bench.run_benchmark(cfg, model, basis, args.out)
     print(f"wrote benchmark outputs to {args.out}")
@@ -175,10 +176,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractViolationError, OSError) as exc:
-        # a path that cannot be read or written (a missing file, a directory
-        # given as a file, an existing file as bench's output directory) is
-        # a bad argument: exit 2
+    except (ContractViolationError, OSError) as exc:
+        # a refused config value (a ConfigError), or a path that cannot be
+        # read or written (a missing file, a directory given as a file), is a
+        # bad argument: exit 2
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailureError as exc:

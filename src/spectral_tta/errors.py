@@ -2,7 +2,7 @@
 
 
 class ContractViolationError(ValueError):
-    """An argument violates a documented precondition (shape, range, mode)."""
+    """An argument violates a documented precondition (shape, range, mode): exit 2."""
 
 
 class NumericalFailureError(RuntimeError):
@@ -24,11 +24,10 @@ class RankDeficientError(ValueError):
     """A linear system is singular where full rank was required."""
 
 
-class ConfigError(ValueError):
-    """A benchmark/CLI configuration is malformed.
-
-    ``keys`` lists the offending configuration keys, when known.
-    """
+class ConfigError(ContractViolationError):
+    """A refused config value, config file or command-line path. Every rule
+    that refuses a config value raises it, with ``keys`` holding
+    ``section.key:value`` (an unknown key is named bare)."""
 
     def __init__(self, message: str, keys: list[str] | None = None):
         super().__init__(message)

@@ -25,9 +25,10 @@ NEG_EXP = "neg-exp"
 KINDS = (RELU_RIDGE, NEG_EXP)
 
 # keep the neg-exp diagonal inside the open interval (0, 1) even where the
-# sigmoid saturates in float64
+# sigmoid saturates in float64, and every square finite (see _square)
 _FLOOR = np.finfo(np.float64).tiny
 _CEIL = np.nextafter(1.0, 0.0)
+_SQUARE_CAP = np.sqrt(np.finfo(np.float64).max)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -37,6 +38,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """``x**2`` (bitwise), ``|x|`` capped at the largest float whose square is finite."""
+    return np.clip(x, -_SQUARE_CAP, _SQUARE_CAP) ** 2
 
 
 class SpectralFilter:
@@ -68,22 +74,22 @@ class SpectralFilter:
         """Current diagonal values F_ii."""
         if self.kind == RELU_RIDGE:
             return self.lambda_ref / (self.lambda_ref + np.maximum(self.gamma, 0.0))
-        f = _sigmoid(self.lambda_ref - self.gamma**2)
+        f = _sigmoid(self.lambda_ref - _square(self.gamma))
         return np.clip(f, _FLOOR, _CEIL)
 
     def diag_grad(self) -> np.ndarray:
         """dF_ii / dgamma_i at the current gamma.
 
-        For relu-ridge the subgradient at gamma == 0 is taken as 0.
+        For relu-ridge the subgradient at gamma == 0 is taken as 0. Past half
+        the largest float64, neg-exp's ``-2 gamma`` overflows: a divergence.
         """
         if self.kind == RELU_RIDGE:
-            g = np.where(
+            return np.where(
                 self.gamma > 0,
-                -self.lambda_ref / (self.lambda_ref + np.maximum(self.gamma, 0.0)) ** 2,
+                -self.lambda_ref / _square(self.lambda_ref + np.maximum(self.gamma, 0.0)),
                 0.0,
             )
-            return g
-        f = _sigmoid(self.lambda_ref - self.gamma**2)
+        f = _sigmoid(self.lambda_ref - _square(self.gamma))
         return -2.0 * self.gamma * f * (1.0 - f)
 
 

@@ -102,13 +102,13 @@ class Conv2d:
 class BatchNorm2d:
     """Per-channel batch norm over (n, h, w); ``mode`` is one of BN_MODES."""
 
-    def __init__(self, ch: int, eps: float = 1e-5, momentum: float = 0.1):
+    eps, momentum = 1e-5, 0.1  # constants, because a checkpoint stores neither
+
+    def __init__(self, ch: int):
         self.scale = np.ones(ch)
         self.shift = np.zeros(ch)
         self.running_mean = np.zeros(ch)
         self.running_var = np.ones(ch)
-        self.eps = eps
-        self.momentum = momentum
         self.mode = BN_FROZEN
 
     def params(self):

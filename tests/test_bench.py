@@ -1,5 +1,7 @@
 import copy
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +580,43 @@ def test_config_leaf_types_follow_the_defaults():
         assert repr(key.split(":")[0]) in str(info.value)
 
 
+def _leaves(cfg, prefix=""):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+def _out_of_default_draws(default):
+    """Negative, zero, huge, NaN, inf, a wrong type and the empty list; for
+    a list leaf, each but the last as a one-entry list."""
+    entry = default[0] if isinstance(default, list) else default
+    values = [-1.0, 0.0, 1e300] if isinstance(entry, float) else [-1, 0, 10**12]
+    values += [math.nan, math.inf, "x"]
+    if isinstance(default, list):
+        values = [[v] for v in values]
+    return values + [[]]
+
+
+def test_config_accepts_or_refuses_every_leaf_value_naming_the_leaf():
+    """Every out-of-default value of every leaf either loads or raises a
+    ConfigError whose keys name that leaf, whichever rule refuses it."""
+    wrong = []
+    for leaf, default in _leaves(bench.DEFAULT_CONFIG):
+        section, _, name = leaf.rpartition(".")
+        for value in _out_of_default_draws(default):
+            override = {section: {name: value}} if section else {name: value}
+            try:
+                load_config(override)
+            except ConfigError as exc:
+                if exc.keys not in ([leaf], [f"{leaf}:{value!r}"]):
+                    wrong.append((leaf, value, exc.keys))
+            except Exception as exc:
+                wrong.append((leaf, value, repr(exc)))
+    assert wrong == []
+
+
 @pytest.mark.parametrize(
     "override, key",
     [
@@ -843,18 +882,19 @@ def cli_files(tmp_path_factory):
         "ablate-rank --config {cfg} --ranks 2 --out {bad}",
         "verify-ridge --trials 1 --out {bad}",
         "train --config {cfg} --model {bad}/m.npz",
+        "bench --config {cfg} --model {model} --basis {basis} --out {bad}/sub",
     ],
     ids=[
         "train-model", "fit-pca-basis", "bench-out", "adapt-out", "ablate-steps-out", "config",
-        "ablate-rank-out", "verify-ridge-out", "train-model-missing-parent",
+        "ablate-rank-out", "verify-ridge-out", "train-model-missing-parent", "bench-out-below-a-file",
     ],
 )
 def test_cli_unwritable_or_unreadable_path_exits_2_naming_it(
     cli_files, tmp_path, capsys, monkeypatch, argv
 ):
     """A directory given as a file, a file in a missing directory, or an
-    existing file given as bench's output directory, is a bad argument:
-    exit 2 naming the path, no traceback, and before any work."""
+    existing file given as or above bench's output directory, is a bad
+    argument: exit 2 naming the path, no traceback, and before any work."""
     cfg, model, basis = cli_files
 
     def work(*args, **kwargs):
@@ -949,6 +989,18 @@ def test_cli_diverged_bench_exits_3_and_writes_nothing(cli_files, tmp_path, caps
     assert cli.main(args) == 3
     assert not out.exists()
     assert f"{method} adaptation diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adapt_over", [{"learning_rate": 1e300}, {"gamma_init": 1e300}], ids=str)
+def test_cli_huge_finite_adapt_value_runs_without_overflow(cli_files, tmp_path, adapt_over):
+    """A config value every rule accepts drives gamma to about 1e300, where
+    squaring it would overflow; the neg-exp filter stays finite and quiet."""
+    out = tmp_path / "r.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli_adapt(cli_files, adapt_config_file(cli_files, tmp_path, adapt_over), "spectral-exp", out)
+    assert code == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize(

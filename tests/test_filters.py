@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,18 @@ def test_range_fuzz_extreme_grids():
                 assert 0.0 < fe < 1.0
                 SpectralFilter(RELU_RIDGE, [lam], [g]).diag_grad()
                 SpectralFilter(NEG_EXP, [lam], [g]).diag_grad()
+
+
+@pytest.mark.parametrize("gamma", [1e300, -1e300])
+@pytest.mark.parametrize("kind", [RELU_RIDGE, NEG_EXP])
+def test_huge_gamma_keeps_diag_in_range_and_grad_finite_without_warning(kind, gamma):
+    f = SpectralFilter(kind, [1e-6, 1.0, 95.0], [gamma] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag, grad = f.diag(), f.diag_grad()
+    top = 1.0 if kind == RELU_RIDGE else np.nextafter(1.0, 0.0)
+    assert np.all((0 < diag) & (diag <= top))
+    assert np.all(np.isfinite(grad))
 
 
 def test_relu_ridge_monotone_decreasing_in_gamma():
