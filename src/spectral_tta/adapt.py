@@ -39,7 +39,7 @@ class AdaptConfig:
             ("batch_size", "must be >= 1", self.batch_size >= 1),
             ("adam_beta1", "must be in [0, 1)", 0 <= self.adam_beta1 < 1),
             ("adam_beta2", "must be in [0, 1)", 0 <= self.adam_beta2 < 1),
-            ("adam_eps", "must be > 0", self.adam_eps > 0),
+            ("adam_eps", "must be finite and > 0", 0 < self.adam_eps < np.inf),
         ]
         for key, rule, ok in checks:
             if not ok:
@@ -174,16 +174,13 @@ def run_adaptation(model: Model, test_batches, cfg: AdaptConfig, method: str = "
     params0 = model.adapt_params()
     record = RunRecord(method=method, protocol=cfg.protocol)
     state = AdamState.zeros(n_params)
-    # the layers below the lowest adaptation layer k run once per batch;
-    # every later forward on the batch reuses layer k's first cache
-    k = model.adapt_start()
     for b_idx, (x, y) in enumerate(batches):
         if episodic:
             model.set_adapt_params(params0)
             state = AdamState.zeros(n_params)
-        h = model.forward_until(x, k - 1)
-        logits, caches = model.forward(h, start=k)
-        first = caches[k]
+        # the frozen layers run once per batch: each step's forward resumes
+        # from the previous forward's caches
+        logits, caches = model.forward(x)
         h_before = entropy(logits)
         for step in range(cfg.steps_per_batch):
             grads = model.backward_adapt(caches, entropy_grad(logits))
@@ -191,7 +188,7 @@ def run_adaptation(model: Model, test_batches, cfg: AdaptConfig, method: str = "
             if not np.all(np.isfinite(params)):
                 raise _diverged(method, b_idx, f"non-finite parameters after step {step + 1}")
             model.set_adapt_params(params)
-            logits, caches = model.forward(h, start=k, frozen=first)
+            logits, caches = model.forward(x, frozen=caches)
         if not np.all(np.isfinite(logits)):
             raise _diverged(method, b_idx, "non-finite logits after adaptation")
         record.add(

@@ -3,7 +3,7 @@
 Subcommands: train, fit-pca, adapt, bench, ablate-rank, ablate-steps,
 verify-ridge. All take a single JSON config file (merged over defaults).
 Exit codes: 0 success, 2 config error (also a file that cannot be read
-or written), 3 numerical failure.
+or written, or an array too large to allocate), 3 numerical failure.
 """
 
 import argparse
@@ -176,10 +176,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ContractViolationError, OSError) as exc:
-        # a refused config value (a ConfigError), or a path that cannot be
-        # read or written (a missing file, a directory given as a file), is a
-        # bad argument: exit 2
+    except (ContractViolationError, OSError, MemoryError) as exc:
+        # a refused config value (a ConfigError), a path that cannot be read
+        # or written (a missing file, a directory given as a file), or a
+        # config whose arrays cannot be allocated is a bad argument: exit 2
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailureError as exc:

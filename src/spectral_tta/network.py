@@ -301,23 +301,27 @@ class Model:
             )
         return x
 
-    def forward(self, x, start=0, frozen=None):
-        """Logits and per-layer caches, running layers ``start`` onwards.
+    def _check_caches(self, caches):
+        if len(caches) != len(self.layers):
+            raise ContractViolationError("cache does not match the layer stack")
 
-        For ``start > 0``, ``x`` is the output of layer ``start - 1`` (see
-        :meth:`forward_until`) and the skipped layers get ``None`` caches,
-        so the cache list still lines up with the layer stack. ``frozen``,
-        if given, is layer ``start``'s cache from an earlier forward on the
-        same ``x``, and that layer reuses its input-only part.
+    def forward(self, x, frozen=None):
+        """Logits and per-layer caches.
+
+        ``frozen``, if given, is the cache list of an earlier forward on
+        the same ``x``. The forward then resumes at :meth:`adapt_start`,
+        whose layer reuses the input-only part of its cache; the frozen
+        layers below it are not run and get ``None`` caches, so the cache
+        list still lines up with the layer stack.
         """
-        if not 0 <= start < len(self.layers):
-            raise ContractViolationError(f"start index {start} out of range")
-        if start == 0:
-            x = self._check_input(x)
-        caches = [None] * start
+        x = self._check_input(x)
+        caches, start = [], 0
         if frozen is not None:
-            x, cache = self.layers[start].forward(x, frozen=frozen)
-            caches.append(cache)
+            self._check_caches(frozen)
+            start = self.adapt_start()
+            # the layer reads its input from its cache, not from x
+            x, cache = self.layers[start].forward(x, frozen=frozen[start])
+            caches = [None] * start + [cache]
             start += 1
         for layer in self.layers[start:]:
             x, cache = layer.forward(x)
@@ -338,8 +342,7 @@ class Model:
         """The backward pass from the top down to layer ``stop``, which
         computes no input gradient; ``{index: param grads}`` for the layers
         in ``collect``."""
-        if len(caches) != len(self.layers):
-            raise ContractViolationError("cache does not match the layer stack")
+        self._check_caches(caches)
         grads = {}
         g = gloss
         for idx in range(len(self.layers) - 1, stop - 1, -1):
@@ -361,10 +364,8 @@ class Model:
         """The adaptation params' gradient, one flat vector.
 
         It stops at :meth:`adapt_start`: nothing below the lowest
-        adaptation layer has a gradient to collect, so those caches may be
-        the ``None`` slots of ``forward(h, start=model.adapt_start())``,
-        and that layer's cache may be the batch's first one, shared by
-        every step on the batch.
+        adaptation layer has a gradient to collect, so ``caches`` may be
+        those of a resumed ``forward(x, frozen=...)``.
         """
         adapt_idx = self._adapt_indices()
         grads = self._backward(caches, gloss, adapt_idx[0], adapt_idx)

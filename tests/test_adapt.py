@@ -166,6 +166,7 @@ def test_config_validation():
         ({"adam_beta2": 1.0}, "adapt.adam_beta2"),
         ({"adam_eps": 0.0}, "adapt.adam_eps"),
         ({"adam_eps": float("nan")}, "adapt.adam_eps"),
+        ({"adam_eps": float("inf")}, "adapt.adam_eps"),
     ]
     for kwargs, key in cases:
         with pytest.raises(ContractViolationError, match=key):
@@ -490,13 +491,19 @@ def test_input_half_of_the_lowest_adaptation_layer_runs_once_per_batch(
             calls.append((frozen, cache))
         return out, cache
 
+    def input_half(cache):  # the normalisation, or the adapter's projection
+        return cache[0] if kind is BatchNorm2d else cache[1].scores
+
     monkeypatch.setattr(kind, "forward", counted_forward)
     adapt.run_adaptation(work, batches, cfg, method=method)
     per_batch = cfg.steps_per_batch + 1
     assert len(calls) == len(batches) * per_batch and len(batches) > 1
     for b in range(len(batches)):
-        (none, first), *steps = calls[b * per_batch : (b + 1) * per_batch]
-        # the batch's first forward computes the cache, every step reuses it
+        batch_calls = calls[b * per_batch : (b + 1) * per_batch]
+        # the batch's first forward computes the cache; each step reuses the
+        # cache of the forward before it, whose input half is the first's
+        (none, first), *steps = batch_calls
         assert none is None
-        assert all(frozen is first for frozen, _ in steps)
-    assert len({id(frozen) for frozen, _ in calls if frozen is not None}) == len(batches)
+        assert all(frozen is prev for (frozen, _), (_, prev) in zip(steps, batch_calls))
+        assert all(input_half(cache) is input_half(first) for _, cache in steps)
+    assert len({id(input_half(cache)) for _, cache in calls}) == len(batches)

@@ -599,22 +599,77 @@ def _out_of_default_draws(default):
     return values + [[]]
 
 
+def _draws():
+    """(leaf, value, config override) for each out-of-default draw of each
+    leaf of the default config."""
+    for leaf, default in _leaves(bench.DEFAULT_CONFIG):
+        section, _, name = leaf.rpartition(".")
+        for value in _out_of_default_draws(default):
+            yield leaf, value, ({section: {name: value}} if section else {name: value})
+
+
 def test_config_accepts_or_refuses_every_leaf_value_naming_the_leaf():
     """Every out-of-default value of every leaf either loads or raises a
     ConfigError whose keys name that leaf, whichever rule refuses it."""
     wrong = []
-    for leaf, default in _leaves(bench.DEFAULT_CONFIG):
-        section, _, name = leaf.rpartition(".")
-        for value in _out_of_default_draws(default):
-            override = {section: {name: value}} if section else {name: value}
-            try:
-                load_config(override)
-            except ConfigError as exc:
-                if exc.keys not in ([leaf], [f"{leaf}:{value!r}"]):
-                    wrong.append((leaf, value, exc.keys))
-            except Exception as exc:
-                wrong.append((leaf, value, repr(exc)))
+    for leaf, value, override in _draws():
+        try:
+            load_config(override)
+        except ConfigError as exc:
+            if exc.keys not in ([leaf], [f"{leaf}:{value!r}"]):
+                wrong.append((leaf, value, exc.keys))
+        except Exception as exc:
+            wrong.append((leaf, value, repr(exc)))
     assert wrong == []
+
+
+def _loads(override) -> bool:
+    try:
+        load_config(override)
+    except ConfigError:
+        return False
+    return True
+
+
+# leaves whose work or memory grows with the value: their accepted 10**12
+# would take terabytes or days to run
+_GROWS_WITH_VALUE = (
+    "dataset.n_train", "dataset.n_test", "dataset.channels", "dataset.height", "dataset.width",
+    "model.conv_channels", "model.train_epochs", "adapt.steps_per_batch",
+)
+_RUNNABLE_DRAWS = [
+    (leaf, value, override)
+    for leaf, value, override in _draws()
+    if _loads(override) and not (leaf in _GROWS_WITH_VALUE and value in (10**12, [10**12]))
+]
+
+
+# a huge learning rate overflows on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "leaf, value",
+    [(leaf, value) for leaf, value, _ in _RUNNABLE_DRAWS],
+    ids=[f"{leaf}:{value!r}" for leaf, value, _ in _RUNNABLE_DRAWS],
+)
+def test_cli_runs_each_accepted_draw_to_a_documented_exit(leaf, value, tmp_path):
+    """An accepted out-of-default value, over the tiny CLI config, ends
+    train, fit-pca and adapt (each method that trains by entropy) in exit
+    0, 2 or 3; a step runs only if the one before it exited 0."""
+    cfg = json.loads(write_tiny_cli_config(tmp_path).read_text())
+    section, _, name = leaf.rpartition(".")
+    (cfg.setdefault(section, {}) if section else cfg)[name] = value
+    path = tmp_path / "draw.json"
+    path.write_text(json.dumps(cfg))
+    model, basis = tmp_path / "m.npz", tmp_path / "basis.json"
+    common = ["--config", str(path), "--model", str(model)]
+    codes = [cli.main(["train", *common])]
+    if codes[-1] == 0:
+        codes.append(cli.main(["fit-pca", *common, "--basis", str(basis)]))
+    if codes[-1] == 0:
+        for method in ("spectral-relu", "spectral-exp", "bn-modulators"):
+            out = ["--basis", str(basis), "--method", method, "--out", str(tmp_path / "r.jsonl")]
+            codes.append(cli.main(["adapt", *common, *out]))
+    assert set(codes) <= {0, 2, 3}
 
 
 @pytest.mark.parametrize(
@@ -1010,6 +1065,7 @@ def test_cli_huge_finite_adapt_value_runs_without_overflow(cli_files, tmp_path, 
         ({"adam_beta2": 1.5}, "adapt.adam_beta2"),
         ({"adam_eps": 0.0}, "adapt.adam_eps"),
         ({"protocol": "foo"}, "adapt.protocol"),
+        ({"adam_eps": math.inf}, "adapt.adam_eps"),
     ],
 )
 def test_cli_invalid_adapt_value_exits_2_naming_the_key(cli_files, tmp_path, capsys, adapt_over, key):
@@ -1030,6 +1086,29 @@ def test_cli_adapt_rejects_severity_out_of_range_without_corruption(cli_files, t
     assert info.value.code == 2
     assert "--severity" in capsys.readouterr().err
     assert not (tmp_path / "r.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("model", "conv_channels", [10**13]), ("dataset", "n_train", 10**14)],
+    ids=["conv-weights", "train-labels"],
+)
+def test_cli_train_too_large_to_allocate_exits_2_without_traceback(
+    tmp_path, capsys, section, key, value
+):
+    """Each value's first array needs more than 2**47 bytes, more than a
+    process can address, so its allocation fails at once whatever the
+    memory overcommit policy."""
+    cfg = json.loads(write_tiny_cli_config(tmp_path).read_text())
+    cfg[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    model = tmp_path / "m.npz"
+    assert cli.main(["train", "--config", str(path), "--model", str(model)]) == 2
+    out, err = capsys.readouterr()
+    assert "Unable to allocate" in err
+    assert "Traceback" not in out + err
+    assert not model.exists()
 
 
 # the overflow is provoked on purpose

@@ -385,25 +385,26 @@ def test_adapt_start_is_the_lowest_adaptation_layer(rng):
 
 
 def test_forward_from_start_matches_full_forward_bitwise(rng):
+    """A forward resumed from an earlier forward's caches starts at the
+    lowest adaptation layer and gives forward(x) bitwise."""
     x = rng.normal(size=(6,) + IN_SHAPE)
     for model in adapted_models(rng):
+        k = model.adapt_start()
         full_logits, full_caches = model.forward(x)
-        for k in range(1, len(model.layers)):
-            logits, caches = model.forward(model.forward_until(x, k - 1), start=k)
-            assert np.array_equal(logits, full_logits)
-            assert len(caches) == len(model.layers)
-            assert caches[:k] == [None] * k
-            assert all(c is not None for c in caches[k:])
-        with pytest.raises(ContractViolationError):
-            model.forward(x, start=len(model.layers))
+        logits, caches = model.forward(x, frozen=full_caches)
+        assert np.array_equal(logits, full_logits)
+        assert len(caches) == len(model.layers)
+        assert caches[:k] == [None] * k
+        assert all(c is not None for c in caches[k:])
+        with pytest.raises(ContractViolationError, match="cache does not match the layer stack"):
+            model.forward(x, frozen=full_caches[:-1])
 
 
 def test_truncated_backward_matches_full_cache_backward(rng):
     x = rng.normal(size=(6,) + IN_SHAPE)
     for model in adapted_models(rng):
-        k = model.adapt_start()
         full_logits, full_caches = model.forward(x)
-        _, caches = model.forward(model.forward_until(x, k - 1), start=k)
+        _, caches = model.forward(x, frozen=full_caches)
         gloss = entropy_grad(full_logits)
         grads = model.backward_adapt(caches, gloss)
         assert grads.shape == (model.adapt_param_count(),)
@@ -449,19 +450,24 @@ def test_adapter_forward_is_its_input_half_then_its_adapted_half(rng):
 
 
 def test_forward_reusing_the_first_cache_matches_full_forward_bitwise(rng):
+    """Resumed from the batch's first forward, and then from each resumed
+    one, a forward gives a full forward's logits and adaptation gradient
+    bitwise after the adaptation parameters moved."""
     x = rng.normal(size=(6,) + IN_SHAPE)
     for model in adapted_models(rng):
         k = model.adapt_start()
-        h = model.forward_until(x, k - 1)
-        first = model.forward(h, start=k)[1][k]
-        full_logits, full_caches = model.forward(x)
-        logits, caches = model.forward(h, start=k, frozen=first)
-        assert np.array_equal(logits, full_logits)
-        assert caches[:k] == [None] * k
-        gloss = entropy_grad(full_logits)
-        assert np.array_equal(
-            model.backward_adapt(caches, gloss), model.backward_adapt(full_caches, gloss)
-        )
+        _, caches = model.forward(x)
+        for _ in range(2):
+            moved = model.adapt_params() + rng.normal(0.0, 0.1, model.adapt_param_count())
+            model.set_adapt_params(moved)
+            full_logits, full_caches = model.forward(x)
+            logits, caches = model.forward(x, frozen=caches)
+            assert np.array_equal(logits, full_logits)
+            assert caches[:k] == [None] * k
+            gloss = entropy_grad(full_logits)
+            assert np.array_equal(
+                model.backward_adapt(caches, gloss), model.backward_adapt(full_caches, gloss)
+            )
 
 
 def test_forward_until_minus_1_checks_the_raw_batch(rng):
@@ -472,8 +478,8 @@ def test_forward_until_minus_1_checks_the_raw_batch(rng):
     x = rng.normal(size=(3,) + IN_SHAPE)
     h = adapted.forward_until(x, -1)
     assert np.array_equal(h, x)
-    first = adapted.forward(h)[1][0]
-    assert np.array_equal(adapted.forward(h, frozen=first)[0], adapted.forward(x)[0])
+    logits, caches = adapted.forward(x)
+    assert np.array_equal(adapted.forward(x, frozen=caches)[0], logits)
     # a 4-D batch of the wrong shape would reach the projection otherwise
     with pytest.raises(ContractViolationError, match="input spec"):
         adapted.forward_until(rng.normal(size=(3, 1, 4, 8)), -1)

@@ -79,3 +79,8 @@ def test_traced_adaptation_matches_untraced_and_counts_layer_calls(
     assert tracer.calls[f"network.{span}.fwd"] == len(batches) * (cfg.steps_per_batch + 1)
     assert tracer.calls["network.unkeyed.fwd"] == 0
     assert tracer.adapt_batches == len(batches) > 1
+    # the frozen prefix below the adaptation layer runs forward once per
+    # batch, on that batch, and never backward
+    assert tracer.prefix_fwd == len(batches)
+    assert tracer.prefix_bwd == 0
+    assert tracer.prefix_distinct == len(batches)
