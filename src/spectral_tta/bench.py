@@ -6,6 +6,7 @@ ablations. Everything is a pure function of (config, seed, checkpoints).
 import copy
 import csv
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -168,14 +169,21 @@ def _sample(templates, labels, rng):
     return np.clip(x, 0.0, 1.0)
 
 
+@functools.lru_cache(maxsize=1)
 def gen_dataset(spec: DatasetSpec):
-    """Deterministic synthetic dataset; returns ((train_x, train_y), (test_x, test_y))."""
+    """Deterministic synthetic dataset; returns ((train_x, train_y), (test_x, test_y)).
+
+    Memoised on the spec: a call with an equal spec returns the same
+    arrays, and a call with another spec replaces them. The arrays are
+    read-only, so no caller can change a later caller's data."""
     rng = np.random.default_rng(spec.seed)
     templates = _class_templates(spec, rng)
     train_y = _balanced_labels(spec.n_train, spec.n_classes, rng)
     train_x = _sample(templates, train_y, rng)
     test_y = _balanced_labels(spec.n_test, spec.n_classes, rng)
     test_x = _sample(templates, test_y, rng)
+    for arr in (train_x, train_y, test_x, test_y):
+        arr.flags.writeable = False
     return (train_x, train_y), (test_x, test_y)
 
 
@@ -468,9 +476,8 @@ def run_benchmark(cfg: dict, model: Model, basis: PcaBasis | None, out_dir=None)
 
     Returns (ErrorTable, {cell key: RunRecord}). With ``out_dir`` set,
     also writes table.csv and one records JSON-lines file per cell. Each
-    cell is evaluated as :func:`run_cell` does, but the test set is
-    generated once and each (corruption, severity) is corrupted once for
-    all methods.
+    cell is evaluated as :func:`run_cell` does, but each (corruption,
+    severity) is corrupted once for all methods.
     """
     _, test_set = gen_dataset(_dataset_spec(cfg))
     errors = {}

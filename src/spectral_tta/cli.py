@@ -30,6 +30,9 @@ def _read_config(path: str | None) -> dict:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
+        if not isinstance(override, dict):
+            top = "null" if override is None else type(override).__name__
+            raise ConfigError(f"config file {path} must hold a JSON object, got {top}")
     return bench.load_config(override)
 
 

@@ -58,7 +58,8 @@ class Conv2d:
         n, c, h, w = x.shape
         k = self.kernel
         p = k // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + w] = x
         # (n, c, h, w, k, k) window view -> (n, c, k, k, h, w); the reshape
         # makes the one copy
         windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
@@ -74,7 +75,8 @@ class Conv2d:
         n, c, h, w = x.shape
         cols = self._im2col(x)
         w2 = self.w.reshape(self.w.shape[0], -1)
-        y = np.matmul(w2, cols) + self.b[None, :, None]
+        y = np.matmul(w2, cols)
+        y += self.b[None, :, None]
         return y.reshape(n, -1, h, w), (x.shape, cols)
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
@@ -134,9 +136,12 @@ class BatchNorm2d:
                     self.running_mean = (1 - m) * self.running_mean + m * mean
                     self.running_var = (1 - m) * self.running_var + m * var
             invstd = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
+            # in place on one new array, in the order (x - mean) * invstd
+            xhat = np.subtract(x, mean[None, :, None, None])
+            xhat *= invstd[None, :, None, None]
             frozen = (xhat, invstd, self.mode)
-        y = self.scale[None, :, None, None] * frozen[0] + self.shift[None, :, None, None]
+        y = np.multiply(self.scale[None, :, None, None], frozen[0])
+        y += self.shift[None, :, None, None]
         return y, frozen
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
@@ -153,13 +158,14 @@ class BatchNorm2d:
         if mode == BN_FROZEN:
             gx = gy * sc
         else:
-            # standard batch-norm backward
+            # standard batch-norm backward, sc * (gy - gsum / nhw - xhat *
+            # gdot / nhw), in that order on two new arrays
             nhw = gy.shape[0] * gy.shape[2] * gy.shape[3]
-            gx = sc * (
-                gy
-                - gsum[None, :, None, None] / nhw
-                - xhat * gdot[None, :, None, None] / nhw
-            )
+            gx = np.subtract(gy, gsum[None, :, None, None] / nhw)
+            proj = np.multiply(xhat, gdot[None, :, None, None])
+            proj /= nhw
+            gx -= proj
+            gx *= sc
         return gx, pgrads
 
 

@@ -32,6 +32,7 @@ SMALL = DatasetSpec(n_train=60, n_test=40, channels=2, height=4, width=4, seed=3
 
 def test_dataset_deterministic():
     (ax, ay), (tx, ty) = gen_dataset(SMALL)
+    gen_dataset.cache_clear()  # a fresh draw, not the memoised arrays
     (bx, by), (ux, uy) = gen_dataset(SMALL)
     assert np.array_equal(ax, bx) and np.array_equal(ay, by)
     assert np.array_equal(tx, ux) and np.array_equal(ty, uy)
@@ -74,6 +75,60 @@ def test_dataset_infeasible_class_count():
         DatasetSpec(n_train=0, n_test=10)
     with pytest.raises(ContractViolationError):
         DatasetSpec(generator="photos")
+
+
+def count_draws(monkeypatch):
+    """Empty the dataset memo and list the sample count of each
+    ``bench._sample`` call from now on: a generated dataset draws its train
+    set, then its test set."""
+    draws = []
+    sample = bench._sample
+
+    def counted(templates, labels, rng):
+        draws.append(len(labels))
+        return sample(templates, labels, rng)
+
+    monkeypatch.setattr(bench, "_sample", counted)
+    gen_dataset.cache_clear()
+    return draws
+
+
+def test_dataset_is_generated_once_per_equal_spec(monkeypatch):
+    draws = count_draws(monkeypatch)
+    first = gen_dataset(SMALL)
+    again = gen_dataset(DatasetSpec(**SMALL.__dict__))  # equal, not the same object
+    assert draws == [60, 40]
+    assert all(a is b for pair, same in zip(first, again) for a, b in zip(pair, same))
+
+
+def test_dataset_arrays_are_read_only():
+    (train_x, train_y), (test_x, test_y) = gen_dataset(SMALL)
+    for arr in (train_x, train_y, test_x, test_y):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+        with pytest.raises(ValueError):
+            arr[:2] += 1  # a view is read-only too
+
+
+def test_dataset_memo_holds_one_spec(monkeypatch):
+    draws = count_draws(monkeypatch)
+    (ax, _), _ = gen_dataset(SMALL)
+    (bx, _), _ = gen_dataset(DatasetSpec(**{**SMALL.__dict__, "seed": 4}))
+    assert gen_dataset.cache_info().currsize == 1
+    (cx, _), _ = gen_dataset(SMALL)  # the second spec replaced the first
+    assert draws == [60, 40] * 3
+    assert cx is not ax and np.array_equal(cx, ax)
+
+
+def test_entry_points_on_one_config_generate_the_dataset_once(tiny_config, monkeypatch):
+    cfg = load_config({**tiny_config, "methods": ["no-adapt"], "corruptions": ["blur"], "severities": [5]})
+    cfg = bench.with_value(cfg, "model.train_epochs", 1)
+    draws = count_draws(monkeypatch)
+    model = bench.train_from_config(cfg)
+    basis = bench.fit_basis_from_config(cfg, model)
+    run_benchmark(cfg, model, basis)
+    bench.run_cell(cfg, model, basis, "no-adapt", "blur", 5)
+    assert draws == [240, 120]
 
 
 # ---- corruptions -----------------------------------------------------------
@@ -435,6 +490,19 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["train", "--config", str(notjson), "--model", str(tmp_path / "m.npz")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"seed"', "null"], ids=["list", "number", "string", "null"])
+def test_cli_config_whose_top_level_is_not_an_object_exits_2_naming_the_file(
+    text, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(bench, "gen_dataset", lambda spec: pytest.fail("work started"))
+    path, model = tmp_path / "config.json", tmp_path / "m.npz"
+    path.write_text(text)
+    assert cli.main(["train", "--config", str(path), "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err and "JSON object" in err
+    assert not model.exists()
 
 
 def test_cli_missing_model_file_exits_2(tmp_path, capsys):

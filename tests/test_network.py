@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -362,6 +364,113 @@ def test_only_the_training_mode_moves_running_statistics(mode, rng):
     for _ in range(2):  # one update per normalisation, momentum 0.1
         expected = [0.9 * e + 0.1 * b for e, b in zip(expected, batch)]
     assert np.allclose(bn.running_mean, expected[0]) and np.allclose(bn.running_var, expected[1])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_im2col(x, k):
+    """``Conv2d._im2col`` as written with ``np.pad``, which the zeros
+    buffer and slice assignment must reproduce bit for bit."""
+    n, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_im2col_matches_the_np_pad_formula_bitwise(k, n, rng):
+    conv = Conv2d(3, 2, k, rng)
+    x = rng.normal(size=(n, 3, 8, 8))
+    x[0, 0, 0, 0] = -0.0  # a signed zero keeps its sign; the padding is +0.0
+    for batch in (x, x.astype(np.float32)):
+        cols = conv._im2col(batch)
+        assert cols.dtype == batch.dtype
+        assert _same_bits(cols, _reference_im2col(batch, k))
+
+
+def test_conv_forward_matches_the_bias_add_formula_bitwise(rng):
+    conv = Conv2d(3, 4, 3, rng)
+    conv.b = rng.normal(size=4)
+    x = rng.normal(size=(16, 3, 8, 8))
+    y, (_, cols) = conv.forward(x)
+    expected = np.matmul(conv.w.reshape(4, -1), cols) + conv.b[None, :, None]
+    assert _same_bits(y, expected.reshape(16, 4, 8, 8))
+
+
+def _reference_bn_forward(bn, x):
+    """``BatchNorm2d.forward`` as written with a temporary per operation:
+    ``(y, xhat, invstd)``, moving ``bn``'s running statistics as it does."""
+    if bn.mode == network.BN_FROZEN:
+        mean, var = bn.running_mean, bn.running_var
+    else:
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        if bn.mode == BN_TRAIN:
+            m = bn.momentum
+            bn.running_mean = (1 - m) * bn.running_mean + m * mean
+            bn.running_var = (1 - m) * bn.running_var + m * var
+    invstd = 1.0 / np.sqrt(var + bn.eps)
+    xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
+    y = bn.scale[None, :, None, None] * xhat + bn.shift[None, :, None, None]
+    return y, xhat, invstd
+
+
+def _reference_bn_batch_backward(bn, cache, gy):
+    """The batch-statistics input gradient as written with temporaries."""
+    xhat, invstd, _ = cache
+    gdot = np.sum(gy * xhat, axis=(0, 2, 3))
+    gsum = np.sum(gy, axis=(0, 2, 3))
+    sc = (bn.scale * invstd)[None, :, None, None]
+    nhw = gy.shape[0] * gy.shape[2] * gy.shape[3]
+    return sc * (gy - gsum[None, :, None, None] / nhw - xhat * gdot[None, :, None, None] / nhw)
+
+
+def random_bn(rng, ch=8):
+    bn = BatchNorm2d(ch)
+    bn.scale, bn.shift = rng.uniform(0.5, 1.5, ch), rng.normal(size=ch)
+    bn.running_mean, bn.running_var = rng.normal(size=ch), rng.uniform(0.5, 2.0, ch)
+    return bn
+
+
+@pytest.mark.parametrize("mode", BN_MODES)
+def test_bn_forward_and_backward_match_the_temporary_formulas_bitwise(mode, rng):
+    bn = random_bn(rng)
+    bn.mode = mode
+    ref, start = copy.deepcopy(bn), bn.running_mean.copy()
+    gy = rng.normal(size=(64, 8, 8, 8))
+    for x in (rng.normal(2.0, 3.0, size=(64, 8, 8, 8)), rng.normal(size=(16, 8, 8, 8)).astype(np.float32)):
+        y, cache = bn.forward(x)
+        y_ref, xhat_ref, invstd_ref = _reference_bn_forward(ref, x)
+        assert _same_bits(y, y_ref)
+        assert _same_bits(cache[0], xhat_ref) and _same_bits(cache[1], invstd_ref)
+        assert _same_bits(bn.running_mean, ref.running_mean)
+        assert _same_bits(bn.running_var, ref.running_var)
+        y_reused, _ = bn.forward(x, frozen=cache)
+        assert _same_bits(y_reused, y_ref)
+        if mode != network.BN_FROZEN:
+            for need_param_grads in (True, False):
+                gx, _ = bn.backward(cache, gy[: len(x)], need_param_grads=need_param_grads)
+                assert _same_bits(gx, _reference_bn_batch_backward(ref, cache, gy[: len(x)]))
+    # the comparison of running statistics is not vacuous: train-stats moved them
+    assert np.array_equal(bn.running_mean, start) == (mode != BN_TRAIN)
+
+
+@pytest.mark.parametrize("mode", BN_MODES)
+def test_writing_into_the_bn_output_leaves_its_cache_untouched(mode, rng):
+    bn = random_bn(rng, ch=3)
+    bn.mode = mode
+    x = rng.normal(size=(4, 3, 2, 2))
+    before = x.copy()
+    y, cache = bn.forward(x)
+    xhat = cache[0].copy()
+    y[...] = 7.0
+    y_reused, reused = bn.forward(x, frozen=cache)
+    y_reused += 1.0
+    assert reused is cache and _same_bits(cache[0], xhat)
+    assert _same_bits(x, before)
 
 
 def adapted_models(rng):
