@@ -32,6 +32,7 @@ from .network import (
     fit_pca_from_source,
     insert_adapter,
     load_model,
+    model_args,
     train_model,
 )
 from .pca import PcaBasis
@@ -305,9 +306,7 @@ def load_config(override: dict | None = None) -> dict:
         if not ok(v):
             bad.append(f"{key}:{v!r}")
     bad_args = bad_model_args(**_model_args(cfg))
-    # each argument has its config key's name; the input shape, which
-    # DatasetSpec has checked, is never among them
-    bad += [f"{'dataset' if k == 'n_classes' else 'model'}.{k}:{v!r}" for k, v in bad_args.items()]
+    bad += [f"{key}:{v!r}" for key, v in _config_values(bad_args).items()]
     insert = cfg["model"]["insert_index"]
     if "conv_channels" not in bad_args and not 1 <= insert <= 3 * len(cfg["model"]["conv_channels"]):
         # the adapter takes the output of layer insert_index - 1, which
@@ -348,6 +347,17 @@ def _model_args(cfg: dict) -> dict:
         "kernel": cfg["model"]["kernel"],
         "n_classes": d["n_classes"],
     }
+
+
+def _config_values(args: dict) -> dict:
+    """The :func:`build_model` arguments in ``args`` by the config key that
+    sets each: the input shape's three dims, then one key per argument."""
+    shape_keys = ("dataset.channels", "dataset.height", "dataset.width")
+    values = dict(zip(shape_keys, args.get("input_shape", ())))
+    for name, v in args.items():
+        if name != "input_shape":
+            values[f"{'dataset' if name == 'n_classes' else 'model'}.{name}"] = v
+    return values
 
 
 def _adapt_config(cfg: dict) -> AdaptConfig:
@@ -504,10 +514,29 @@ def run_benchmark(cfg: dict, model: Model, basis: PcaBasis | None, out_dir=None)
     return table, records
 
 
-def load_inputs(methods, model_path, basis_path):
-    """(model, basis) from their files; the basis is loaded only when one of
+def load_checkpoint(cfg: dict, path) -> Model:
+    """The model checkpoint at ``path``. One built with other arguments than
+    the config's is refused with a ConfigError naming each differing key."""
+    model = load_model(path)
+    stored = _config_values(model_args(model))
+    wanted = _config_values(_model_args(cfg))
+    diff = [key for key in wanted if stored[key] != wanted[key]]
+    if diff:
+        found = "; ".join(
+            f"{k} {stored[k]!r} in the checkpoint, {wanted[k]!r} in the config" for k in diff
+        )
+        raise ConfigError(
+            f"checkpoint {path} does not match the config: {found}",
+            [f"{k}:{wanted[k]!r}" for k in diff],
+        )
+    return model
+
+
+def load_inputs(cfg: dict, methods, model_path, basis_path):
+    """(model, basis) from their files; the model must match ``cfg`` (see
+    :func:`load_checkpoint`), and the basis is loaded only when one of
     ``methods`` is spectral, and is None otherwise."""
-    model = load_model(model_path)
+    model = load_checkpoint(cfg, model_path)
     if not any(m in _FILTER_KIND for m in methods):
         return model, None
     return model, PcaBasis.load(basis_path)

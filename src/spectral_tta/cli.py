@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bench, ridge
 from .errors import ConfigError, ContractViolationError, NumericalFailureError
-from .network import load_model, save_model
+from .network import save_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,7 +59,7 @@ def _cmd_fit_pca(args) -> int:
     if args.rank is not None:
         cfg = bench.with_value(cfg, "pca.rank", args.rank)
     _check_output_file(args.basis)
-    basis = bench.fit_basis_from_config(cfg, load_model(args.model))
+    basis = bench.fit_basis_from_config(cfg, bench.load_checkpoint(cfg, args.model))
     basis.save(args.basis)
     print(f"wrote PCA basis (rank {basis.rank}) to {args.basis}")
     return EXIT_OK
@@ -68,7 +68,7 @@ def _cmd_fit_pca(args) -> int:
 def _cmd_adapt(args) -> int:
     cfg = _read_config(args.config)
     _check_output_file(args.out)
-    model, basis = bench.load_inputs([args.method], args.model, args.basis)
+    model, basis = bench.load_inputs(cfg, [args.method], args.model, args.basis)
     rec = bench.run_cell(cfg, model, basis, args.method, args.corruption, args.severity)
     rec.to_jsonl(args.out)
     print(f"{args.method}: mean error {rec.mean_error():.4f}; records in {args.out}")
@@ -80,7 +80,7 @@ def _cmd_bench(args) -> int:
     nearest = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
     if not nearest.is_dir():  # checked now, as the directory is made only after the grid
         raise ConfigError(f"cannot write into {args.out}: {nearest} is not a directory")
-    model, basis = bench.load_inputs(cfg["methods"], args.model, args.basis)
+    model, basis = bench.load_inputs(cfg, cfg["methods"], args.model, args.basis)
     table, _ = bench.run_benchmark(cfg, model, basis, args.out)
     print(f"wrote benchmark outputs to {args.out}")
     for method in table.methods:

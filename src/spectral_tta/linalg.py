@@ -5,9 +5,10 @@ Everything here operates on plain 2-D ``numpy`` arrays of float64 (the
 one-sided Jacobi method: accurate for small singular values and fully
 deterministic thanks to a fixed pair order and a fixed sign convention.
 It runs once per call, on the rows of the input's short side (the input
-itself if it is wide, its transpose otherwise).
+itself if it is wide, its transpose otherwise), and returns what PCA
+reads: the nonzero singular values and their right singular vectors.
 A rotation is only elementwise float64 multiplies and adds (no fused
-multiply-add, no batched dot products), so the factors equal those of
+multiply-add, no batched dot products), so the results equal those of
 the textbook per-pair loop kept in ``tests/test_linalg.py`` bit for bit.
 """
 
@@ -31,11 +32,11 @@ EXP_LIMIT = 200
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD ``a = u @ diag(s) @ vt`` with r = min(rows, cols) factors."""
+    """Compact SVD of an (n, m) matrix ``a``: ``a = a @ vt.T @ vt`` and the
+    columns of ``a @ vt.T`` have norms ``s``, in exact arithmetic. No left factor is formed."""
 
-    u: np.ndarray   # (n, r), orthonormal columns
-    s: np.ndarray   # (r,), non-negative, non-increasing
-    vt: np.ndarray  # (r, m), orthonormal rows
+    s: np.ndarray   # (k,), the k <= min(n, m) nonzero singular values, non-increasing
+    vt: np.ndarray  # (k, m), their right singular vectors, orthonormal rows
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -131,40 +132,16 @@ def _jacobi_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _complete_columns(u: np.ndarray, k: int) -> np.ndarray:
-    """Fill columns k.. of ``u`` with an orthonormal completion.
-
-    Only needed for rank-deficient inputs, where some singular values are
-    zero and the corresponding left vectors are not determined by the data.
-    Uses Gram-Schmidt against the already-filled columns, seeding from
-    canonical basis vectors, so the result is deterministic.
-    """
-    n, r = u.shape
-    col = k
-    for e in range(n):
-        if col == r:
-            break
-        v = np.zeros(n)
-        v[e] = 1.0
-        # two passes of Gram-Schmidt for stability
-        for _ in range(2):
-            v -= u[:, :col] @ (u[:, :col].T @ v)
-        norm = np.sqrt(v @ v)
-        if norm > 1e-8:
-            u[:, col] = v / norm
-            col += 1
-    return u
-
-
 def svd(a: np.ndarray) -> SvdResult:
-    """Deterministic thin SVD by one-sided Jacobi.
+    """Deterministic compact SVD by one-sided Jacobi.
 
-    Singular values are sorted descending. Each right singular vector is
-    oriented so its largest-magnitude entry is positive (ties resolved by
-    lowest index), which fixes the otherwise arbitrary signs. An input of
-    extreme scale (see ``EXP_LIMIT``) is decomposed as ``a * 2**-e`` and
-    its singular values are scaled back by ``2**e``. Both scalings are
-    exact for every entry that stays out of the subnormal range.
+    Only the modes with a nonzero singular value are returned, sorted
+    descending. Each right singular vector is oriented so its
+    largest-magnitude entry is positive (ties resolved by lowest index),
+    which fixes the otherwise arbitrary signs. An input of extreme scale
+    (see ``EXP_LIMIT``) is decomposed as ``a * 2**-e`` and its singular
+    values are scaled back by ``2**e``. Both scalings are exact for every
+    entry that stays out of the subnormal range.
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -173,25 +150,16 @@ def svd(a: np.ndarray) -> SvdResult:
         e = 0
     a = np.ldexp(a, -e)
     wide = n < m
-    # Jacobi orthogonalizes rows, so it runs on the r = min(n, m) rows of
-    # the short side
+    # Jacobi orthogonalizes rows, so it runs on the min(n, m) rows of the
+    # short side
     x, rot = _jacobi_rows(a if wide else a.T)
     # x = rot @ a (or a.T) with rot orthogonal: row k of x is s_k times a
     # long-side singular vector (its norm is s_k), row k of rot the
     # matching short-side one
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    nonzero = int(np.count_nonzero(s > 0.0))
-    long = np.zeros((x.shape[1], len(s)))
-    long[:, :nonzero] = (x[order[:nonzero]] / s[:nonzero, None]).T
-    if nonzero < len(s):
-        long = _complete_columns(long, nonzero)
-    short = rot[order].T
-    u, v = (short, long) if wide else (long, short)
-    # sign convention on the right singular vectors, the columns of v
-    cols = np.arange(len(s))
-    sign = np.where(v[np.argmax(np.abs(v), axis=0), cols] < 0.0, -1.0, 1.0)
-    return SvdResult(
-        u=np.ascontiguousarray(u * sign), s=np.ldexp(s, e), vt=np.ascontiguousarray((v * sign).T)
-    )
+    keep = order[norms[order] > 0.0]
+    s = norms[keep]
+    vt = x[keep] / s[:, None] if wide else rot[keep]
+    sign = np.where(vt[np.arange(len(s)), np.argmax(np.abs(vt), axis=1)] < 0.0, -1.0, 1.0)
+    return SvdResult(s=np.ldexp(s, e), vt=vt * sign[:, None])

@@ -634,6 +634,19 @@ def train_model(
 # ---- checkpointing -----------------------------------------------------
 
 
+def model_args(model: Model) -> dict:
+    """The :func:`build_model` arguments (all but the seed) read off the
+    layer stack of ``model``; an argument the stack does not show is None."""
+    convs = [layer for layer in model.layers if isinstance(layer, Conv2d)]
+    head = model.layers[-1]
+    return {
+        "input_shape": list(model.input_shape),
+        "conv_channels": [conv.w.shape[0] for conv in convs],
+        "kernel": convs[0].kernel if convs else None,
+        "n_classes": head.w.shape[0] if isinstance(head, Linear) else None,
+    }
+
+
 def save_model(model: Model, path) -> None:
     """Write ``build_model``'s arguments for the stack, plus its frozen
     arrays (:meth:`Model.frozen_param_items`). A stack that ``build_model``
@@ -641,14 +654,7 @@ def save_model(model: Model, path) -> None:
     and so is one with an adapter."""
     if any(isinstance(layer, SpectralAdapterLayer) for layer in model.layers):
         raise ContractViolationError("checkpoints store the base network; remove the adapter first")
-    convs = [layer for layer in model.layers if isinstance(layer, Conv2d)]
-    head = model.layers[-1]
-    args = {
-        "input_shape": list(model.input_shape),
-        "conv_channels": [conv.w.shape[0] for conv in convs],
-        "kernel": convs[0].kernel if convs else None,
-        "n_classes": head.w.shape[0] if isinstance(head, Linear) else None,
-    }
+    args = model_args(model)
     rebuilt = build_model(0, **args)
 
     def layout(m):
@@ -667,9 +673,9 @@ def load_model(path) -> Model:
     """Read a checkpoint written by :func:`save_model`.
 
     The model is ``build_model``'s, from the stored arguments; each of its
-    frozen arrays must be stored, finite and of the built shape, and each
-    running variance non-negative. A failed check raises
-    ContractViolationError naming the file.
+    frozen arrays must be stored, of the built shape, of a real numeric
+    dtype, finite, and each running variance non-negative. A failed check
+    raises ContractViolationError naming the file.
     """
     if not Path(path).is_file():
         raise FileNotFoundError(f"model checkpoint not found: {path}")
@@ -699,6 +705,8 @@ def load_model(path) -> Model:
         stored = data[name]
         if stored.shape != arr.shape:
             raise invalid(f"{name} has shape {stored.shape}, expected {arr.shape}")
+        if stored.dtype.kind not in "iuf":
+            raise invalid(f"{name} has dtype {stored.dtype}, expected real numbers")
         if not np.all(np.isfinite(stored)):
             raise invalid(f"non-finite entries in {name}")
         if name.endswith(".running_var") and np.any(stored < 0):

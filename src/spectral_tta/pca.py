@@ -158,8 +158,6 @@ def fit_incremental(batches: Iterable[np.ndarray], rank: int) -> PcaBasis:
     if rank < 1:
         raise ContractViolationError(f"rank must be >= 1, got {rank}")
     mean = None
-    s = None
-    vt = None
     n = 0
     p = None
     for batch in batches:
@@ -180,10 +178,8 @@ def fit_incremental(batches: Iterable[np.ndarray], rank: int) -> PcaBasis:
         else:
             total = n + m
             corr = np.sqrt(n * m / total) * (mean - bmean)
-            rows = [batch - bmean, corr[None, :]]
-            if s is not None and len(s) > 0:
-                rows.insert(0, s[:, None] * vt)
-            stack = np.vstack(rows)
+            # with no mode kept yet, the factor block is empty and adds no row
+            stack = np.vstack([s[:, None] * vt, batch - bmean, corr[None, :]])
             mean = (n * mean + m * bmean) / total
         res = linalg.svd(stack)
         keep = min(rank, int(np.sum(res.s > SV_DROP_THRESHOLD)))

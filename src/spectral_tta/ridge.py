@@ -66,16 +66,11 @@ def spectral_ridge(p: RegressionProblem) -> np.ndarray:
     _check_conditioning(res.s, p.gamma, d)
     evals = res.s**2                   # eigenvalues of C, descending
     vt = res.vt                        # rows: eigenvectors of C
-    # OLS in the eigenbasis, then per-mode shrinkage d_i / (d_i + gamma).
-    # A zero mode contributes nothing (shrinkage is 0 there), so the
-    # composed coefficient f_i / d_i = 1 / (d_i + gamma) is used directly
-    # to keep the expression finite for rank-deficient X with gamma > 0.
-    xty = x.T @ y
-    coords = vt @ xty
-    shrunk_ols = np.where(
-        evals[:, None] > 0, coords / (evals[:, None] + p.gamma), 0.0
-    )
-    return vt.T @ shrunk_ols
+    # OLS in the eigenbasis, then per-mode shrinkage d_i / (d_i + gamma),
+    # composed as f_i / d_i = 1 / (d_i + gamma). The SVD leaves out the
+    # zero modes of a rank-deficient X, which contribute nothing.
+    coords = vt @ (x.T @ y)
+    return vt.T @ (coords / (evals[:, None] + p.gamma))
 
 
 def verify_equivalence(trials: int = 50, seed: int = 0, tol: float = 1e-8) -> dict:

@@ -923,6 +923,10 @@ def _corrupt_checkpoint(arrays, case):
         arrays["layer7.b"] = arrays["layer7.b"][:1]
     elif case == "no-conv-channels":
         _respec(arrays, conv_channels=None)
+    elif case == "string-array":  # of the right shape
+        arrays["layer0.w"] = np.full(arrays["layer0.w"].shape, "0.1")
+    elif case == "complex-array":  # would be cast to its real part
+        arrays["layer0.w"] = arrays["layer0.w"] + 1j
     elif case == "version-1":  # the first format's spec: a list of layer kinds
         kinds = ["Conv2d", "BatchNorm2d", "ReLU"] * 2 + ["Flatten", "Linear"]
         layers = [{"kind": k, **({"kernel": 3} if k == "Conv2d" else {})} for k in kinds]
@@ -934,7 +938,7 @@ def _corrupt_checkpoint(arrays, case):
     [
         "missing", "non-finite", "conv-in-channels", "bn-channels", "linear-width",
         "negative-variance", "no-kernel", "no-spec", "not-an-archive", "even-kernel",
-        "one-class", "no-conv-channels", "version-1",
+        "one-class", "no-conv-channels", "version-1", "string-array", "complex-array",
     ],
 )
 def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
@@ -959,6 +963,30 @@ def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
     assert err.count(f"invalid checkpoint {model}") == 3
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "b.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("dataset.n_classes", 3), ("dataset.channels", 3), ("model.conv_channels", [4, 3])],
+)
+def test_cli_checkpoint_that_does_not_match_the_config_exits_2(tmp_path, capsys, key, value):
+    model = tmp_path / "m.npz"
+    # the tiny CLI config's model
+    save_model(build_model(0, input_shape=(2, 4, 4), conv_channels=(3, 3), n_classes=4), model)
+    path = write_tiny_cli_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    section, name = key.split(".")
+    cfg[section][name] = value
+    path.write_text(json.dumps(cfg))
+    args = ["--config", str(path), "--model", str(model), "--basis", str(tmp_path / "b.json")]
+    records = ["--method", "no-adapt", "--out", str(tmp_path / "r.jsonl")]
+    assert cli.main(["adapt"] + args + records) == 2
+    assert cli.main(["bench"] + args + ["--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["fit-pca"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"checkpoint {model} does not match the config: {key} ") == 3
+    assert err.count("in the config") == 3  # only the changed key differs
+    assert not any((tmp_path / name).exists() for name in ("r.jsonl", "out", "b.json"))
 
 
 def test_saved_checkpoint_loads_unchanged(tmp_path):

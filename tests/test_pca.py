@@ -99,6 +99,16 @@ def test_incremental_subspace_alignment_long_stream():
     assert angles.max() < 1e-4
 
 
+def test_incremental_after_a_one_row_first_batch_matches_fit():
+    # one centered row has no mode, so the second stack has no factor block
+    data = np.random.default_rng(6).normal(size=(20, 4))
+    inc = pca.fit_incremental([data[:1], data[1:]], rank=4)
+    batch = pca.fit(data, rank=4)
+    assert np.allclose(inc.singular_values, batch.singular_values, rtol=1e-10)
+    assert np.allclose(np.abs(inc.components), np.abs(batch.components), atol=1e-10)
+    assert np.allclose(inc.mean, batch.mean, atol=1e-12)
+
+
 def test_incremental_zero_stream_raises():
     with pytest.raises(EmptyBasisError):
         pca.fit_incremental([np.zeros((4, 3)), np.zeros((4, 3))], rank=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spectral_tta import linalg
 from spectral_tta.errors import ContractViolationError, RankDeficientError
 from spectral_tta.ridge import (
     RegressionProblem,
@@ -97,6 +98,16 @@ def test_huge_gamma_limit(rng):
     limit = x.T @ y / 1e8
     assert np.allclose(ridge_closed_form(prob), limit, rtol=1e-4)
     assert np.allclose(spectral_ridge(prob), limit, rtol=1e-4)
+
+
+def test_rank_deficient_design_with_positive_gamma_matches_closed_form(rng):
+    # an exact zero column is a zero mode, which the SVD leaves out
+    x = rng.normal(size=(12, 4))
+    x[:, 2] = 0.0
+    y = rng.normal(size=(12, 2))
+    prob = RegressionProblem(x=x, y=y, gamma=0.5)
+    assert len(linalg.svd(x).s) == 3
+    assert np.allclose(spectral_ridge(prob), ridge_closed_form(prob), atol=1e-12)
 
 
 def test_singular_design_gamma_zero_raises(rng):
