@@ -10,7 +10,7 @@ Run with:  python3 demos/02_incremental_pca.py
 import numpy as np
 
 from spectral_tta import pca
-from spectral_tta.linalg import mean_center, svd
+from spectral_tta.linalg import svd
 
 rng = np.random.default_rng(1)
 
@@ -32,7 +32,7 @@ print("max relative gap:",
 
 # --- reconstruction error vs rank ------------------------------------------
 print("\nreconstruction error by rank (PCA vs best of 50 random subspaces):")
-centered, _ = mean_center(data)
+centered = data - data.mean(axis=0)
 for rank in [1, 2, 3, 4, 5]:
     b = pca.fit(data, rank=rank)
     rec = pca.inverse_transform(b, pca.transform(b, data))

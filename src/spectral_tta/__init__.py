@@ -8,12 +8,11 @@ from .errors import (
     NumericalFailureError,
     RankDeficientError,
 )
-from .linalg import SvdResult, mean_center, svd
+from .linalg import SvdResult, svd
 from .pca import (
     PcaBasis,
     fit,
     fit_incremental,
-    flatten_features,
     inverse_transform,
     transform,
 )
@@ -39,13 +38,12 @@ from .adapt import (
     AdamState,
     RunRecord,
     adam_step,
-    adapt_episodic,
-    adapt_online,
     baseline_bn_stats,
     baseline_no_adapt,
     baseline_bn_modulators,
     entropy,
     entropy_grad,
+    run_adaptation,
 )
 from .ridge import (
     RegressionProblem,

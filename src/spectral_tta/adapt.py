@@ -8,7 +8,7 @@ recomputation, and entropy-trained batch-norm modulators.
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -202,16 +202,6 @@ def run_adaptation(model: Model, test_batches, cfg: AdaptConfig, method: str = "
     if episodic:
         model.set_adapt_params(params0)
     return record
-
-
-def adapt_episodic(model: Model, test_batches, cfg: AdaptConfig, method: str = "adapt") -> RunRecord:
-    """:func:`run_adaptation` with the episodic protocol."""
-    return run_adaptation(model, test_batches, replace(cfg, protocol="episodic"), method)
-
-
-def adapt_online(model: Model, test_batches, cfg: AdaptConfig, method: str = "adapt") -> RunRecord:
-    """:func:`run_adaptation` with the online protocol."""
-    return run_adaptation(model, test_batches, replace(cfg, protocol="online"), method)
 
 
 # ---- baselines ----------------------------------------------------------

@@ -28,8 +28,9 @@ def _read_config(path: str | None) -> dict:
                 override = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, not JSON, or nested deeper than the parser recurses
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(override, dict):
             top = "null" if override is None else type(override).__name__
             raise ConfigError(f"config file {path} must hold a JSON object, got {top}")

@@ -51,13 +51,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def mean_center(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the column means; returns (centered, mean)."""
-    a = as_matrix(a)
-    mean = a.mean(axis=0)
-    return a - mean, mean
-
-
 def _jacobi_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonalize the rows of ``x`` (m x n, m <= n) by Jacobi rotations.
 

@@ -20,7 +20,6 @@ at the lowest layer it visits.
 import copy
 import hashlib
 import json
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -578,7 +577,7 @@ def fit_pca_from_source(model: Model, source_batches, j: int, rank: int) -> PcaB
                 raise ContractViolationError(
                     f"layer {j} output is not a 4-D feature map"
                 )
-            yield pca_mod.flatten_features(out)
+            yield out.reshape(len(out), -1)
 
     try:
         return pca_mod.fit_incremental(feature_stream(), rank)
@@ -688,8 +687,11 @@ def load_model(path) -> Model:
             data = dict(npz)
         spec = json.loads(bytes(data["spec"]).decode())
         version = spec.get("version")
-    except (ValueError, KeyError, AttributeError, zipfile.BadZipFile) as exc:
-        # not an npz archive, or one without a readable spec
+    except MemoryError:
+        raise
+    except Exception as exc:
+        # not an npz archive, one the zip, npy or compression layer cannot
+        # read, or one without a readable spec
         raise invalid(f"not a model checkpoint ({exc!r})") from exc
     if version != MODEL_FORMAT_VERSION:
         raise invalid(f"unsupported version {version!r}, expected {MODEL_FORMAT_VERSION}")

@@ -75,8 +75,9 @@ class PcaBasis:
             with open(path) as fh:
                 payload = json.load(fh)
             version = payload.get("version")
-        except (ValueError, AttributeError) as exc:
-            # not JSON, or JSON whose top level is not an object
+        except (ValueError, AttributeError, RecursionError) as exc:
+            # not JSON, JSON nested deeper than the parser recurses, or JSON
+            # whose top level is not an object
             raise invalid(f"not a basis file ({exc!r})") from exc
         if version != BASIS_FORMAT_VERSION:
             raise invalid(f"unsupported version {version!r}, expected {BASIS_FORMAT_VERSION}")
@@ -120,17 +121,6 @@ class PcaBasis:
         return cls(
             mean=mean, components=comp.reshape(rank, p), singular_values=sv, n_fitted=n_fitted
         )
-
-
-def flatten_features(features: np.ndarray) -> np.ndarray:
-    """(n, c, h, w) -> (n, c*h*w), channel-major per sample."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 4:
-        raise ContractViolationError(
-            f"expected 4-D features, got ndim={features.ndim}"
-        )
-    n = features.shape[0]
-    return features.reshape(n, -1)
 
 
 def fit(features: np.ndarray, rank: int) -> PcaBasis:

@@ -9,13 +9,12 @@ from spectral_tta.adapt import (
     AdamState,
     AdaptConfig,
     adam_step,
-    adapt_episodic,
-    adapt_online,
     baseline_bn_stats,
     baseline_no_adapt,
     baseline_bn_modulators,
     entropy,
     entropy_grad,
+    run_adaptation,
 )
 from spectral_tta.errors import ContractViolationError
 from spectral_tta.filters import RELU_RIDGE, SpectralFilter
@@ -182,7 +181,7 @@ def test_episodic_duplicate_batches_identical(rng):
     x = rng.normal(size=(8,) + IN_SHAPE)
     y = rng.integers(0, 3, 8)
     cfg = AdaptConfig(learning_rate=0.2, steps_per_batch=3, batch_size=8)
-    rec = adapt_episodic(model, [(x, y)] * 4, cfg)
+    rec = run_adaptation(model, [(x, y)] * 4, cfg)
     errs = rec.errors()
     assert len(set(errs)) == 1
     hashes = {b["params_hash"] for b in rec.batches}
@@ -193,10 +192,10 @@ def test_lr_zero_equals_no_adapt(rng):
     model, _ = small_adapted_model(rng, seed=1)
     batches = make_batches(rng)
     cfg = AdaptConfig(learning_rate=0.0, steps_per_batch=2, batch_size=8)
-    rec = adapt_episodic(model, batches, cfg)
+    rec = run_adaptation(model, batches, cfg)
     base = baseline_no_adapt(model, batches)
     assert rec.errors() == base.errors()
-    rec_online = adapt_online(model, batches, cfg)
+    rec_online = run_adaptation(model, batches, dataclasses.replace(cfg, protocol="online"))
     assert rec_online.errors() == base.errors()
 
 
@@ -204,34 +203,29 @@ def test_online_single_batch_equals_episodic(rng):
     model, _ = small_adapted_model(rng, seed=2)
     batches = make_batches(rng, n_batches=1)
     cfg = AdaptConfig(learning_rate=0.3, steps_per_batch=4, batch_size=8)
-    e = adapt_episodic(model.clone(), batches, cfg)
-    o = adapt_online(model.clone(), batches, cfg)
+    e = run_adaptation(model.clone(), batches, cfg)
+    o = run_adaptation(model.clone(), batches, dataclasses.replace(cfg, protocol="online"))
     assert e.errors() == o.errors()
     assert e.batches[0]["entropy_after"] == o.batches[0]["entropy_after"]
 
 
-@pytest.mark.parametrize(
-    "caller, protocol, other",
-    [(adapt_online, "online", "episodic"), (adapt_episodic, "episodic", "online")],
-)
-def test_protocol_callers_override_the_configured_protocol(caller, protocol, other, rng):
+@pytest.mark.parametrize("protocol, other", [("online", "episodic"), ("episodic", "online")])
+def test_run_adaptation_follows_the_configured_protocol(protocol, other, rng):
     model, _ = small_adapted_model(rng, seed=2)
     batches = make_batches(rng, n_batches=3)
-    cfg = AdaptConfig(protocol=other, learning_rate=0.3, steps_per_batch=2, batch_size=8)
-    got = caller(model.clone(), batches, cfg)
-    wanted = dataclasses.replace(cfg, protocol=protocol)
-    expected = adapt.run_adaptation(model.clone(), batches, wanted)
-    assert got.protocol == expected.protocol == protocol
-    assert got.batches == expected.batches
-    # the two protocols differ on this stream, so the override is seen
-    assert got.batches != adapt.run_adaptation(model.clone(), batches, cfg).batches
+    cfg = AdaptConfig(protocol=protocol, learning_rate=0.3, steps_per_batch=2, batch_size=8)
+    got = run_adaptation(model.clone(), batches, cfg)
+    assert got.protocol == protocol
+    # the two protocols differ on this stream, so the configured one is seen
+    other_cfg = dataclasses.replace(cfg, protocol=other)
+    assert got.batches != run_adaptation(model.clone(), batches, other_cfg).batches
 
 
 def test_online_two_batch_hand_trace(rng):
     model, _ = small_adapted_model(rng, seed=3)
     batches = make_batches(rng, n_batches=2)
-    cfg = AdaptConfig(learning_rate=0.3, steps_per_batch=1, batch_size=8)
-    rec = adapt_online(model.clone(), batches, cfg)
+    cfg = AdaptConfig(protocol="online", learning_rate=0.3, steps_per_batch=1, batch_size=8)
+    rec = run_adaptation(model.clone(), batches, cfg)
 
     # hand-stepped trace of the same protocol
     work = model.clone()
@@ -248,7 +242,7 @@ def test_online_two_batch_hand_trace(rng):
         assert got["error"] == e
     # batch 2 really saw the parameters updated on batch 1
     assert rec.batches[0]["params_hash"] != ""
-    ep = adapt_episodic(model.clone(), batches, cfg)
+    ep = run_adaptation(model.clone(), batches, dataclasses.replace(cfg, protocol="episodic"))
     assert ep.batches[1]["entropy_after"] != rec.batches[1]["entropy_after"]
 
 
@@ -256,15 +250,15 @@ def test_episodic_permutation_invariance(rng):
     model, _ = small_adapted_model(rng, seed=4)
     batches = make_batches(rng, n_batches=4)
     cfg = AdaptConfig(learning_rate=0.2, steps_per_batch=2, batch_size=8)
-    a = adapt_episodic(model.clone(), batches, cfg)
-    b = adapt_episodic(model.clone(), batches[::-1], cfg)
+    a = run_adaptation(model.clone(), batches, cfg)
+    b = run_adaptation(model.clone(), batches[::-1], cfg)
     assert sorted(a.errors()) == sorted(b.errors())
 
 
 def test_empty_stream_rejected(rng):
     model, _ = small_adapted_model(rng, seed=5)
     with pytest.raises(ContractViolationError):
-        adapt_episodic(model, [], AdaptConfig())
+        run_adaptation(model, [], AdaptConfig())
     with pytest.raises(ContractViolationError):
         baseline_no_adapt(model, [])
 
@@ -273,7 +267,7 @@ def test_gradient_descent_step_does_not_increase_entropy(rng):
     model, _ = small_adapted_model(rng, seed=6)
     batches = make_batches(rng, n_batches=3)
     cfg = AdaptConfig(learning_rate=1e-4, steps_per_batch=1, batch_size=8)
-    rec = adapt_episodic(model, batches, cfg)
+    rec = run_adaptation(model, batches, cfg)
     for b in rec.batches:
         assert b["entropy_after"] <= b["entropy_before"] + 1e-9
 

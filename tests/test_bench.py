@@ -492,6 +492,21 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000, b"{oops"],
+    ids=["not-utf-8", "deep-nesting", "not-json"],
+)
+def test_cli_unreadable_config_exits_2_naming_the_file(data, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "gen_dataset", lambda spec: pytest.fail("work started"))
+    path, model = tmp_path / "config.json", tmp_path / "m.npz"
+    path.write_bytes(data)
+    assert cli.main(["train", "--config", str(path), "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {path} is not valid JSON: ")
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "3", '"seed"', "null"], ids=["list", "number", "string", "null"])
 def test_cli_config_whose_top_level_is_not_an_object_exits_2_naming_the_file(
     text, tmp_path, capsys, monkeypatch
@@ -830,6 +845,8 @@ def _corrupt_basis(payload, case):
         return json.dumps(payload)[:-1]
     if case == "top-level-list":
         return json.dumps([payload])
+    if case == "deep-nesting":
+        return "[" * 100000 + "]" * 100000
     if case == "no-p":
         del payload["p"]
     elif case == "no-n-fitted":
@@ -864,7 +881,7 @@ def _corrupt_basis(payload, case):
     [
         "components", "mean", "singular-values", "non-finite", "increasing", "non-positive",
         "rank-type", "non-orthonormal", "not-json", "top-level-list", "no-p", "no-n-fitted",
-        "version-2", "string-mean", *_BAD_N_FITTED,
+        "version-2", "string-mean", "deep-nesting", *_BAD_N_FITTED,
     ],
 )
 def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
@@ -939,6 +956,7 @@ def _corrupt_checkpoint(arrays, case):
         "missing", "non-finite", "conv-in-channels", "bn-channels", "linear-width",
         "negative-variance", "no-kernel", "no-spec", "not-an-archive", "even-kernel",
         "one-class", "no-conv-channels", "version-1", "string-array", "complex-array",
+        "compression-99", "compression-12",
     ],
 )
 def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
@@ -951,6 +969,12 @@ def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
         np.savez(fh, **arrays)
     if case == "not-an-archive":
         model.write_bytes(model.read_bytes()[:100])  # a truncated download
+    elif case.startswith("compression-"):
+        # the compression method of the first central-directory entry: one
+        # the zip layer does not know (99), or bzip2 over stored bytes (12)
+        raw = bytearray(model.read_bytes())
+        raw[raw.index(b"PK\x01\x02") + 10] = int(case.split("-")[1])
+        model.write_bytes(bytes(raw))
     with pytest.raises(ContractViolationError, match="invalid checkpoint"):
         load_model(model)
     cfg = write_tiny_cli_config(tmp_path)

@@ -110,31 +110,6 @@ def test_svd_nonconvergence_error_carries_residual(monkeypatch):
     assert exc.value.residual is not None and exc.value.residual > 0
 
 
-def test_mean_center_hand_example():
-    centered, mean = linalg.mean_center(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(mean, [2.0, 3.0])
-    assert np.array_equal(centered, [[-1.0, -1.0], [1.0, 1.0]])
-    assert np.array_equal(centered + mean, [[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_mean_center_zero_and_single_row():
-    centered, mean = linalg.mean_center(np.zeros((3, 2)))
-    assert np.array_equal(mean, np.zeros(2))
-    assert np.array_equal(centered, np.zeros((3, 2)))
-    centered, mean = linalg.mean_center(np.array([[5.0, -2.0, 0.5]]))
-    assert np.array_equal(centered, np.zeros((1, 3)))
-
-
-def test_mean_center_idempotent():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(20, 6)) * 10
-    once, _ = linalg.mean_center(a)
-    twice, mean2 = linalg.mean_center(once)
-    assert np.abs(once.mean(axis=0)).max() <= 1e-12
-    assert np.abs(twice - once).max() <= 1e-12
-    assert np.abs(mean2).max() <= 1e-12
-
-
 def _reference_jacobi_rows(x):
     """The textbook per-pair Jacobi loop that ``linalg._jacobi_rows`` must
     reproduce bit for bit: every pair recomputes its three dot products,

@@ -4,24 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spectral_tta import linalg, pca
+from spectral_tta import pca
 from spectral_tta.errors import ContractViolationError, EmptyBasisError
-
-
-def test_flatten_trivial():
-    x = np.full((1, 1, 1, 1), 7.0)
-    assert np.array_equal(pca.flatten_features(x), [[7.0]])
-    x = np.arange(4.0).reshape(2, 1, 1, 2)
-    flat = pca.flatten_features(x)
-    assert flat.shape == (2, 2)
-    assert np.array_equal(flat, [[0.0, 1.0], [2.0, 3.0]])
-
-
-def test_flatten_round_trip():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(2, 3, 2, 2))
-    flat = pca.flatten_features(x)
-    assert np.array_equal(flat.reshape(x.shape), x)
 
 
 def test_fit_rank1_line():
@@ -182,7 +166,7 @@ def test_shape_mismatches_raise():
 def test_eckart_young_beats_random_bases():
     rng = np.random.default_rng(11)
     data = rng.normal(size=(16, 8)) @ np.diag([8, 5, 4, 3, 2, 1.5, 1.0, 0.5])
-    centered, _ = linalg.mean_center(data)
+    centered = data - data.mean(axis=0)
     for rank in range(1, 9):
         basis = pca.fit(data, rank=rank)
         rec = pca.inverse_transform(basis, pca.transform(basis, data))
