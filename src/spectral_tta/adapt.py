@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, NumericalFailureError
-from .network import ADAPT_BN, BN_BATCH, BatchNorm2d, Model
+from .errors import ConfigError, ContractViolationError, NumericalFailureError, shown
+from .network import BN_BATCH, BatchNorm2d, Model
 
 RECORD_FORMAT_VERSION = 1
 
@@ -43,8 +43,8 @@ class AdaptConfig:
         ]
         for key, rule, ok in checks:
             if not ok:
-                value = getattr(self, key)
-                raise ConfigError(f"adapt.{key} {rule}, got {value!r}", [f"adapt.{key}:{value!r}"])
+                value = shown(getattr(self, key))
+                raise ConfigError(f"adapt.{key} {rule}, got {value}", [f"adapt.{key}:{value}"])
 
 
 @dataclass
@@ -233,8 +233,6 @@ def baseline_bn_modulators(model: Model, test_batches, cfg: AdaptConfig) -> RunR
     """Entropy-train the batch-norm scale/shift with batch statistics."""
     work = model.clone()
     work.set_bn_mode(BN_BATCH)
-    work.adapt_target = ADAPT_BN
-    if not any(isinstance(l, BatchNorm2d) for l in work.layers):
-        raise ContractViolationError("model has no batch-norm layers to modulate")
+    work.adapt_target = BatchNorm2d
     return run_adaptation(work, test_batches, cfg, method="bn-modulators")
 

@@ -23,7 +23,7 @@ from .adapt import (
     baseline_bn_modulators,
     run_adaptation,
 )
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError, ContractViolationError, shown
 from .filters import NEG_EXP, RELU_RIDGE, SpectralFilter
 from .network import (
     Model,
@@ -116,8 +116,8 @@ class DatasetSpec:
         ]
         for key, rule, ok in checks:
             if not ok:
-                value = getattr(self, key)
-                raise ConfigError(f"dataset.{key} {rule}, got {value!r}", [f"dataset.{key}:{value!r}"])
+                value = shown(getattr(self, key))
+                raise ConfigError(f"dataset.{key} {rule}, got {value}", [f"dataset.{key}:{value}"])
 
 
 # orientation/frequency pairs for the pattern generator; more classes than
@@ -273,7 +273,7 @@ def _merge_config(defaults: dict, override: dict, prefix: str = "", bad: list | 
     merged = copy.deepcopy(defaults)
     for key, value in override.items():
         if key not in defaults:
-            bad.append(prefix + key)
+            bad.append(prefix + shown(str(key))[1:-1])  # the key as given, without the quotes
             continue
         if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
@@ -284,8 +284,8 @@ def _merge_config(defaults: dict, override: dict, prefix: str = "", bad: list | 
         else:
             raise ConfigError(
                 f"config key {prefix + key!r} must have the type of its default "
-                f"{defaults[key]!r}, got {value!r}",
-                [f"{prefix + key}:{value!r}"],
+                f"{defaults[key]!r}, got {shown(value)}",
+                [f"{prefix + key}:{shown(value)}"],
             )
     if top and bad:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(bad))}", sorted(bad))
@@ -304,14 +304,14 @@ def load_config(override: dict | None = None) -> dict:
         section, _, name = key.rpartition(".")
         v = cfg[section][name] if section else cfg[name]
         if not ok(v):
-            bad.append(f"{key}:{v!r}")
+            bad.append(f"{key}:{shown(v)}")
     bad_args = bad_model_args(**_model_args(cfg))
-    bad += [f"{key}:{v!r}" for key, v in _config_values(bad_args).items()]
+    bad += [f"{key}:{shown(v)}" for key, v in _config_values(bad_args).items()]
     insert = cfg["model"]["insert_index"]
     if "conv_channels" not in bad_args and not 1 <= insert <= 3 * len(cfg["model"]["conv_channels"]):
         # the adapter takes the output of layer insert_index - 1, which
         # must be one of the conv-bn-relu blocks' 4-D maps
-        bad.append(f"model.insert_index:{insert!r}")
+        bad.append(f"model.insert_index:{shown(insert)}")
     if bad:
         raise ConfigError(f"invalid config values: {', '.join(bad)}", bad)
     # a fit keeps at most one mode per sample and per entry of the adapter's
@@ -321,7 +321,8 @@ def load_config(override: dict | None = None) -> dict:
     largest = min(cfg["pca"]["fit_samples"], d["n_train"], width)
     if rank > largest:
         raise ConfigError(
-            f"pca.rank {rank} is more than the fit can give: at most {largest}", [f"pca.rank:{rank!r}"]
+            f"pca.rank {shown(rank)} is more than the fit can give: at most {largest}",
+            [f"pca.rank:{shown(rank)}"],
         )
     _adapt_config(cfg)  # AdaptConfig checks the adapt values, naming each key
     return cfg
@@ -452,9 +453,9 @@ def _evaluate_cell(model, basis, cfg, method, batches) -> RunRecord:
     if method in _FILTER_KIND:
         if basis is None:
             raise ContractViolationError(f"method {method!r} needs a fitted basis")
-        work = _spectral_model(model.clone(), cfg, basis, method)
+        work = _spectral_model(model, cfg, basis, method)
         return run_adaptation(work, batches, acfg, method=method)
-    raise ConfigError(f"unknown method {method!r}", [f"methods:{method}"])
+    raise ConfigError(f"unknown method {shown(method)}", [f"methods:{shown(method)}"])
 
 
 def _cell_seed(base_seed: int, corruption: str, severity: int) -> int:
@@ -523,11 +524,12 @@ def load_checkpoint(cfg: dict, path) -> Model:
     diff = [key for key in wanted if stored[key] != wanted[key]]
     if diff:
         found = "; ".join(
-            f"{k} {stored[k]!r} in the checkpoint, {wanted[k]!r} in the config" for k in diff
+            f"{k} {shown(stored[k])} in the checkpoint, {shown(wanted[k])} in the config"
+            for k in diff
         )
         raise ConfigError(
             f"checkpoint {path} does not match the config: {found}",
-            [f"{k}:{wanted[k]!r}" for k in diff],
+            [f"{k}:{shown(wanted[k])}" for k in diff],
         )
     return model
 

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+import reprlib
+
+# how an error message shows a refused value: a string past 60 characters, a
+# list past 6 entries or a nest past 6 levels is cut short with "..."
+_SHOWN = reprlib.Repr()
+_SHOWN.maxstring = _SHOWN.maxother = 60
+
+
+def shown(value) -> str:
+    """``repr(value)``, cut short if long; a short value reads exactly as
+    ``repr`` gives it."""
+    return _SHOWN.repr(value)
+
 
 class ContractViolationError(ValueError):
     """An argument violates a documented precondition (shape, range, mode): exit 2."""

@@ -225,11 +225,11 @@ class SpectralAdapterLayer:
     part of the run applied to each basis row gives ``out_components``
     (L x q) and the run applied to the mean gives ``out_offset``, so the
     layer outputs the run's output directly. ``in_shape`` is the per-sample
-    input map shape, needed only to fold. With nothing absorbed the
-    reconstruction is (V, mean) and the output has the input's shape.
+    input map shape. With nothing absorbed the reconstruction is views of
+    (V, mean) and the output has the input's shape.
     """
 
-    def __init__(self, basis: PcaBasis, filt: SpectralFilter, absorbed=(), in_shape=None):
+    def __init__(self, basis: PcaBasis, filt: SpectralFilter, absorbed, in_shape):
         if basis.rank != len(filt):
             raise ContractViolationError(
                 f"basis rank {basis.rank} != filter length {len(filt)}"
@@ -237,18 +237,14 @@ class SpectralAdapterLayer:
         self.basis = basis
         self.filt = filt
         self.absorbed = list(absorbed)
-        self.out_components = basis.components
-        self.out_offset = basis.mean
-        self.out_shape = None
-        if self.absorbed:
-            rows = basis.components.reshape((basis.rank,) + tuple(in_shape))
-            offset = basis.mean.reshape((1,) + tuple(in_shape))
-            for layer in self.absorbed:
-                rows = layer.linear(rows)
-                offset, _ = layer.forward(offset)
-            self.out_shape = rows.shape[1:]
-            self.out_components = rows.reshape(basis.rank, -1)
-            self.out_offset = offset.reshape(-1)
+        rows = basis.components.reshape((basis.rank,) + tuple(in_shape))
+        offset = basis.mean.reshape((1,) + tuple(in_shape))
+        for layer in self.absorbed:
+            rows = layer.linear(rows)
+            offset, _ = layer.forward(offset)
+        self.out_shape = rows.shape[1:]
+        self.out_components = rows.reshape(basis.rank, -1)
+        self.out_offset = offset.reshape(-1)
 
     def params(self):
         return {"gamma": self.filt.gamma}
@@ -266,8 +262,7 @@ class SpectralAdapterLayer:
         out, fcache = apply_filter(
             self.basis, self.filt, None, self.out_components, self.out_offset, scores=scores
         )
-        shape = in_shape if self.out_shape is None else (in_shape[0],) + self.out_shape
-        return out.reshape(shape), (in_shape, fcache)
+        return out.reshape((in_shape[0],) + self.out_shape), (in_shape, fcache)
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         shape, fcache = cache
@@ -281,17 +276,12 @@ class SpectralAdapterLayer:
 # right after the adapter folds into its reconstruction
 _FOLDABLE = (Conv2d, Flatten, Linear)
 
-# adaptation targets, and the layer class whose params() each one adapts
-ADAPT_NONE = None
-ADAPT_FILTER = "filter"
-ADAPT_BN = "bn-modulators"
-_ADAPT_LAYER = {ADAPT_FILTER: SpectralAdapterLayer, ADAPT_BN: BatchNorm2d}
-
 
 class Model:
-    """An ordered layer stack with a designated adaptation parameter set."""
+    """An ordered layer stack; ``adapt_target`` is the layer class whose
+    ``params()`` are adapted (SpectralAdapterLayer or BatchNorm2d), or None."""
 
-    def __init__(self, layers, input_shape, adapt_target=ADAPT_NONE):
+    def __init__(self, layers, input_shape, adapt_target=None):
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)  # (c, h, w)
         self.adapt_target = adapt_target
@@ -380,11 +370,11 @@ class Model:
 
     # ---- adaptation parameters -----------------------------------------
     # The adaptation parameters are the arrays that ``params()`` returns on
-    # each layer of the target's class, in stack order.
+    # each layer of class ``adapt_target``, in stack order.
 
     def _adapt_indices(self) -> list:
         """Stack indices of the adaptation layers, lowest first."""
-        kind = _ADAPT_LAYER.get(self.adapt_target, ())
+        kind = self.adapt_target or ()
         idx = [i for i, layer in enumerate(self.layers) if isinstance(layer, kind)]
         if not idx:
             raise ContractViolationError("model has no adaptation parameter set")
@@ -522,7 +512,7 @@ def _unfold(layers):
 def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) -> Model:
     """Insert the spectral adapter at position j of the layer stack.
 
-    The adapter consumes the output of layer j - 1 (or the raw input for
+    The adapter consumes the output of layer j - 1 (the raw input for
     j == 0), which must be a 4-D map whose flattened width equals the
     basis dimension. The frozen Conv2d, Flatten and Linear layers from j
     up to the first other layer are folded into the adapter's
@@ -533,11 +523,7 @@ def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) 
     """
     if not 0 <= j <= len(model.layers):
         raise ContractViolationError(f"insertion index {j} out of range")
-    if j == 0:
-        in_shape = model.input_shape
-    else:
-        shapes = model.layer_output_shapes()
-        in_shape = shapes[j - 1]
+    in_shape = ([model.input_shape] + model.layer_output_shapes())[j]
     if len(in_shape) != 3:
         raise ContractViolationError(
             f"layer at position {j} receives shape {in_shape}, need a 4-D map"
@@ -552,7 +538,7 @@ def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) 
         end += 1
     adapter = SpectralAdapterLayer(basis, filt, model.layers[j:end], in_shape)
     layers = model.layers[:j] + [adapter] + model.layers[end:]
-    return Model(layers, model.input_shape, adapt_target=ADAPT_FILTER)
+    return Model(layers, model.input_shape, adapt_target=SpectralAdapterLayer)
 
 
 def remove_adapter(model: Model) -> Model:
@@ -560,7 +546,7 @@ def remove_adapter(model: Model) -> Model:
     if not any(isinstance(l, SpectralAdapterLayer) for l in model.layers):
         raise ContractViolationError("model has no adapter layer")
     layers = [l for l in _unfold(model.layers) if not isinstance(l, SpectralAdapterLayer)]
-    return Model(layers, model.input_shape, adapt_target=ADAPT_NONE)
+    return Model(layers, model.input_shape)
 
 
 def fit_pca_from_source(model: Model, source_batches, j: int, rank: int) -> PcaBasis:

@@ -129,9 +129,6 @@ def fit(features: np.ndarray, rank: int) -> PcaBasis:
     Components with singular value at or below the drop threshold are
     discarded, so the effective rank can be lower than requested.
     """
-    features = linalg.as_matrix(features, "features")
-    if len(features) < 2:
-        raise ContractViolationError(f"need at least 2 samples to fit, got {len(features)}")
     return fit_incremental([features], rank)
 
 

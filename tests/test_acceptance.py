@@ -299,7 +299,7 @@ def test_criterion_9_parameter_accounting(rng):
     b = basis_at(model, 2, rng, rank=rank)
     adapted = insert_adapter(model, 3, b, SpectralFilter(RELU_RIDGE, b.singular_values))
     modulated = model.clone()
-    modulated.adapt_target = "bn-modulators"
+    modulated.adapt_target = BatchNorm2d
     bn_channels = sum(l.channels for l in modulated.layers if isinstance(l, BatchNorm2d))
     report(
         "criterion 9: parameter accounting",

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_tta import adapt, bench, network
+from spectral_tta import adapt, bench
 from spectral_tta.adapt import (
     AdamState,
     AdaptConfig,
@@ -21,7 +21,6 @@ from spectral_tta.filters import RELU_RIDGE, SpectralFilter
 from spectral_tta.network import (
     BN_BATCH,
     BatchNorm2d,
-    SpectralAdapterLayer,
     build_model,
     insert_adapter,
 )
@@ -330,7 +329,7 @@ def test_bn_modulators_gradient_check_and_theta_freeze(rng):
     before = model.weight_hash()
     work = model.clone()
     work.set_bn_mode(BN_BATCH)
-    work.adapt_target = "bn-modulators"
+    work.adapt_target = BatchNorm2d
     x = rng.normal(size=(8,) + IN_SHAPE)
     logits, caches = work.forward(x)
     analytic = work.backward_adapt(caches, entropy_grad(logits))
@@ -357,7 +356,7 @@ def test_parameter_count_accounting(rng):
     model, basis = small_adapted_model(rng, seed=12)
     assert model.adapt_param_count() == basis.rank
     modulated = model.clone()
-    modulated.adapt_target = "bn-modulators"
+    modulated.adapt_target = BatchNorm2d
     bn_channels = sum(
         l.channels for l in modulated.layers if isinstance(l, BatchNorm2d)
     )
@@ -391,8 +390,7 @@ def reference_protocol(model, batches, cfg, method, episodic):
     """The protocol without prefix reuse, the reference for
     adapt.run_adaptation: every forward runs the whole stack and every
     backward runs down to layer 0."""
-    adapt_kind = {network.ADAPT_FILTER: SpectralAdapterLayer, network.ADAPT_BN: BatchNorm2d}
-    kind = adapt_kind[model.adapt_target]
+    kind = model.adapt_target
 
     def full_backward(caches, gloss):
         chunks = {}
@@ -437,7 +435,7 @@ def tiny_work_model(method, cfg, model, basis):
     if method == "bn-modulators":
         work = model.clone()
         work.set_bn_mode(BN_BATCH)
-        work.adapt_target = network.ADAPT_BN
+        work.adapt_target = BatchNorm2d
         return work
     return bench._spectral_model(model.clone(), cfg, basis, method)
 

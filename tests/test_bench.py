@@ -21,7 +21,7 @@ from spectral_tta.bench import (
     run_benchmark,
 )
 from spectral_tta.errors import ConfigError, ContractViolationError
-from spectral_tta.network import build_model, load_model, save_model
+from spectral_tta.network import BatchNorm2d, build_model, load_model, save_model
 from spectral_tta.pca import PcaBasis
 
 SMALL = DatasetSpec(n_train=60, n_test=40, channels=2, height=4, width=4, seed=3)
@@ -339,9 +339,15 @@ def test_spectral_method_requires_basis(tiny_config, tiny_model):
 
 def test_benchmark_leaves_model_untouched(tiny_config, tiny_model, tiny_basis):
     before = tiny_model.weight_hash()
+    layers = list(tiny_model.layers)
+    modes = [l.mode for l in layers if isinstance(l, BatchNorm2d)]
     cfg = one_cell_config(tiny_config)
     run_benchmark(cfg, tiny_model, tiny_basis)
     assert tiny_model.weight_hash() == before
+    # the spectral methods adapt a new model around the same layer objects
+    assert len(tiny_model.layers) == len(layers)
+    assert all(now is then for now, then in zip(tiny_model.layers, layers))
+    assert [l.mode for l in layers if isinstance(l, BatchNorm2d)] == modes
 
 
 # ---- ablations ----------------------------------------------------------------
@@ -518,6 +524,43 @@ def test_cli_config_whose_top_level_is_not_an_object_exits_2_naming_the_file(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(path) in err and "JSON object" in err
     assert not model.exists()
+
+
+_DEEP = "[" * 900 + "0" + "]" * 900
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"seed": %s}' % _DEEP, "seed"),
+        (json.dumps({"methods": ["no-adapt"] * 5 + ["magic"] * 2000}), "methods"),
+        (json.dumps({"dataset": {"generator": "g" * 5000}}), "dataset.generator"),
+        (json.dumps({"adapt": {"protocol": "p" * 5000}}), "adapt.protocol"),
+        (json.dumps({"colour" + "x" * 4994: 1}), "colour"),
+    ],
+    ids=["deep-seed", "long-methods", "long-generator", "long-protocol", "long-unknown-key"],
+)
+def test_cli_large_refused_value_exits_2_with_one_short_line_naming_the_key(
+    text, key, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(bench, "gen_dataset", lambda spec: pytest.fail("work started"))
+    path, model = tmp_path / "config.json", tmp_path / "m.npz"
+    path.write_text(text)
+    assert cli.main(["train", "--config", str(path), "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert err.count("\n") == 1 and len(err) < 300
+    assert not model.exists()
+
+
+def test_unknown_method_is_refused_as_a_key_and_its_value(tiny_config, tiny_model):
+    with pytest.raises(ConfigError) as info:
+        bench.run_cell(tiny_config, tiny_model, None, "magic")
+    assert info.value.keys == ["methods:'magic'"]
+    with pytest.raises(ConfigError) as info:
+        bench.run_cell(tiny_config, tiny_model, None, "m" * 5000)
+    [key] = info.value.keys
+    assert key.startswith("methods:'mmm") and len(key) < 100 and len(str(info.value)) < 100
 
 
 def test_cli_missing_model_file_exits_2(tmp_path, capsys):

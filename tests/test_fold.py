@@ -11,7 +11,6 @@ from spectral_tta import pca
 from spectral_tta.adapt import entropy_grad
 from spectral_tta.filters import NEG_EXP, RELU_RIDGE, SpectralFilter
 from spectral_tta.network import (
-    ADAPT_FILTER,
     Conv2d,
     Flatten,
     Linear,
@@ -28,8 +27,10 @@ RTOL = 1e-10
 
 
 def unfolded(model, j, basis, filt):
-    layers = model.layers[:j] + [SpectralAdapterLayer(basis, filt)] + model.layers[j:]
-    return Model(layers, model.input_shape, adapt_target=ADAPT_FILTER)
+    in_shape = ([model.input_shape] + model.layer_output_shapes())[j]
+    adapter = SpectralAdapterLayer(basis, filt, (), in_shape)
+    layers = model.layers[:j] + [adapter] + model.layers[j:]
+    return Model(layers, model.input_shape, adapt_target=SpectralAdapterLayer)
 
 
 def adapter_of(model):
@@ -128,8 +129,11 @@ def test_nothing_absorbed_before_a_relu_or_batch_norm_is_bitwise(rng):
         folded, ref = both(model, j, basis, RELU_RIDGE, rng.uniform(0.1, 2.0, basis.rank))
         adapter = adapter_of(folded)
         assert adapter.absorbed == []
-        assert adapter.out_components is basis.components
-        assert adapter.out_offset is basis.mean
+        # the reconstruction is views of (V, mean)
+        assert np.shares_memory(adapter.out_components, basis.components)
+        assert np.array_equal(adapter.out_components, basis.components)
+        assert np.shares_memory(adapter.out_offset, basis.mean)
+        assert np.array_equal(adapter.out_offset, basis.mean)
         logits, caches = folded.forward(x)
         ref_logits, ref_caches = ref.forward(x)
         assert np.array_equal(logits, ref_logits)

@@ -481,7 +481,7 @@ def adapted_models(rng):
     spectral = insert_adapter(model, 3, basis, filt)
     bn = model.clone()
     bn.set_bn_mode(BN_BATCH)
-    bn.adapt_target = network.ADAPT_BN
+    bn.adapt_target = BatchNorm2d
     return spectral, bn
 
 
@@ -544,8 +544,8 @@ def test_adapter_forward_is_its_input_half_then_its_adapted_half(rng):
     spectral, _ = adapted_models(rng)
     folded = spectral.layers[3]
     assert folded.absorbed  # conv1 is folded into the reconstruction
-    unfolded = SpectralAdapterLayer(folded.basis, folded.filt)
     h = spectral.forward_until(rng.normal(size=(5,) + IN_SHAPE), 2)
+    unfolded = SpectralAdapterLayer(folded.basis, folded.filt, (), h.shape[1:])
     for layer in (folded, unfolded):
         _, cache = layer.forward(h)
         layer.filt.gamma = rng.uniform(0.2, 1, len(layer.filt))

@@ -52,7 +52,7 @@ def _work_model(method, cfg, model, basis):
     if method == "bn-modulators":
         work = model.clone()
         work.set_bn_mode(network.BN_BATCH)
-        work.adapt_target = network.ADAPT_BN
+        work.adapt_target = network.BatchNorm2d
         return work
     return bench._spectral_model(model.clone(), cfg, basis, method)
 
