@@ -212,6 +212,8 @@ def _infer(model: Model, test_batches, method: str) -> RunRecord:
     record = RunRecord(method=method, protocol="none")
     for b_idx, (x, y) in enumerate(batches):
         logits, _ = model.forward(x)
+        if not np.all(np.isfinite(logits)):
+            raise NumericalFailureError(f"{method} gave non-finite logits on batch {b_idx}")
         h = entropy(logits)
         record.add(b_idx, len(y), _batch_error(logits, y), h, h)
     return record

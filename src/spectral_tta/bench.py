@@ -537,11 +537,25 @@ def load_checkpoint(cfg: dict, path) -> Model:
 def load_inputs(cfg: dict, methods, model_path, basis_path):
     """(model, basis) from their files; the model must match ``cfg`` (see
     :func:`load_checkpoint`), and the basis is loaded only when one of
-    ``methods`` is spectral, and is None otherwise."""
+    ``methods`` is spectral, and is None otherwise. A basis fitted at
+    another ``model.insert_index`` than the config's, or on another
+    checkpoint, is refused with a ConfigError naming the key."""
     model = load_checkpoint(cfg, model_path)
     if not any(m in _FILTER_KIND for m in methods):
         return model, None
-    return model, PcaBasis.load(basis_path)
+    basis = PcaBasis.load(basis_path)
+    index, weights = cfg["model"]["insert_index"], model.weight_hash()
+    refused = f"basis {basis_path} does not match checkpoint {model_path} and the config"
+    if basis.insert_index != index:
+        raise ConfigError(
+            f"{refused}: insert_index {shown(basis.insert_index)} in the basis, {index} in the config",
+            [f"model.insert_index:{index}"],
+        )
+    if basis.model_hash != weights:
+        raise ConfigError(
+            f"{refused}: model_hash {shown(basis.model_hash)} in the basis, {weights!r} of the checkpoint"
+        )
+    return model, basis
 
 
 # ---- ablations ---------------------------------------------------------------

@@ -133,14 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-pca", help="fit the PCA basis at the insertion layer")
     p.add_argument("--config", default=None)
     p.add_argument("--model", default="model.npz")
-    p.add_argument("--basis", default="basis.json")
+    p.add_argument("--basis", default="basis.npz")
     p.add_argument("--rank", type=int, default=None, help="overrides pca.rank")
     p.set_defaults(fn=_cmd_fit_pca)
 
     p = sub.add_parser("adapt", help="run one adaptation session")
     p.add_argument("--config", default=None)
     p.add_argument("--model", default="model.npz")
-    p.add_argument("--basis", default="basis.json")
+    p.add_argument("--basis", default="basis.npz")
     p.add_argument("--method", default="spectral-relu", choices=bench.METHODS)
     p.add_argument("--corruption", default=None, choices=bench.CORRUPTION_KINDS)
     p.add_argument("--severity", type=int, default=5, choices=range(1, 6))
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="full method x corruption x severity grid")
     p.add_argument("--config", default=None)
     p.add_argument("--model", default="model.npz")
-    p.add_argument("--basis", default="basis.json")
+    p.add_argument("--basis", default="basis.npz")
     p.add_argument("--out", default="bench_out")
     p.set_defaults(fn=_cmd_bench)
 

@@ -18,13 +18,12 @@ at the lowest layer it visits.
 """
 
 import copy
+import dataclasses
 import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
 
-from . import pca as pca_mod
+from . import archive, pca as pca_mod
 from .errors import ContractViolationError, EmptyBasisError, NumericalFailureError
 from .filters import SpectralFilter, apply_filter, apply_filter_backward
 from .pca import PcaBasis
@@ -550,7 +549,9 @@ def remove_adapter(model: Model) -> Model:
 
 
 def fit_pca_from_source(model: Model, source_batches, j: int, rank: int) -> PcaBasis:
-    """Fit a PCA basis on the layer-j outputs of the source batches.
+    """Fit a PCA basis on the layer-j outputs of the source batches, for
+    an adapter inserted at ``j + 1``; the basis records that index and
+    ``model.weight_hash()``.
 
     Streams batches through :func:`pca.fit_incremental`, so the source
     data is never concatenated or retained.
@@ -566,9 +567,10 @@ def fit_pca_from_source(model: Model, source_batches, j: int, rank: int) -> PcaB
             yield out.reshape(len(out), -1)
 
     try:
-        return pca_mod.fit_incremental(feature_stream(), rank)
+        basis = pca_mod.fit_incremental(feature_stream(), rank)
     except EmptyBasisError as exc:
         raise EmptyBasisError(f"layer {j} output has no variance: {exc}") from exc
+    return dataclasses.replace(basis, insert_index=j + 1, model_hash=model.weight_hash())
 
 
 # ---- supervised pre-training ------------------------------------------
@@ -647,40 +649,22 @@ def save_model(model: Model, path) -> None:
 
     if layout(rebuilt) != layout(model):
         raise ContractViolationError(f"build_model({args}) does not rebuild this layer stack")
-    arrays = dict(model.frozen_param_items())
-    spec = {"version": MODEL_FORMAT_VERSION, **args}
-    arrays["spec"] = np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    archive.write(path, {"version": MODEL_FORMAT_VERSION, **args}, dict(model.frozen_param_items()))
 
 
 def load_model(path) -> Model:
-    """Read a checkpoint written by :func:`save_model`.
+    """Read a checkpoint written by :func:`save_model` (see :func:`archive.read`).
 
     The model is ``build_model``'s, from the stored arguments; each of its
-    frozen arrays must be stored, of the built shape, of a real numeric
-    dtype, finite, and each running variance non-negative. A failed check
-    raises ContractViolationError naming the file.
+    frozen arrays must be stored, of the built shape, and each running
+    variance non-negative. A failed check raises ContractViolationError
+    naming the file.
     """
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"model checkpoint not found: {path}")
+    spec, data = archive.read(path, "checkpoint", MODEL_FORMAT_VERSION)
 
     def invalid(problem):
         return ContractViolationError(f"invalid checkpoint {path}: {problem}")
 
-    try:
-        with np.load(path) as npz:
-            data = dict(npz)
-        spec = json.loads(bytes(data["spec"]).decode())
-        version = spec.get("version")
-    except MemoryError:
-        raise
-    except Exception as exc:
-        # not an npz archive, one the zip, npy or compression layer cannot
-        # read, or one without a readable spec
-        raise invalid(f"not a model checkpoint ({exc!r})") from exc
-    if version != MODEL_FORMAT_VERSION:
-        raise invalid(f"unsupported version {version!r}, expected {MODEL_FORMAT_VERSION}")
     try:
         model = build_model(0, **{name: spec[name] for name in MODEL_ARGS})
     except KeyError as exc:
@@ -693,10 +677,6 @@ def load_model(path) -> Model:
         stored = data[name]
         if stored.shape != arr.shape:
             raise invalid(f"{name} has shape {stored.shape}, expected {arr.shape}")
-        if stored.dtype.kind not in "iuf":
-            raise invalid(f"{name} has dtype {stored.dtype}, expected real numbers")
-        if not np.all(np.isfinite(stored)):
-            raise invalid(f"non-finite entries in {name}")
         if name.endswith(".running_var") and np.any(stored < 0):
             raise invalid(f"negative entries in {name}")
         arr[...] = stored

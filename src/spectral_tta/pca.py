@@ -1,5 +1,6 @@
 """PCA on flattened feature maps: fitting, transform/inverse transform,
-rank truncation, and serialization.
+rank truncation, and the basis file (an npz archive, read and written by
+the archive module like a model checkpoint).
 
 There is one fit path, the incremental (streaming) one: it keeps only a
 running mean plus a rank-L factor (singular values and right singular
@@ -7,20 +8,21 @@ vectors), so its memory footprint is O(L * p) regardless of how many
 samples stream through. The batch fit ``fit`` is its one-batch case.
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from . import linalg
+from . import archive, linalg
 from .errors import ContractViolationError, EmptyBasisError
 
 # singular values at or below this are treated as zero and dropped
 SV_DROP_THRESHOLD = 1e-12
 
-BASIS_FORMAT_VERSION = 1
+# a basis file is an archive of the _ARRAYS, with the _SPEC values in its spec
+BASIS_FORMAT_VERSION = 2
+_ARRAYS = ("mean", "components", "singular_values")
+_SPEC = ("n_fitted", "insert_index", "model_hash")
 
 # largest |V V^T - I| entry a basis file may have; a fitted basis measures
 # about 1e-12
@@ -33,13 +35,17 @@ class PcaBasis:
 
     ``components`` holds the top right singular vectors as rows (L x p);
     ``singular_values`` are the matching singular values of the centered
-    training matrix, all strictly positive.
+    training matrix, all strictly positive. A basis fitted on a model's
+    features records where: the adapter position whose input the fit read
+    (``insert_index``) and the model's ``weight_hash()`` (``model_hash``).
     """
 
     mean: np.ndarray
     components: np.ndarray
     singular_values: np.ndarray
     n_fitted: int
+    insert_index: int | None = None
+    model_hash: str | None = None
 
     @property
     def p(self) -> int:
@@ -50,77 +56,44 @@ class PcaBasis:
         return self.components.shape[0]
 
     def save(self, path) -> None:
-        payload = {
-            "version": BASIS_FORMAT_VERSION,
-            "p": self.p,
-            "rank": self.rank,
-            "n_fitted": self.n_fitted,
-            "mean": self.mean.tolist(),
-            "singular_values": self.singular_values.tolist(),
-            "components": self.components.ravel().tolist(),
-        }
-        # json writes floats with repr, which round-trips float64 exactly
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        spec = {"version": BASIS_FORMAT_VERSION, **{key: getattr(self, key) for key in _SPEC}}
+        archive.write(path, spec, {name: getattr(self, name) for name in _ARRAYS})
 
     @classmethod
     def load(cls, path) -> "PcaBasis":
-        if not Path(path).is_file():
-            raise FileNotFoundError(f"PCA basis file not found: {path}")
+        """Read a basis written by :meth:`save` (see :func:`archive.read`);
+        a failed check raises ContractViolationError naming the file."""
+        spec, arrays = archive.read(path, "basis file", BASIS_FORMAT_VERSION)
 
         def invalid(problem):
             return ContractViolationError(f"invalid basis file {path}: {problem}")
 
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
-            version = payload.get("version")
-        except (ValueError, AttributeError, RecursionError) as exc:
-            # not JSON, JSON nested deeper than the parser recurses, or JSON
-            # whose top level is not an object
-            raise invalid(f"not a basis file ({exc!r})") from exc
-        if version != BASIS_FORMAT_VERSION:
-            raise invalid(f"unsupported version {version!r}, expected {BASIS_FORMAT_VERSION}")
-        try:
-            p, rank, n_fitted = payload["p"], payload["rank"], payload["n_fitted"]
-            mean, sv, comp = (
-                np.asarray(payload[key], dtype=np.float64)
-                for key in ("mean", "singular_values", "components")
-            )
+            mean, comp, sv = (np.asarray(arrays[name], dtype=np.float64) for name in _ARRAYS)
+            n_fitted = spec["n_fitted"]
         except KeyError as exc:
-            raise invalid(f"no key {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise invalid(f"entries that are not numbers ({exc!r})") from exc
-
-        def count(value, least):
-            return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
+            raise invalid(f"no entry {exc}") from exc
+        rank, p = comp.shape if comp.ndim == 2 else (0, 0)
+        integer = isinstance(n_fitted, int) and not isinstance(n_fitted, bool)
         problem = None
-        if not (count(p, 1) and count(rank, 1)):
-            problem = f"p and rank must be positive integers, got p={p!r}, rank={rank!r}"
-        elif not count(n_fitted, max(2, rank)):
+        if rank < 1 or p < 1:
+            problem = f"components have shape {comp.shape}, expected rank x p, both >= 1"
+        elif not (integer and n_fitted >= max(2, rank)):
             # a fit takes at least two samples and keeps at most that many modes
             problem = f"n_fitted must be an integer >= max(2, rank), got {n_fitted!r}"
-        elif comp.shape != (rank * p,):
-            problem = f"{comp.size} component entries, expected rank * p = {rank * p}"
         elif mean.shape != (p,):
-            problem = f"{mean.size} mean entries, expected p = {p}"
+            problem = f"mean has shape {mean.shape}, expected (p,) = {(p,)}"
         elif sv.shape != (rank,):
-            problem = f"{sv.size} singular values, expected rank = {rank}"
-        elif not all(np.all(np.isfinite(a)) for a in (mean, sv, comp)):
-            problem = "non-finite entries"
+            problem = f"singular values have shape {sv.shape}, expected (rank,) = {(rank,)}"
         elif not (np.all(sv > 0) and np.all(np.diff(sv) <= 0)):
             problem = "singular values must be positive and non-increasing"
         else:
-            v = comp.reshape(rank, p)
-            residual = np.max(np.abs(v @ v.T - np.eye(rank)))
+            residual = np.max(np.abs(comp @ comp.T - np.eye(rank)))
             if residual > ORTHONORMAL_TOL:
                 problem = f"component rows are not orthonormal (max |V V^T - I| = {residual:.1e})"
         if problem is not None:
             raise invalid(problem)
-        return cls(
-            mean=mean, components=comp.reshape(rank, p), singular_values=sv, n_fitted=n_fitted
-        )
+        return cls(mean, comp, sv, n_fitted, spec.get("insert_index"), spec.get("model_hash"))
 
 
 def fit(features: np.ndarray, rank: int) -> PcaBasis:

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import warnings
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_tta import bench, cli, ridge
+from spectral_tta import archive, bench, cli, ridge
 from spectral_tta.adapt import AdaptConfig
 from spectral_tta.bench import (
     CORRUPTION_KINDS,
@@ -448,7 +450,7 @@ def write_tiny_cli_config(tmp_path):
 def test_cli_end_to_end(tmp_path, capsys):
     cfg = write_tiny_cli_config(tmp_path)
     model = tmp_path / "model.npz"
-    basis = tmp_path / "basis.json"
+    basis = tmp_path / "basis.npz"
     out = tmp_path / "bench_out"
 
     assert cli.main(["train", "--config", str(cfg), "--model", str(model)]) == 0
@@ -565,7 +567,7 @@ def test_unknown_method_is_refused_as_a_key_and_its_value(tiny_config, tiny_mode
 
 def test_cli_missing_model_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.npz"
-    args = ["--model", str(missing), "--basis", str(tmp_path / "b.json")]
+    args = ["--model", str(missing), "--basis", str(tmp_path / "b.npz")]
     assert cli.main(["bench"] + args + ["--out", str(tmp_path / "out")]) == 2
     assert cli.main(["adapt"] + args + ["--method", "no-adapt"]) == 2
     err = capsys.readouterr().err
@@ -574,7 +576,7 @@ def test_cli_missing_model_file_exits_2(tmp_path, capsys):
 
 
 def test_cli_missing_file_messages_name_the_file(tmp_path, capsys):
-    missing_model, missing_basis = tmp_path / "missing.npz", tmp_path / "missing.json"
+    missing_model, missing_basis = tmp_path / "missing.npz", tmp_path / "missing_basis.npz"
     assert cli.main(["fit-pca", "--model", str(missing_model), "--basis", str(missing_basis)]) == 2
     assert not missing_basis.exists()
     model = tmp_path / "m.npz"
@@ -583,8 +585,8 @@ def test_cli_missing_file_messages_name_the_file(tmp_path, capsys):
     assert cli.main(["bench"] + args + ["--out", str(tmp_path / "out")]) == 2
     assert cli.main(["adapt"] + args + ["--out", str(tmp_path / "r.jsonl")]) == 2
     err = capsys.readouterr().err
-    assert err.count(f"model checkpoint not found: {missing_model}") == 1
-    assert err.count(f"PCA basis file not found: {missing_basis}") == 2
+    assert err.count(f"checkpoint not found: {missing_model}") == 1
+    assert err.count(f"basis file not found: {missing_basis}") == 2
     assert not (tmp_path / "out").exists()
 
 
@@ -592,7 +594,7 @@ def test_cli_fit_pca_on_a_constant_feature_map_exits_3(tmp_path, capsys):
     model = build_model(0, (2, 4, 4), (3, 3))
     model.layers[0].w[:] = 0.0
     model.layers[0].b[:] = 1.0
-    path, basis = tmp_path / "m.npz", tmp_path / "basis.json"
+    path, basis = tmp_path / "m.npz", tmp_path / "basis.npz"
     save_model(model, path)
     cfg = write_tiny_cli_config(tmp_path)
     assert cli.main(["fit-pca", "--config", str(cfg), "--model", str(path), "--basis", str(basis)]) == 3
@@ -629,7 +631,7 @@ def test_cli_dataset_and_pca_values_exit_2_before_any_work(
         cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    model, basis = tmp_path / "m.npz", tmp_path / "basis.json"
+    model, basis = tmp_path / "m.npz", tmp_path / "basis.npz"
     assert cli.main(["train", "--config", str(path), "--model", str(model)]) == 2
     assert not model.exists()
     save_model(build_model(0, (2, 4, 4), (3, 3)), model)
@@ -786,7 +788,7 @@ def test_cli_runs_each_accepted_draw_to_a_documented_exit(leaf, value, tmp_path)
     (cfg.setdefault(section, {}) if section else cfg)[name] = value
     path = tmp_path / "draw.json"
     path.write_text(json.dumps(cfg))
-    model, basis = tmp_path / "m.npz", tmp_path / "basis.json"
+    model, basis = tmp_path / "m.npz", tmp_path / "basis.npz"
     common = ["--config", str(path), "--model", str(model)]
     codes = [cli.main(["train", *common])]
     if codes[-1] == 0:
@@ -814,7 +816,7 @@ def test_cli_model_shape_config_exits_2_before_any_work(override, key, tmp_path,
         cfg[section].update(values)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    model, basis = tmp_path / "m.npz", tmp_path / "basis.json"
+    model, basis = tmp_path / "m.npz", tmp_path / "basis.npz"
     assert cli.main(["train", "--config", str(path), "--model", str(model)]) == 2
     assert not model.exists()
     save_model(build_model(0, (2, 4, 4), (3, 3)), model)
@@ -832,7 +834,7 @@ def test_cli_string_rank_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"pca": {"rank": "8"}}))
     model = tmp_path / "m.npz"
     save_model(build_model(0), model)
-    basis = tmp_path / "basis.json"
+    basis = tmp_path / "basis.npz"
     assert cli.main(["fit-pca", "--config", str(cfg), "--model", str(model), "--basis", str(basis)]) == 2
     assert not basis.exists()
     err = capsys.readouterr().err
@@ -841,7 +843,7 @@ def test_cli_string_rank_exits_2(tmp_path, capsys):
 
 def test_cli_fit_pca_rank_overrides_pca_rank(tmp_path, capsys):
     cfg = write_tiny_cli_config(tmp_path)
-    model, basis = tmp_path / "m.npz", tmp_path / "basis.json"
+    model, basis = tmp_path / "m.npz", tmp_path / "basis.npz"
     save_model(build_model(0, (2, 4, 4), (3, 3)), model)
     fit_pca = ["fit-pca", "--config", str(cfg), "--model", str(model), "--basis", str(basis)]
     assert cli.main(fit_pca + ["--rank", "0"]) == 2
@@ -882,69 +884,80 @@ _BAD_N_FITTED = {
 }
 
 
-def _corrupt_basis(payload, case):
-    """The text of a basis file broken as ``case`` says."""
-    if case == "not-json":
-        return json.dumps(payload)[:-1]
-    if case == "top-level-list":
-        return json.dumps([payload])
-    if case == "deep-nesting":
-        return "[" * 100000 + "]" * 100000
-    if case == "no-p":
-        del payload["p"]
-    elif case == "no-n-fitted":
-        del payload["n_fitted"]
-    elif case == "version-2":
-        payload["version"] = 2
-    elif case == "string-mean":
-        payload["mean"] = ["zero"] * 4
-    elif case == "components":
-        payload["components"] = payload["components"][:-1]
+def _corrupt_basis(path, case):
+    """Break the basis file at ``path`` as ``case`` says."""
+    if case == "format-1-json":  # the first format: JSON text, no archive
+        arrays = {"mean": [0.0] * 4, "components": np.eye(4)[:2].ravel().tolist()}
+        payload = {"version": 1, "p": 4, "rank": 2, "n_fitted": 10, "singular_values": [2.0, 1.0]}
+        path.write_text(json.dumps({**payload, **arrays}))
+        return
+    with np.load(path) as data:
+        arrays = dict(data)
+    spec = json.loads(bytes(arrays.pop("spec")).decode())
+    if case == "no-n-fitted":
+        del spec["n_fitted"]
+    elif case == "no-components":
+        del arrays["components"]
+    elif case == "version-1":
+        spec["version"] = 1
+    elif case == "string-mean":  # of the right shape
+        arrays["mean"] = np.full(4, "0.0")
+    elif case == "components":  # stored flat, as format 1 did
+        arrays["components"] = arrays["components"].ravel()
     elif case == "mean":
-        payload["mean"] = payload["mean"] + [0.0]
+        arrays["mean"] = np.append(arrays["mean"], 0.0)
     elif case == "singular-values":
-        payload["singular_values"] = payload["singular_values"][:1]
+        arrays["singular_values"] = arrays["singular_values"][:1]
     elif case == "non-finite":
-        payload["components"][3] = float("nan")
+        arrays["components"][0, 3] = np.nan
     elif case == "increasing":
-        payload["singular_values"] = payload["singular_values"][::-1]
+        arrays["singular_values"] = arrays["singular_values"][::-1]
     elif case == "non-positive":
-        payload["singular_values"][-1] = 0.0
-    elif case == "rank-type":
-        payload["rank"] = "2"
+        arrays["singular_values"][-1] = 0.0
     elif case == "non-orthonormal":
-        payload["components"][0] = 1.5  # row 0 is no longer a unit vector
+        arrays["components"][0, 0] = 1.5  # row 0 is no longer a unit vector
     elif case in _BAD_N_FITTED:
-        payload["n_fitted"] = _BAD_N_FITTED[case]
-    return json.dumps(payload)
+        spec["n_fitted"] = _BAD_N_FITTED[case]
+    archive.write(path, spec, arrays)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "components", "mean", "singular-values", "non-finite", "increasing", "non-positive",
-        "rank-type", "non-orthonormal", "not-json", "top-level-list", "no-p", "no-n-fitted",
-        "version-2", "string-mean", "deep-nesting", *_BAD_N_FITTED,
-    ],
-)
+# each case of _corrupt_basis and the cause its refusal names
+_BASIS_CAUSES = {
+    "components": "components have shape (8,), expected rank x p",
+    "mean": "mean has shape (5,)",
+    "singular-values": "singular values have shape (1,)",
+    "non-finite": "non-finite entries in components",
+    "increasing": "singular values must be positive and non-increasing",
+    "non-positive": "singular values must be positive and non-increasing",
+    "non-orthonormal": "component rows are not orthonormal",
+    "format-1-json": "not a basis file",
+    "no-n-fitted": "no entry 'n_fitted'",
+    "no-components": "no entry 'components'",
+    "version-1": "unsupported version 1, expected 2",
+    "string-mean": "mean has dtype <U3, expected real numbers",
+    **{case: "n_fitted must be an integer >= max(2, rank)" for case in _BAD_N_FITTED},
+}
+
+
+@pytest.mark.parametrize("case", list(_BASIS_CAUSES))
 def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
     model = tmp_path / "m.npz"
     save_model(build_model(0), model)
-    basis = tmp_path / "basis.json"
+    basis = tmp_path / "basis.npz"
     PcaBasis(
         mean=np.zeros(4),
         components=np.eye(4)[:2],
         singular_values=np.array([2.0, 1.0]),
         n_fitted=10,
     ).save(basis)
-    basis.write_text(_corrupt_basis(json.loads(basis.read_text()), case))
+    _corrupt_basis(basis, case)
     with pytest.raises(ContractViolationError, match="invalid basis file"):
         PcaBasis.load(basis)
     args = ["--model", str(model), "--basis", str(basis)]
     assert cli.main(["bench"] + args + ["--out", str(tmp_path / "out")]) == 2
     assert cli.main(["adapt"] + args + ["--out", str(tmp_path / "r.jsonl")]) == 2
     err = capsys.readouterr().err
-    assert err.count(f"invalid basis file {basis}") == 2
+    assert err.count(f"invalid basis file {basis}: {_BASIS_CAUSES[case]}") == 2
     assert not (tmp_path / "out").exists()
 
 
@@ -1021,7 +1034,7 @@ def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
     with pytest.raises(ContractViolationError, match="invalid checkpoint"):
         load_model(model)
     cfg = write_tiny_cli_config(tmp_path)
-    args = ["--config", str(cfg), "--model", str(model), "--basis", str(tmp_path / "b.json")]
+    args = ["--config", str(cfg), "--model", str(model), "--basis", str(tmp_path / "b.npz")]
     records = ["--method", "no-adapt", "--out", str(tmp_path / "r.jsonl")]
     assert cli.main(["adapt"] + args + records) == 2
     assert cli.main(["bench"] + args + ["--out", str(tmp_path / "out")]) == 2
@@ -1029,7 +1042,7 @@ def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.count(f"invalid checkpoint {model}") == 3
     assert not (tmp_path / "out").exists()
-    assert not (tmp_path / "b.json").exists()
+    assert not (tmp_path / "b.npz").exists()
 
 
 @pytest.mark.parametrize(
@@ -1045,7 +1058,7 @@ def test_cli_checkpoint_that_does_not_match_the_config_exits_2(tmp_path, capsys,
     section, name = key.split(".")
     cfg[section][name] = value
     path.write_text(json.dumps(cfg))
-    args = ["--config", str(path), "--model", str(model), "--basis", str(tmp_path / "b.json")]
+    args = ["--config", str(path), "--model", str(model), "--basis", str(tmp_path / "b.npz")]
     records = ["--method", "no-adapt", "--out", str(tmp_path / "r.jsonl")]
     assert cli.main(["adapt"] + args + records) == 2
     assert cli.main(["bench"] + args + ["--out", str(tmp_path / "out")]) == 2
@@ -1053,7 +1066,7 @@ def test_cli_checkpoint_that_does_not_match_the_config_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count(f"checkpoint {model} does not match the config: {key} ") == 3
     assert err.count("in the config") == 3  # only the changed key differs
-    assert not any((tmp_path / name).exists() for name in ("r.jsonl", "out", "b.json"))
+    assert not any((tmp_path / name).exists() for name in ("r.jsonl", "out", "b.npz"))
 
 
 def test_saved_checkpoint_loads_unchanged(tmp_path):
@@ -1082,7 +1095,7 @@ def cli_files(tmp_path_factory):
     """The tiny CLI config and the model and basis files the CLI makes from it."""
     tmp = tmp_path_factory.mktemp("cli")
     cfg = write_tiny_cli_config(tmp)
-    model, basis = tmp / "model.npz", tmp / "basis.json"
+    model, basis = tmp / "model.npz", tmp / "basis.npz"
     assert cli.main(["train", "--config", str(cfg), "--model", str(model)]) == 0
     assert cli.main(["fit-pca", "--config", str(cfg), "--model", str(model), "--basis", str(basis)]) == 0
     return cfg, model, basis
@@ -1160,6 +1173,103 @@ def test_cli_adapt_without_corruption_runs_on_the_clean_set(cli_files, tmp_path,
         expected = run_adaptation(work, batches, bench._adapt_config(cfg), method=method)
     assert len(rows) == len(batches) > 1
     assert [{k: row[k] for k in expected.batches[0]} for row in rows] == expected.batches
+
+
+@pytest.mark.parametrize("fitted_on", ["another-insert-index", "another-checkpoint"])
+def test_cli_basis_fitted_elsewhere_exits_2(cli_files, tmp_path, capsys, fitted_on):
+    """A basis fitted at insert_index 3 is refused at 2, where the adapter's
+    input has the same width (48); so is one fitted on another checkpoint
+    of the same shapes."""
+    cfg, model, basis = cli_files
+    key, cause = "model_hash", "of the checkpoint"
+    if fitted_on == "another-insert-index":
+        key, cause = "insert_index", "3 in the basis, 2 in the config"
+        cfg = adapt_config_file(cli_files, tmp_path, {})
+        cfg.write_text(cfg.read_text().replace('"insert_index": 3', '"insert_index": 2'))
+    else:
+        model = tmp_path / "other.npz"
+        save_model(build_model(1, input_shape=(2, 4, 4), conv_channels=(3, 3), n_classes=4), model)
+    args = ["--config", str(cfg), "--model", str(model), "--basis", str(basis)]
+    out = tmp_path / "out"
+    assert cli.main(["adapt", *args, "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert cli.main(["bench", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"basis {basis} does not match checkpoint {model} and the config: {key} ") == 2
+    assert err.count(cause) == 2
+    assert not (tmp_path / "r.jsonl").exists() and not out.exists()
+
+
+@pytest.mark.parametrize("method", ["no-adapt", "bn-stats"])
+def test_cli_inference_with_overflowing_logits_exits_3(cli_files, tmp_path, capsys, method):
+    """Finite weights whose logits overflow: the inference baselines write
+    no record with a non-finite entropy."""
+    model = load_model(cli_files[1])
+    head = model.layers[-1]
+    head.w *= 1e308 / np.max(np.abs(head.w))
+    path = tmp_path / "huge.npz"
+    save_model(model, path)
+    out = tmp_path / "r.jsonl"
+    argv = ["adapt", "--config", str(cli_files[0]), "--model", str(path), "--method", method]
+    with np.errstate(all="ignore"):  # the overflow is provoked on purpose
+        assert cli.main(argv + ["--out", str(out)]) == 3
+    assert not out.exists()
+    assert f"{method} gave non-finite logits on batch 0" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cli_arrays(cli_files):
+    """The arrays the CLI loads from ``cli_files``."""
+    _, model, basis = cli_files
+    return dict(load_model(model).frozen_param_items()), PcaBasis.load(basis)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    target=st.sampled_from(["model", "basis"]),
+    mutation=st.sampled_from(["truncate", "flip", "overwrite"]),
+    at=st.integers(0, 2**32 - 1),
+    bit=st.integers(0, 7),
+    byte=st.integers(0, 255),
+)
+def test_cli_adapt_on_a_mutated_file_exits_0_only_on_unchanged_arrays(
+    cli_files, cli_arrays, tmp_path_factory, target, mutation, at, bit, byte
+):
+    """One byte of the checkpoint or the basis truncated at, flipped or
+    overwritten: adapt exits 2 naming the file, or 0 with the arrays it
+    loaded bitwise unchanged."""
+    cfg, model, basis = cli_files
+    tmp = tmp_path_factory.mktemp("mutated")
+    paths = {"model": tmp / "model.npz", "basis": tmp / "basis.npz"}
+    for name, original in (("model", model), ("basis", basis)):
+        paths[name].write_bytes(original.read_bytes())
+    raw = bytearray(paths[target].read_bytes())
+    at %= len(raw)
+    if mutation == "truncate":
+        raw = raw[:at]
+    elif mutation == "flip":
+        raw[at] ^= 1 << bit
+    else:
+        raw[at] = byte
+    paths[target].write_bytes(bytes(raw))
+    argv = ["adapt", "--config", str(cfg), "--model", str(paths["model"])]
+    argv += ["--basis", str(paths["basis"]), "--out", str(tmp / "r.jsonl")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert str(paths[target]) in err.getvalue()
+        return
+    weights, fitted = cli_arrays
+    loaded = dict(load_model(paths["model"]).frozen_param_items())
+    assert loaded.keys() == weights.keys()
+    assert all(loaded[k].tobytes() == weights[k].tobytes() for k in weights)
+    again = PcaBasis.load(paths["basis"])
+    for name in ("mean", "components", "singular_values"):
+        assert getattr(again, name).tobytes() == getattr(fitted, name).tobytes()
+    assert (again.n_fitted, again.insert_index, again.model_hash) == (
+        fitted.n_fitted, fitted.insert_index, fitted.model_hash,
+    )
 
 
 # (adapt overrides, method, what the error names); one online step leaves

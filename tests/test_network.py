@@ -247,6 +247,14 @@ def test_fit_pca_streamed_vs_concatenated(rng):
     assert np.allclose(streamed.singular_values, batch.singular_values, rtol=1e-6)
 
 
+def test_fit_pca_records_its_layer_and_model(rng):
+    model = small_model(seed=10)
+    basis = fit_pca_from_source(model, [rng.normal(size=(16,) + IN_SHAPE)], 2, rank=4)
+    assert (basis.insert_index, basis.model_hash) == (3, model.weight_hash())
+    plain = pca.fit(rng.normal(size=(4, 3)), 2)  # fitted on no model
+    assert (plain.insert_index, plain.model_hash) == (None, None)
+
+
 def test_fit_pca_full_rank_round_trip(rng):
     model = small_model(seed=11)
     data = rng.normal(size=(120,) + IN_SHAPE)

@@ -181,7 +181,7 @@ def test_eckart_young_beats_random_bases():
 def test_basis_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     basis = pca.fit(rng.normal(size=(10, 5)), rank=3)
-    path = tmp_path / "basis.json"
+    path = tmp_path / "basis.npz"
     basis.save(path)
     loaded = pca.PcaBasis.load(path)
     assert np.array_equal(loaded.mean, basis.mean)
@@ -208,15 +208,18 @@ def bases(draw):
         components=q.T[:rank].copy(),
         singular_values=-np.sort(-sv),
         n_fitted=draw(st.integers(max(2, rank), 10**6)),
+        insert_index=draw(st.none() | st.integers(1, 10)),
+        model_hash=draw(st.none() | st.text()),
     )
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(basis=bases())
 def test_basis_file_round_trip_is_bitwise(basis, tmp_path_factory):
-    path = tmp_path_factory.mktemp("basis") / "basis.json"
+    path = tmp_path_factory.mktemp("basis") / "basis.npz"
     basis.save(path)
     loaded = pca.PcaBasis.load(path)
     for name in ("mean", "components", "singular_values"):
         assert getattr(loaded, name).tobytes() == getattr(basis, name).tobytes()
-    assert loaded.n_fitted == basis.n_fitted
+    assert (loaded.n_fitted, loaded.insert_index) == (basis.n_fitted, basis.insert_index)
+    assert loaded.model_hash == basis.model_hash
