@@ -1,9 +1,12 @@
 """Spectral filter basics.
 
-Fit a PCA basis to a cloud of points, then walk through what the two
-learnable diagonal filters do to data projected into that basis: gamma=0
-is an exact identity on a full-rank basis, and growing gamma shrinks
-each principal direction toward the mean.
+Fit a PCA basis to a cloud of points, then walk through the adapter's
+three steps: decompose the data into PCA scores (``pca.transform``),
+scale each score by a learnable diagonal filter, and reconstruct with
+the basis (``apply_filter`` with ``(components, mean)``, which is
+``pca.inverse_transform`` of the filtered scores). gamma=0 is an exact
+identity on a full-rank basis, and growing gamma shrinks each principal
+direction toward the mean.
 
 Run with:  python3 demos/01_spectral_filter_basics.py
 """
@@ -20,10 +23,11 @@ data = rng.normal(size=(200, 4)) * np.array([5.0, 2.0, 1.0, 0.3])
 basis = pca.fit(data, rank=4)
 print("singular values:", np.round(basis.singular_values, 2))
 
-# --- gamma = 0: identity ---------------------------------------------------
+# --- decompose, then filter and reconstruct; gamma = 0 is the identity ------
 x = rng.normal(size=(8, 4))
+scores = pca.transform(basis, x)
 identity = SpectralFilter(RELU_RIDGE, basis.singular_values)  # gamma defaults to 0
-out, _ = apply_filter(basis, identity, x)
+out, _ = apply_filter(identity, scores, basis.components, basis.mean)
 print("\ngamma = 0 drift on a full-rank basis:", np.abs(out - x).max())
 
 # --- growing gamma shrinks toward the mean -----------------------------------
@@ -44,6 +48,6 @@ for g in [0.0, 0.5, 1.0, 2.0, 4.0]:
 
 # --- fully closed filter returns the mean ------------------------------------
 heavy = SpectralFilter(RELU_RIDGE, lam, np.full(4, 1e9))
-out, _ = apply_filter(basis, heavy, x)
+out, _ = apply_filter(heavy, scores, basis.components, basis.mean)
 print("\ndistance to the fitted mean under extreme shrinkage:",
       np.abs(out - basis.mean).max())

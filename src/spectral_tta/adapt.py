@@ -58,14 +58,23 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
+def _shifted(logits: np.ndarray) -> np.ndarray:
+    """``logits`` minus each row's max. Past the float64 range the difference
+    is -inf, a class whose probability is 0: the callers then read its
+    ``p * z`` as 0, not ``0 * -inf``."""
+    with np.errstate(over="ignore"):
+        return logits - logits.max(axis=1, keepdims=True)
+
+
 def entropy(logits: np.ndarray) -> float:
     """Mean Shannon entropy (natural log) of softmax(logits) per row."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ContractViolationError("logits must be (m, C) with C >= 2")
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = _shifted(logits)
     lse = np.log(np.exp(z).sum(axis=1))
     p = np.exp(z - lse[:, None])
+    z = np.where(p > 0, z, 0.0)
     h = lse - np.sum(p * z, axis=1)
     return float(h.mean())
 
@@ -73,9 +82,10 @@ def entropy(logits: np.ndarray) -> float:
 def entropy_grad(logits: np.ndarray) -> np.ndarray:
     """Gradient of :func:`entropy` with respect to the logits."""
     logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = _shifted(logits)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     p = np.exp(z - lse)
+    z = np.where(p > 0, z, 0.0)
     zbar = np.sum(p * z, axis=1, keepdims=True)
     return -p * (z - zbar) / logits.shape[0]
 

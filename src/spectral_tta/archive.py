@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import ContractViolationError
 
+_ZIP_MAGIC = b"PK\x03\x04"  # the signature of a zip's first local file header
+
 
 def write(path, spec: dict, arrays: dict) -> None:
     """``arrays``, then ``spec``, to ``path`` as given (an open file, so
@@ -30,6 +32,10 @@ def read(path, kind: str, version: int) -> tuple[dict, dict]:
     def invalid(problem):
         return ContractViolationError(f"invalid {kind} {path}: {problem}")
 
+    with open(path, "rb") as fh:
+        # np.load takes any other file for a pickle and suggests allow_pickle
+        if fh.read(4) != _ZIP_MAGIC:
+            raise invalid(f"not a {kind} (not an npz archive)")
     try:
         with np.load(path) as npz:
             arrays = dict(npz)
@@ -38,8 +44,8 @@ def read(path, kind: str, version: int) -> tuple[dict, dict]:
     except MemoryError:
         raise
     except Exception as exc:
-        # not an npz archive, one the zip, npy or compression layer cannot
-        # read, or one without a readable spec object
+        # an archive the zip, npy or compression layer cannot read, or one
+        # without a readable spec object
         raise invalid(f"not a {kind} ({exc!r})") from exc
     if found != version:
         raise invalid(f"unsupported version {found!r}, expected {version}")

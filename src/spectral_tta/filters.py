@@ -6,9 +6,9 @@ values lam_i and a learnable vector gamma:
 * relu-ridge:  F_ii = lam_i / (lam_i + relu(gamma_i)),   F_ii in (0, 1]
 * neg-exp:     F_ii = 1 / (1 + exp(gamma_i^2 - lam_i)),  F_ii in (0, 1)
 
-``apply_filter`` runs the full project -> scale -> reconstruct map and
-returns a cache for the analytic backward pass. The reconstruction may be
-given as any pair (out_components, out_offset) in place of (V, mean): a
+``apply_filter`` maps PCA scores to (scores * F) @ out_components +
+out_offset and returns a cache for the analytic backward pass. With
+(V, mean) that is ``pca.inverse_transform`` of the filtered scores; a
 frozen affine map after the filter, composed with V and mean once, then
 costs no extra work per call.
 """
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .pca import PcaBasis, transform
 
 RELU_RIDGE = "relu-ridge"
 NEG_EXP = "neg-exp"
@@ -97,7 +96,6 @@ class SpectralFilter:
 class FilterCache:
     """Forward-pass intermediates needed by :func:`apply_filter_backward`."""
 
-    basis: PcaBasis
     filt: SpectralFilter
     scores: np.ndarray  # (m, L), pre-filter projections
     diag: np.ndarray    # (L,), F values used in the forward pass
@@ -105,45 +103,32 @@ class FilterCache:
 
 
 def apply_filter(
-    basis: PcaBasis,
     filt: SpectralFilter,
-    features: np.ndarray | None,
-    out_components: np.ndarray | None = None,
-    out_offset: np.ndarray | None = None,
-    scores: np.ndarray | None = None,
+    scores: np.ndarray,
+    out_components: np.ndarray,
+    out_offset: np.ndarray,
 ) -> tuple[np.ndarray, FilterCache]:
-    """Project features onto the basis, scale each mode, reconstruct.
+    """Scale each score by the filter, then reconstruct.
 
     Returns (output, cache). Output is
-    (features - mean) @ V.T * F @ out_components + out_offset, where the
-    reconstruction defaults to (V, mean), so that an all-ones diagonal on
-    a full-rank basis is an exact identity. ``scores``, when given, is the
-    projection ``pca.transform(basis, features)``, which gamma does not
-    reach, computed beforehand; ``features`` is then not read.
+    (scores * F) @ out_components + out_offset.
     """
-    if scores is None:
-        scores = transform(basis, features)
-    if len(filt) != basis.rank:
+    if scores.shape[1] != len(filt):
         raise ContractViolationError(
-            f"filter length {len(filt)} != basis rank {basis.rank}"
+            f"scores have {scores.shape[1]} columns, filter length is {len(filt)}"
         )
-    if out_components is None:
-        out_components, out_offset = basis.components, basis.mean
     diag = filt.diag()
     out = (scores * diag) @ out_components + out_offset
-    return out, FilterCache(
-        basis=basis, filt=filt, scores=scores, diag=diag, out_components=out_components
-    )
+    return out, FilterCache(filt=filt, scores=scores, diag=diag, out_components=out_components)
 
 
 def apply_filter_backward(
-    cache: FilterCache, upstream_grad: np.ndarray, need_input_grad: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+    cache: FilterCache, upstream_grad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Backward pass through :func:`apply_filter`.
 
-    Returns (gamma_grad, input_grad) for the loss whose gradient w.r.t.
-    the filter output is ``upstream_grad``; ``input_grad`` is ``None``
-    when ``need_input_grad`` is false.
+    Returns (gamma_grad, score_grad) for the loss whose gradient w.r.t.
+    the filter output is ``upstream_grad``.
     """
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
     expected = (cache.scores.shape[0], cache.out_components.shape[1])
@@ -154,7 +139,4 @@ def apply_filter_backward(
         )
     gscores = upstream_grad @ cache.out_components.T  # (m, L)
     gamma_grad = cache.filt.diag_grad() * np.sum(cache.scores * gscores, axis=0)
-    if not need_input_grad:
-        return gamma_grad, None
-    input_grad = (gscores * cache.diag) @ cache.basis.components
-    return gamma_grad, input_grad
+    return gamma_grad, gscores * cache.diag

@@ -258,17 +258,15 @@ class SpectralAdapterLayer:
             raise ContractViolationError("adapter layer expects a 4-D feature map")
         else:
             in_shape, scores = x.shape, pca_mod.transform(self.basis, x.reshape(x.shape[0], -1))
-        out, fcache = apply_filter(
-            self.basis, self.filt, None, self.out_components, self.out_offset, scores=scores
-        )
+        out, fcache = apply_filter(self.filt, scores, self.out_components, self.out_offset)
         return out.reshape((in_shape[0],) + self.out_shape), (in_shape, fcache)
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         shape, fcache = cache
-        gflat = gy.reshape(gy.shape[0], -1)
-        gamma_grad, ginput = apply_filter_backward(fcache, gflat, need_input_grad)
+        gamma_grad, gscores = apply_filter_backward(fcache, gy.reshape(gy.shape[0], -1))
         pgrads = {"gamma": gamma_grad} if need_param_grads else {}
-        return (ginput.reshape(shape) if need_input_grad else None), pgrads
+        ginput = (gscores @ self.basis.components).reshape(shape) if need_input_grad else None
+        return ginput, pgrads
 
 
 # frozen layers that are affine whatever the batch-norm mode; a run of them

@@ -136,14 +136,16 @@ def test_criterion_3_gradient_suite(rng):
             x = case_rng.normal(size=(6, 5))
             w = case_rng.normal(size=(6, 5))
             filt = SpectralFilter(kind, b.singular_values, gamma)
-            _, cache = apply_filter(b, filt, x)
+            scores = pca.transform(b, x)
+            _, cache = apply_filter(filt, scores, b.components, b.mean)
             analytic, _ = apply_filter_backward(cache, w)
             for i in range(4):
                 gp, gm = gamma.copy(), gamma.copy()
                 gp[i] += h
                 gm[i] -= h
-                lp = np.sum(w * apply_filter(b, SpectralFilter(kind, b.singular_values, gp), x)[0])
-                lm = np.sum(w * apply_filter(b, SpectralFilter(kind, b.singular_values, gm), x)[0])
+                fp, fm = (SpectralFilter(kind, b.singular_values, g) for g in (gp, gm))
+                lp = np.sum(w * apply_filter(fp, scores, b.components, b.mean)[0])
+                lm = np.sum(w * apply_filter(fm, scores, b.components, b.mean)[0])
                 fd = (lp - lm) / (2 * h)
                 worst_filter = max(worst_filter, abs(fd - analytic[i]) / max(abs(fd), 1e-8))
     # full-network entropy gradient over gamma on the 2-conv reference model

@@ -79,6 +79,19 @@ def test_entropy_matches_extended_precision_sum(rng):
     assert abs(entropy(logits) - expected) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "row, h",
+    [([-1e308, 1e308], 0.0), ([-1e308, 1e308, 1e308], math.log(2))],
+    ids=["one-class-left", "two-classes-left"],
+)
+def test_entropy_and_grad_finite_past_the_float_range(row, h):
+    # the row's spread overflows float64: the -1e308 class has probability
+    # 0 and contributes nothing, where 0 * -inf would give NaN
+    logits = np.array([row])
+    assert entropy(logits) == pytest.approx(h, abs=1e-15)
+    assert np.array_equal(entropy_grad(logits), np.zeros_like(logits))
+
+
 def test_entropy_rejects_single_class():
     with pytest.raises(ContractViolationError):
         entropy(np.ones((3, 1)))

@@ -930,7 +930,7 @@ _BASIS_CAUSES = {
     "increasing": "singular values must be positive and non-increasing",
     "non-positive": "singular values must be positive and non-increasing",
     "non-orthonormal": "component rows are not orthonormal",
-    "format-1-json": "not a basis file",
+    "format-1-json": "not a basis file (not an npz archive)",
     "no-n-fitted": "no entry 'n_fitted'",
     "no-components": "no entry 'components'",
     "version-1": "unsupported version 1, expected 2",
@@ -958,6 +958,7 @@ def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
     assert cli.main(["adapt"] + args + ["--out", str(tmp_path / "r.jsonl")]) == 2
     err = capsys.readouterr().err
     assert err.count(f"invalid basis file {basis}: {_BASIS_CAUSES[case]}") == 2
+    assert "pickle" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1010,9 +1011,9 @@ def _corrupt_checkpoint(arrays, case):
     "case",
     [
         "missing", "non-finite", "conv-in-channels", "bn-channels", "linear-width",
-        "negative-variance", "no-kernel", "no-spec", "not-an-archive", "even-kernel",
-        "one-class", "no-conv-channels", "version-1", "string-array", "complex-array",
-        "compression-99", "compression-12",
+        "negative-variance", "no-kernel", "no-spec", "not-an-archive", "format-1-basis",
+        "even-kernel", "one-class", "no-conv-channels", "version-1", "string-array",
+        "complex-array", "compression-99", "compression-12",
     ],
 )
 def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
@@ -1025,6 +1026,8 @@ def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
         np.savez(fh, **arrays)
     if case == "not-an-archive":
         model.write_bytes(model.read_bytes()[:100])  # a truncated download
+    elif case == "format-1-basis":  # a basis file of the first format, JSON text
+        _corrupt_basis(model, "format-1-json")
     elif case.startswith("compression-"):
         # the compression method of the first central-directory entry: one
         # the zip layer does not know (99), or bzip2 over stored bytes (12)
@@ -1041,6 +1044,9 @@ def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
     assert cli.main(["fit-pca"] + args) == 2
     err = capsys.readouterr().err
     assert err.count(f"invalid checkpoint {model}") == 3
+    if case == "format-1-basis":
+        assert err.count(f"invalid checkpoint {model}: not a checkpoint (not an npz archive)") == 3
+    assert "pickle" not in err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "b.npz").exists()
 

@@ -120,6 +120,28 @@ def test_folded_conv_matches_unfolded_reference(
         assert_close(pg["gamma"], ref_pg["gamma"])
 
 
+@pytest.mark.parametrize("j, n_absorbed", [(1, 0), (3, 1)], ids=["before-bn0", "conv1-absorbed"])
+def test_adapter_input_grad_matches_finite_differences(j, n_absorbed, rng):
+    model = small_model(7, rng)
+    in_shape = model.layer_output_shapes()[j - 1]  # (3, 4, 4) at both
+    basis = pca.fit(rng.normal(size=(64, int(np.prod(in_shape)))), rank=12)
+    filt = SpectralFilter(RELU_RIDGE, basis.singular_values, rng.uniform(0.1, 2.0, basis.rank))
+    adapter = adapter_of(insert_adapter(model, j, basis, filt))
+    assert len(adapter.absorbed) == n_absorbed
+    x = rng.normal(size=(3,) + in_shape)
+    out, cache = adapter.forward(x)
+    w = rng.normal(size=out.shape)  # loss = sum(w * out)
+    gx, _ = adapter.backward(cache, w, need_param_grads=False)
+    assert gx.shape == x.shape
+    h = 1e-6
+    for idx in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[idx] += h
+        xm[idx] -= h
+        fd = (np.sum(w * adapter.forward(xp)[0]) - np.sum(w * adapter.forward(xm)[0])) / (2 * h)
+        assert abs(fd - gx[idx]) <= 1e-6 * max(1.0, abs(fd))
+
+
 def test_nothing_absorbed_before_a_relu_or_batch_norm_is_bitwise(rng):
     model = small_model(4, rng)
     x = rng.normal(size=(6,) + IN_SHAPE)
