@@ -8,8 +8,8 @@ It runs once per call, on the rows of the input's short side (the input
 itself if it is wide, its transpose otherwise), and returns what PCA
 reads: the nonzero singular values and their right singular vectors.
 A rotation is only elementwise float64 multiplies and adds (no fused
-multiply-add, no batched dot products), so the results equal those of
-the textbook per-pair loop kept in ``tests/test_linalg.py`` bit for bit.
+multiply-add; one ddot per pair, batched through matmul), so the SVD
+equals the textbook per-pair loop kept in ``tests/test_linalg.py`` bit for bit.
 """
 
 import math
@@ -51,73 +51,70 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _jacobi_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ddots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[r] @ b[r]`` for each row r, by one BLAS ddot per row (matmul's vector-vector path)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _wavefronts(m: int) -> list[tuple[slice, slice]]:
+    """The pairs (i, j), i < j, of m rows as fronts of constant i + j = t,
+    in increasing t: rows ``work[lo:hi]`` pair with ``work[t-lo : t-hi : -1]``."""
+    bounds = [(t, max(0, t - m + 1), (t + 1) // 2) for t in range(1, 2 * m - 2)]
+    return [(slice(lo, hi), slice(t - lo, t - hi, -1)) for t, lo, hi in bounds]
+
+
+def _jacobi_rows(x: np.ndarray, rotation: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Orthogonalize the rows of ``x`` (m x n, m <= n) by Jacobi rotations.
 
     Returns (x_rotated, rot) where ``x_rotated = rot @ x`` has mutually
-    orthogonal rows and ``rot`` is orthogonal (m x m).
+    orthogonal rows and ``rot`` is orthogonal (m x m); ``rot`` is accumulated
+    only if ``rotation`` is set, and is None otherwise.
 
-    Pairs (i, j) are visited in cyclic row order. The pair is skipped when
-    either row is zero or when |a_ij| / sqrt(a_ii * a_jj) is at most
+    A sweep visits the pairs (i, j) in cyclic row order. The pair is skipped
+    when either row is zero or when |a_ij| / sqrt(a_ii * a_jj) is at most
     ``OFFDIAG_TOL``; otherwise rows i and j of ``[x | rot]`` are rotated
     together. A sweep whose largest such ratio is within the tolerance ends
-    the iteration.
+    the iteration. It runs as the ``2m - 3`` ``_wavefronts``: in cyclic order
+    pair (i, j) reads only what (i, j-1) and (i-1, j) wrote, so the pairs with
+    i + j = t can run once front t - 1 is done, and as they share no row, one
+    numpy step rotates them all with the per-pair loop's float64 operations.
     """
     m, n = x.shape
     # rows of [x | rot]: one rotation updates both halves in one pass
-    work = np.empty((m, n + m))
-    work[:, :n] = x
-    work[:, n:] = np.eye(m)
-    xs = [row[:n] for row in work]
+    work = np.hstack([x, np.eye(m)]) if rotation else x.copy()
     # a_ii of each row; a row's entry is recomputed (the same dot on the
     # same data) right after the row is rotated, so it always matches
-    norms = [float(v.dot(v)) for v in xs]
-    coef_i = np.empty((2, 1))
-    coef_j = np.empty((2, 1))
-    part_i = np.empty((2, n + m))
-    part_j = np.empty((2, n + m))
-    for _ in range(MAX_SWEEPS):
-        off = 0.0
-        for i in range(m - 1):
-            xi = xs[i]
-            for j in range(i + 1, m):
-                aii = norms[i]
-                ajj = norms[j]
-                if aii == 0.0 or ajj == 0.0:
+    norms = _ddots(work[:, :n], work[:, :n])
+    fronts = _wavefronts(m)
+    # a_ii * a_jj may underflow (a ratio |a_ij| / 0 = inf) and zeta * zeta overflow (t = +-0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_SWEEPS):
+            off = 0.0
+            for rows_i, rows_j in fronts:
+                ri, rj = work[rows_i], work[rows_j]
+                aii, ajj = norms[rows_i], norms[rows_j]
+                aij = _ddots(ri[:, :n], rj[:, :n])
+                rel = np.abs(aij) / np.sqrt(aii * ajj)
+                # a zero row or an exactly orthogonal pair is skipped
+                rel[(aii == 0.0) | (ajj == 0.0) | (aij == 0.0)] = 0.0
+                off = max(off, float(rel.max()))
+                turn = np.flatnonzero(rel > OFFDIAG_TOL)
+                if len(turn) == 0:
                     continue
-                xj = xs[j]
-                aij = float(xi.dot(xj))
-                # exactly orthogonal: the ratio is 0 (or 0/0 if a_ii * a_jj
-                # underflows)
-                if aij == 0.0:
-                    continue
-                d = math.sqrt(aii * ajj)
-                rel = abs(aij) / d if d else math.inf
-                if rel > off:
-                    off = rel
-                if rel <= OFFDIAG_TOL:
-                    continue
+                if len(turn) < len(rel):
+                    rows_i, rows_j = rows_i.start + turn, rows_j.start - turn
+                    ri, rj, aii, ajj, aij = ri[turn], rj[turn], aii[turn], ajj[turn], aij[turn]
                 zeta = (ajj - aii) / (2.0 * aij)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    sign = 1.0 if zeta > 0.0 else -1.0
-                    t = sign / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                # rows i, j <- (c*ri - s*rj, s*ri + c*rj), as c*ri + (-s)*rj,
-                # which is the same float64 result
-                coef_i[0, 0] = c
-                coef_i[1, 0] = s
-                coef_j[0, 0] = -s
-                coef_j[1, 0] = c
-                np.multiply(coef_i, work[i], out=part_i)
-                np.multiply(coef_j, work[j], out=part_j)
-                np.add(part_i, part_j, out=work[i : j + 1 : j - i])
-                norms[i] = float(xi.dot(xi))
-                norms[j] = float(xj.dot(xj))
-        if off <= OFFDIAG_TOL:
-            return work[:, :n].copy(), work[:, n:].copy()
+                t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                t[zeta == 0.0] = 1.0  # also for zeta = -0.0, where copysign gives -1
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s = c * t[:, None]
+                new_i, new_j = c * ri - s * rj, s * ri + c * rj
+                work[rows_i], work[rows_j] = new_i, new_j
+                norms[rows_i] = _ddots(new_i[:, :n], new_i[:, :n])
+                norms[rows_j] = _ddots(new_j[:, :n], new_j[:, :n])
+            if off <= OFFDIAG_TOL:
+                return (work[:, :n], work[:, n:]) if rotation else (work, None)
     raise NumericalFailureError(
         f"Jacobi SVD did not converge in {MAX_SWEEPS} sweeps "
         f"(off-diagonal residual {off:.3e})",
@@ -145,7 +142,7 @@ def svd(a: np.ndarray) -> SvdResult:
     wide = n < m
     # Jacobi orthogonalizes rows, so it runs on the min(n, m) rows of the
     # short side
-    x, rot = _jacobi_rows(a if wide else a.T)
+    x, rot = _jacobi_rows(a if wide else a.T, rotation=not wide)
     # x = rot @ a (or a.T) with rot orthogonal: row k of x is s_k times a
     # long-side singular vector (its norm is s_k), row k of rot the
     # matching short-side one

@@ -110,10 +110,11 @@ def test_svd_nonconvergence_error_carries_residual(monkeypatch):
     assert exc.value.residual is not None and exc.value.residual > 0
 
 
-def _reference_jacobi_rows(x):
+def _reference_jacobi_rows(x, rotation=True):
     """The textbook per-pair Jacobi loop that ``linalg._jacobi_rows`` must
     reproduce bit for bit: every pair recomputes its three dot products,
-    and a rotation rebuilds both rows of ``x`` and of ``rot`` from copies."""
+    and a rotation rebuilds both rows of ``x`` and of ``rot`` from copies.
+    ``rot`` is returned only if ``rotation`` is set."""
     m = x.shape[0]
     x = x.copy()
     rot = np.eye(m)
@@ -147,7 +148,7 @@ def _reference_jacobi_rows(x):
                 rot[i] = c * gi - s * gj
                 rot[j] = s * gi + c * gj
         if off <= linalg.OFFDIAG_TOL:
-            return x, rot
+            return x, (rot if rotation else None)
     raise NumericalFailureError("reference Jacobi did not converge", residual=float(off))
 
 
@@ -157,9 +158,14 @@ def _reference_svd(monkeypatch, a):
         return linalg.svd(a)
 
 
+def _assert_same_bytes(a, b):
+    # tobytes, unlike array_equal, also tells -0.0 from 0.0
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _assert_bitwise_equal(res, ref):
-    assert np.array_equal(res.s, ref.s)
-    assert np.array_equal(res.vt, ref.vt)
+    _assert_same_bytes(res.s, ref.s)
+    _assert_same_bytes(res.vt, ref.vt)
 
 
 def _reference_inputs():
@@ -208,14 +214,109 @@ def test_svd_bitwise_equals_reference_on_incremental_stacks(monkeypatch, tiny_co
         _assert_bitwise_equal(linalg.svd(a), _reference_svd(monkeypatch, a))
 
 
-def test_svd_nonconvergence_residual_matches_reference(monkeypatch):
-    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+def test_svd_nonconvergence_residual_matches_reference(monkeypatch, sweeps):
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", sweeps)
     a = np.random.default_rng(0).normal(size=(12, 12))
     with pytest.raises(NumericalFailureError) as exc:
         linalg.svd(a)
     with pytest.raises(NumericalFailureError) as ref:
         _reference_svd(monkeypatch, a)
     assert exc.value.residual == ref.value.residual
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 129])
+def test_wavefronts_cover_each_pair_once_on_disjoint_rows(m):
+    fronts = [(range(m)[rows_i], range(m)[rows_j]) for rows_i, rows_j in linalg._wavefronts(m)]
+    assert len(fronts) == max(0, 2 * m - 3)
+    pairs = []
+    for t, (rows_i, rows_j) in enumerate(fronts, start=1):
+        assert len(rows_i) == len(rows_j) >= 1
+        front = list(zip(rows_i, rows_j))
+        assert all(i < j and i + j == t for i, j in front)
+        rows = [r for pair in front for r in pair]
+        assert len(set(rows)) == len(rows)
+        pairs += front
+    assert sorted(pairs) == [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+
+def _incremental_stack(rng, rank=64, batch=64, p=512):
+    """The layout ``pca.fit_incremental`` decomposes: a factor block
+    ``s[:, None] * vt`` with orthonormal ``vt``, a centred batch and one
+    mean-correction row."""
+    vt = np.linalg.qr(rng.normal(size=(p, rank)))[0].T
+    s = np.sort(rng.uniform(0.5, 20.0, size=rank))[::-1]
+    x = rng.normal(size=(batch, p)) @ np.diag(rng.uniform(0.1, 2.0, size=p))
+    return np.vstack([s[:, None] * vt, x - x.mean(axis=0), rng.normal(size=(1, p))])
+
+
+def _zero_row_inside_a_front(rng):
+    x = rng.normal(size=(12, 20))
+    x[2] = 0.0
+    # front 10 pairs rows 0-4 with rows 10-6: the skip of (2, 8) splits it
+    rows_i, _ = linalg._wavefronts(12)[9]
+    assert 2 in range(12)[rows_i][1:-1]
+    return x
+
+
+def _mixed_fronts(rng):
+    # rows 0-5 and 6-11 live on disjoint columns, joined only by a tiny
+    # shared column: within a block pairs rotate, across the blocks they
+    # are skipped, by a_ij == 0 or by the tolerance; front 6 holds the
+    # skipped (0, 6) next to the rotated (1, 5) and (2, 4)
+    x = np.zeros((12, 41))
+    x[:6, :20] = rng.normal(size=(6, 20))
+    x[6:, 20:40] = rng.normal(size=(6, 20))
+    x[::2, 40] = 1e-9
+    return x
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _incremental_stack,
+        _zero_row_inside_a_front,
+        _mixed_fronts,
+        lambda rng: rng.normal(size=(1, 7)),
+        lambda rng: rng.normal(size=(2, 7)),
+        # equal norms and a_ij < 0 give zeta = -0.0, which takes t = 1
+        lambda rng: np.array([[3.0, 4.0], [-4.0, -3.0]]),
+        # a_00 underflows to 0 but a_01 does not: the pair is still skipped
+        lambda rng: np.vstack([np.full((1, 7), 1e-170), rng.normal(size=(2, 7))]),
+    ],
+    ids=[
+        "incremental-129x512",
+        "zero-row-inside-a-front",
+        "mixed-fronts",
+        "1x7",
+        "2x7",
+        "zeta-minus-zero",
+        "underflowing-norm",
+    ],
+)
+def test_jacobi_rows_bitwise_equals_reference(make):
+    x = make(np.random.default_rng(23))
+    ref_x, ref_rot = _reference_jacobi_rows(x)
+    got_x, got_rot = linalg._jacobi_rows(x, rotation=True)
+    _assert_same_bytes(got_x, ref_x)
+    _assert_same_bytes(got_rot, ref_rot)
+    # without the rotation the rows take the same rotations
+    got_x, got_rot = linalg._jacobi_rows(x, rotation=False)
+    _assert_same_bytes(got_x, ref_x)
+    assert got_rot is None
+
+
+def test_skipped_pair_with_underflowing_norm_product_keeps_its_fronts_residual(monkeypatch):
+    # front 3 pairs (0, 3) with the tiny orthogonal rows (1, 2), whose
+    # ratio is 0 / 0; only (0, 3) is not orthogonal, so one sweep ends with
+    # its ratio as the residual
+    x = np.zeros((4, 6))
+    x[1, 0] = x[2, 1] = 1e-100
+    x[[0, 3], 2:] = np.random.default_rng(5).normal(size=(2, 4))
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    with pytest.raises(NumericalFailureError) as exc:
+        linalg._jacobi_rows(x, rotation=False)
+    assert exc.value.residual == abs(x[0] @ x[3]) / np.sqrt((x[0] @ x[0]) * (x[3] @ x[3]))
 
 
 def test_svd_orthogonal_rows_with_underflowing_norm_product():
