@@ -441,12 +441,17 @@ class Model:
         return h.hexdigest()
 
     def layer_output_shapes(self):
-        """Per-layer output shapes (excluding the batch axis)."""
-        x = np.zeros((1,) + self.input_shape)
-        shapes = []
+        """Per-layer output shapes (excluding the batch axis), read from
+        each layer's attributes: nothing runs, so no statistic moves."""
+        shape, shapes = self.input_shape, []
         for layer in self.layers:
-            x, _ = layer.forward(x)
-            shapes.append(x.shape[1:])
+            if isinstance(layer, (Conv2d, Linear)):
+                shape = (layer.w.shape[0],) + shape[1:]  # keeps h, w; a Linear's input is flat
+            elif isinstance(layer, Flatten):
+                shape = (int(np.prod(shape)),)
+            elif isinstance(layer, SpectralAdapterLayer):
+                shape = layer.out_shape
+            shapes.append(shape)  # BatchNorm2d and ReLU keep their input's shape
         return shapes
 
 
@@ -552,8 +557,16 @@ def fit_pca_from_source(model: Model, source_batches, j: int, rank: int) -> PcaB
     ``model.weight_hash()``.
 
     Streams batches through :func:`pca.fit_incremental`, so the source
-    data is never concatenated or retained.
+    data is never concatenated or retained. The model's batch norms must
+    be in ``BN_FROZEN`` mode: in another mode the features would depend on
+    the batching, and in ``BN_TRAIN`` the fit would move the statistics
+    whose hash the basis records.
     """
+    modes = {l.mode for l in model.layers if isinstance(l, BatchNorm2d)} - {BN_FROZEN}
+    if modes:
+        raise ContractViolationError(
+            f"fit_pca_from_source needs batch norms in {BN_FROZEN!r} mode, got {sorted(modes)}"
+        )
 
     def feature_stream():
         for batch in source_batches:

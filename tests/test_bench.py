@@ -3,17 +3,23 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from spectral_tta import archive, bench, cli, ridge
 from spectral_tta.adapt import AdaptConfig
 from spectral_tta.bench import (
     CORRUPTION_KINDS,
+    SEVERITY_GRIDS,
     CorruptionSpec,
     DatasetSpec,
     corrupt,
@@ -189,6 +195,76 @@ def test_corrupt_validation():
         CorruptionSpec(kind="blur", severity=0)
     with pytest.raises(ContractViolationError):
         CorruptionSpec(kind="blur", severity=6)
+
+
+# ---- the image filter: scipy's gaussian_filter, bit for bit ---------------
+
+
+def scipy_gaussian_filter(x, sigma, mode):
+    """The reference: scipy's filter with ``sigma`` on the last two axes."""
+    return ndimage.gaussian_filter(x, sigma=(0,) * (x.ndim - 2) + (sigma, sigma), mode=mode)
+
+
+# the five blur levels and the templates' 1.2; the 4x4 maps are the CI tiny
+# config's, where the radius of 5 at sigma 1.3 exceeds the axis, as it does
+# on the 1-row map for every sigma; 1100 planes of 8x8 go through in three
+# blocks of 512, the last one partial
+@pytest.mark.parametrize(
+    "shape", [(5, 3, 8, 8), (6, 2, 4, 4), (3, 1, 7), (550, 2, 8, 8)],
+    ids=["8x8", "4x4", "1x7", "8x8-in-blocks"],
+)
+@pytest.mark.parametrize("sigma", SEVERITY_GRIDS["blur"] + [1.2])
+@pytest.mark.parametrize("mode", ["nearest", "wrap"])
+def test_gaussian_filter_bitwise_equals_scipy(mode, sigma, shape):
+    x = np.random.default_rng(17).normal(size=shape)
+    out = bench._gaussian_filter(x, sigma, mode)
+    assert out.tobytes() == scipy_gaussian_filter(x, sigma, mode).tobytes()
+
+
+def with_scipy_filter(monkeypatch, run):
+    """``run()`` with ``bench._gaussian_filter``, then with scipy's filter
+    patched back in; the dataset memo is emptied before each."""
+    gen_dataset.cache_clear()
+    ours = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(bench, "_gaussian_filter", scipy_gaussian_filter)
+        gen_dataset.cache_clear()
+        theirs = run()
+    gen_dataset.cache_clear()
+    return ours, theirs
+
+
+# the default 3x8x8 maps and SMALL's 2x4x4
+both_map_sizes = pytest.mark.parametrize(
+    "spec", [DatasetSpec(n_train=60, n_test=40, seed=2), SMALL], ids=["8x8", "4x4"]
+)
+
+
+@both_map_sizes
+def test_gaussian_textures_dataset_matches_scipy(spec, monkeypatch):
+    spec = DatasetSpec(**{**spec.__dict__, "generator": "gaussian-textures"})
+    ours, theirs = with_scipy_filter(monkeypatch, lambda: gen_dataset(spec))
+    for (a, b), (c, d) in zip(ours, theirs):
+        assert (a.tobytes(), b.tobytes()) == (c.tobytes(), d.tobytes())
+
+
+@pytest.mark.parametrize("severity", range(1, 6))
+@both_map_sizes
+def test_blur_corruption_matches_scipy(spec, severity, monkeypatch):
+    (x, _), _ = gen_dataset(spec)
+    blur = CorruptionSpec(kind="blur", severity=severity)
+    ours, theirs = with_scipy_filter(monkeypatch, lambda: corrupt(x, blur))
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def test_cli_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(bench.__file__).resolve().parents[1])}
+    code = "import sys, spectral_tta.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---- config --------------------------------------------------------------

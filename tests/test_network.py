@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,48 @@ def test_theta_frozen_across_adaptation(rng):
         grads = adapted.backward_adapt(caches, entropy_grad(logits))
         adapted.set_adapt_params(adapted.adapt_params() - 0.05 * grads)
     assert adapted.weight_hash() == before
+
+
+def test_layer_output_shapes_match_a_forward(rng):
+    model = small_model(seed=3)
+    basis = full_rank_basis_at(model, 2, rng)
+    adapted = insert_adapter(model, 3, basis, SpectralFilter(RELU_RIDGE, basis.singular_values))
+    for m in (model, adapted):
+        x = rng.normal(size=(2,) + IN_SHAPE)
+        forwarded = []
+        for layer in m.layers:
+            x, _ = layer.forward(x)
+            forwarded.append(x.shape[1:])
+        assert m.layer_output_shapes() == forwarded
+
+
+def running_statistics(model):
+    return [
+        (bn.running_mean.tobytes(), bn.running_var.tobytes())
+        for bn in model.layers
+        if isinstance(bn, BatchNorm2d)
+    ]
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_insert_adapter_leaves_a_train_mode_model_unchanged(rng, j):
+    model = small_model(seed=3)
+    basis = full_rank_basis_at(model, j - 1, rng)
+    model.set_bn_mode(BN_TRAIN)
+    before = (model.weight_hash(), running_statistics(model))
+    insert_adapter(model, j, basis, SpectralFilter(RELU_RIDGE, basis.singular_values))
+    assert (model.weight_hash(), running_statistics(model)) == before
+
+
+@pytest.mark.parametrize("mode", [BN_BATCH, BN_TRAIN])
+def test_fit_pca_refuses_a_model_not_in_frozen_mode(rng, mode):
+    model = small_model(seed=3)
+    model.layers[4].mode = mode  # one batch norm is enough
+    before = (model.weight_hash(), running_statistics(model))
+    message = re.escape(f"needs batch norms in 'frozen-stats' mode, got ['{mode}']")
+    with pytest.raises(ContractViolationError, match=message):
+        fit_pca_from_source(model, [rng.normal(size=(8,) + IN_SHAPE)], 2, rank=4)
+    assert (model.weight_hash(), running_statistics(model)) == before
 
 
 def test_bn_mode_algebra(rng):
