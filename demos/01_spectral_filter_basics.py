@@ -20,7 +20,7 @@ rng = np.random.default_rng(0)
 
 # An anisotropic point cloud: stretched 5x along one axis.
 data = rng.normal(size=(200, 4)) * np.array([5.0, 2.0, 1.0, 0.3])
-basis = pca.fit(data, rank=4)
+basis = pca.fit_incremental([data], rank=4)
 print("singular values:", np.round(basis.singular_values, 2))
 
 # --- decompose, then filter and reconstruct; gamma = 0 is the identity ------

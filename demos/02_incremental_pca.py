@@ -19,7 +19,7 @@ spectrum = np.array([8.0, 5.0, 3.0, 1.5, 0.8, 0.4])
 data = rng.normal(size=(600, 6)) @ np.diag(spectrum)
 
 # --- one-shot vs streamed fit --------------------------------------------
-batch = pca.fit(data, rank=6)
+batch = pca.fit_incremental([data], rank=6)
 streamed = pca.fit_incremental(np.array_split(data, 20), rank=6)
 print("one-shot singular values:", np.round(batch.singular_values, 3))
 print("streamed singular values:", np.round(streamed.singular_values, 3))
@@ -34,7 +34,7 @@ print("max relative gap:",
 print("\nreconstruction error by rank (PCA vs best of 50 random subspaces):")
 centered = data - data.mean(axis=0)
 for rank in [1, 2, 3, 4, 5]:
-    b = pca.fit(data, rank=rank)
+    b = pca.fit_incremental([data], rank=rank)
     rec = pca.inverse_transform(b, pca.transform(b, data))
     pca_err = np.linalg.norm(rec - data)
     rand_best = np.inf

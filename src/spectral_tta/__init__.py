@@ -11,7 +11,6 @@ from .errors import (
 from .linalg import SvdResult, svd
 from .pca import (
     PcaBasis,
-    fit,
     fit_incremental,
     inverse_transform,
     transform,

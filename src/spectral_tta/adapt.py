@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, NumericalFailureError, shown
-from .network import BN_BATCH, BatchNorm2d, Model
+from .errors import ContractViolationError, NumericalFailureError, check_fields
+from .network import BN_BATCH, BatchNorm2d, Model, log_softmax
 
 RECORD_FORMAT_VERSION = 1
 
@@ -32,7 +32,7 @@ class AdaptConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        checks = [
+        check_fields("adapt", self, [
             ("protocol", "must be 'episodic' or 'online'", self.protocol in ("episodic", "online")),
             ("learning_rate", "must be finite and >= 0", 0 <= self.learning_rate < np.inf),
             ("steps_per_batch", "must be >= 1", self.steps_per_batch >= 1),
@@ -40,11 +40,7 @@ class AdaptConfig:
             ("adam_beta1", "must be in [0, 1)", 0 <= self.adam_beta1 < 1),
             ("adam_beta2", "must be in [0, 1)", 0 <= self.adam_beta2 < 1),
             ("adam_eps", "must be finite and > 0", 0 < self.adam_eps < np.inf),
-        ]
-        for key, rule, ok in checks:
-            if not ok:
-                value = shown(getattr(self, key))
-                raise ConfigError(f"adapt.{key} {rule}, got {value}", [f"adapt.{key}:{value}"])
+        ])
 
 
 @dataclass
@@ -58,32 +54,26 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def _shifted(logits: np.ndarray) -> np.ndarray:
-    """``logits`` minus each row's max. Past the float64 range the difference
-    is -inf, a class whose probability is 0: the callers then read its
-    ``p * z`` as 0, not ``0 * -inf``."""
-    with np.errstate(over="ignore"):
-        return logits - logits.max(axis=1, keepdims=True)
-
-
 def entropy(logits: np.ndarray) -> float:
-    """Mean Shannon entropy (natural log) of softmax(logits) per row."""
+    """Mean Shannon entropy (natural log) of softmax(logits) per row. A
+    class past the float64 range has probability 0, and its ``p * z`` is
+    read as 0, not ``0 * -inf``."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ContractViolationError("logits must be (m, C) with C >= 2")
-    z = _shifted(logits)
-    lse = np.log(np.exp(z).sum(axis=1))
-    p = np.exp(z - lse[:, None])
+    with np.errstate(over="ignore"):
+        z, lse = log_softmax(logits)
+    p = np.exp(z - lse)
     z = np.where(p > 0, z, 0.0)
-    h = lse - np.sum(p * z, axis=1)
+    h = lse[:, 0] - np.sum(p * z, axis=1)
     return float(h.mean())
 
 
 def entropy_grad(logits: np.ndarray) -> np.ndarray:
     """Gradient of :func:`entropy` with respect to the logits."""
     logits = np.asarray(logits, dtype=np.float64)
-    z = _shifted(logits)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    with np.errstate(over="ignore"):
+        z, lse = log_softmax(logits)
     p = np.exp(z - lse)
     z = np.where(p > 0, z, 0.0)
     zbar = np.sum(p * z, axis=1, keepdims=True)

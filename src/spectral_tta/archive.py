@@ -21,6 +21,12 @@ def write(path, spec: dict, arrays: dict) -> None:
         np.savez(fh, **arrays, spec=text)
 
 
+def invalid(kind: str, path, problem) -> ContractViolationError:
+    """The error that refuses the ``kind`` of file at ``path`` (say
+    "checkpoint") for ``problem``."""
+    return ContractViolationError(f"invalid {kind} {path}: {problem}")
+
+
 def read(path, kind: str, version: int) -> tuple[dict, dict]:
     """``(spec, arrays)`` of the archive at ``path``. A missing path raises
     FileNotFoundError; a file that is not such an archive, of another
@@ -28,14 +34,10 @@ def read(path, kind: str, version: int) -> tuple[dict, dict]:
     ContractViolationError naming the ``kind`` of file and the path."""
     if not Path(path).is_file():
         raise FileNotFoundError(f"{kind} not found: {path}")
-
-    def invalid(problem):
-        return ContractViolationError(f"invalid {kind} {path}: {problem}")
-
     with open(path, "rb") as fh:
         # np.load takes any other file for a pickle and suggests allow_pickle
         if fh.read(4) != _ZIP_MAGIC:
-            raise invalid(f"not a {kind} (not an npz archive)")
+            raise invalid(kind, path, f"not a {kind} (not an npz archive)")
     try:
         with np.load(path) as npz:
             arrays = dict(npz)
@@ -46,12 +48,12 @@ def read(path, kind: str, version: int) -> tuple[dict, dict]:
     except Exception as exc:
         # an archive the zip, npy or compression layer cannot read, or one
         # without a readable spec object
-        raise invalid(f"not a {kind} ({exc!r})") from exc
+        raise invalid(kind, path, f"not a {kind} ({exc!r})") from exc
     if found != version:
-        raise invalid(f"unsupported version {found!r}, expected {version}")
+        raise invalid(kind, path, f"unsupported version {found!r}, expected {version}")
     for name, arr in arrays.items():
         if arr.dtype.kind not in "iuf":
-            raise invalid(f"{name} has dtype {arr.dtype}, expected real numbers")
+            raise invalid(kind, path, f"{name} has dtype {arr.dtype}, expected real numbers")
         if not np.all(np.isfinite(arr)):
-            raise invalid(f"non-finite entries in {name}")
+            raise invalid(kind, path, f"non-finite entries in {name}")
     return spec, arrays

@@ -22,7 +22,7 @@ from .adapt import (
     baseline_bn_modulators,
     run_adaptation,
 )
-from .errors import ConfigError, ContractViolationError, shown
+from .errors import ConfigError, ContractViolationError, check_fields, shown
 from .filters import NEG_EXP, RELU_RIDGE, SpectralFilter
 from .network import (
     Model,
@@ -113,10 +113,7 @@ class DatasetSpec:
             ("n_classes", f"must be at most {len(_PATTERNS)} with shape-patterns",
              self.generator != "shape-patterns" or self.n_classes <= len(_PATTERNS)),
         ]
-        for key, rule, ok in checks:
-            if not ok:
-                value = shown(getattr(self, key))
-                raise ConfigError(f"dataset.{key} {rule}, got {value}", [f"dataset.{key}:{value}"])
+        check_fields("dataset", self, checks)
 
 
 # orientation/frequency pairs for the pattern generator; more classes than

@@ -90,21 +90,12 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ablate_rank(args) -> int:
+def _cmd_ablate(args) -> int:
     cfg = _read_config(args.config)
     _check_output_file(args.out)
-    curve = bench.ablate_rank(cfg, args.ranks)
+    curve = args.sweep(cfg, args.values)
     bench.curve_to_json(curve, args.out)
-    print(f"wrote rank ablation curve to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_ablate_steps(args) -> int:
-    cfg = _read_config(args.config)
-    _check_output_file(args.out)
-    curve = bench.ablate_steps(cfg, args.steps)
-    bench.curve_to_json(curve, args.out)
-    print(f"wrote steps ablation curve to {args.out}")
+    print(f"wrote {args.label} ablation curve to {args.out}")
     return EXIT_OK
 
 
@@ -156,15 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate-rank", help="severity-5 error vs PCA rank")
     p.add_argument("--config", default=None)
-    p.add_argument("--ranks", type=int, nargs="+", required=True)
+    p.add_argument("--ranks", type=int, nargs="+", required=True, dest="values", metavar="RANKS")
     p.add_argument("--out", default="rank_curve.json")
-    p.set_defaults(fn=_cmd_ablate_rank)
+    p.set_defaults(fn=_cmd_ablate, sweep=bench.ablate_rank, label="rank")
 
     p = sub.add_parser("ablate-steps", help="severity-5 error vs adaptation steps")
     p.add_argument("--config", default=None)
-    p.add_argument("--steps", type=int, nargs="+", required=True)
+    p.add_argument("--steps", type=int, nargs="+", required=True, dest="values", metavar="STEPS")
     p.add_argument("--out", default="steps_curve.json")
-    p.set_defaults(fn=_cmd_ablate_steps)
+    p.set_defaults(fn=_cmd_ablate, sweep=bench.ablate_steps, label="steps")
 
     p = sub.add_parser("verify-ridge", help="ridge vs spectral-shrinkage equivalence report")
     p.add_argument("--trials", type=int, default=50)

@@ -45,3 +45,13 @@ class ConfigError(ContractViolationError):
     def __init__(self, message: str, keys: list[str] | None = None):
         super().__init__(message)
         self.keys = keys or []
+
+
+def check_fields(section: str, obj, checks) -> None:
+    """Raise a ConfigError for the first of ``checks``, ``(key, rule, ok)``
+    triples, whose ``ok`` is false: ``<section>.<key> <rule>, got <value>``,
+    with the value read off ``obj``."""
+    for key, rule, ok in checks:
+        if not ok:
+            value = shown(getattr(obj, key))
+            raise ConfigError(f"{section}.{key} {rule}, got {value}", [f"{section}.{key}:{value}"])

@@ -587,10 +587,19 @@ def fit_pca_from_source(model: Model, source_batches, j: int, rank: int) -> PcaB
 # ---- supervised pre-training ------------------------------------------
 
 
+def log_softmax(logits: np.ndarray):
+    """``(z, lse)``: ``logits`` minus each row's max, and the log of each
+    row's sum of ``exp(z)`` (an m x 1 column), so ``z - lse`` is the
+    log-softmax. Past the float64 range an entry of ``z`` is -inf, a class
+    whose probability is 0."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z, np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy loss and its gradient w.r.t. the logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z, lse = log_softmax(logits)
+    logp = z - lse
     n = len(labels)
     loss = -logp[np.arange(n), labels].mean()
     grad = np.exp(logp)
@@ -672,23 +681,20 @@ def load_model(path) -> Model:
     naming the file.
     """
     spec, data = archive.read(path, "checkpoint", MODEL_FORMAT_VERSION)
-
-    def invalid(problem):
-        return ContractViolationError(f"invalid checkpoint {path}: {problem}")
-
     try:
         model = build_model(0, **{name: spec[name] for name in MODEL_ARGS})
     except KeyError as exc:
-        raise invalid(f"no build_model argument {exc}") from exc
+        raise archive.invalid("checkpoint", path, f"no build_model argument {exc}") from exc
     except ContractViolationError as exc:
-        raise invalid(exc) from exc
+        raise archive.invalid("checkpoint", path, exc) from exc
     for name, arr in model.frozen_param_items():
         if name not in data:
-            raise invalid(f"missing array {name}")
+            raise archive.invalid("checkpoint", path, f"missing array {name}")
         stored = data[name]
         if stored.shape != arr.shape:
-            raise invalid(f"{name} has shape {stored.shape}, expected {arr.shape}")
+            problem = f"{name} has shape {stored.shape}, expected {arr.shape}"
+            raise archive.invalid("checkpoint", path, problem)
         if name.endswith(".running_var") and np.any(stored < 0):
-            raise invalid(f"negative entries in {name}")
+            raise archive.invalid("checkpoint", path, f"negative entries in {name}")
         arr[...] = stored
     return model

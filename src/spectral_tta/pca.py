@@ -5,7 +5,8 @@ the archive module like a model checkpoint).
 There is one fit path, the incremental (streaming) one: it keeps only a
 running mean plus a rank-L factor (singular values and right singular
 vectors), so its memory footprint is O(L * p) regardless of how many
-samples stream through. The batch fit ``fit`` is its one-batch case.
+samples stream through. The batch fit is its one-batch case,
+``fit_incremental([x], rank)``.
 """
 
 from dataclasses import dataclass
@@ -64,15 +65,11 @@ class PcaBasis:
         """Read a basis written by :meth:`save` (see :func:`archive.read`);
         a failed check raises ContractViolationError naming the file."""
         spec, arrays = archive.read(path, "basis file", BASIS_FORMAT_VERSION)
-
-        def invalid(problem):
-            return ContractViolationError(f"invalid basis file {path}: {problem}")
-
         try:
             mean, comp, sv = (np.asarray(arrays[name], dtype=np.float64) for name in _ARRAYS)
             n_fitted = spec["n_fitted"]
         except KeyError as exc:
-            raise invalid(f"no entry {exc}") from exc
+            raise archive.invalid("basis file", path, f"no entry {exc}") from exc
         rank, p = comp.shape if comp.ndim == 2 else (0, 0)
         integer = isinstance(n_fitted, int) and not isinstance(n_fitted, bool)
         problem = None
@@ -92,17 +89,8 @@ class PcaBasis:
             if residual > ORTHONORMAL_TOL:
                 problem = f"component rows are not orthonormal (max |V V^T - I| = {residual:.1e})"
         if problem is not None:
-            raise invalid(problem)
+            raise archive.invalid("basis file", path, problem)
         return cls(mean, comp, sv, n_fitted, spec.get("insert_index"), spec.get("model_hash"))
-
-
-def fit(features: np.ndarray, rank: int) -> PcaBasis:
-    """Fit PCA on an N x p matrix, keeping at most ``rank`` components.
-
-    Components with singular value at or below the drop threshold are
-    discarded, so the effective rank can be lower than requested.
-    """
-    return fit_incremental([features], rank)
 
 
 def fit_incremental(batches: Iterable[np.ndarray], rank: int) -> PcaBasis:

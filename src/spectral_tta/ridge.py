@@ -17,6 +17,9 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolationError, RankDeficientError
 
+# largest relative deviation between the two solvers that passes
+TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class RegressionProblem:
@@ -73,14 +76,16 @@ def spectral_ridge(p: RegressionProblem) -> np.ndarray:
     return vt.T @ (coords / (evals[:, None] + p.gamma))
 
 
-def verify_equivalence(trials: int = 50, seed: int = 0, tol: float = 1e-8) -> dict:
+def verify_equivalence(trials: int = 50, seed: int = 0) -> dict:
     """Compare both solvers on random well-conditioned problems.
 
     Returns a JSON-ready report; ``passed`` is False if any trial's
-    relative deviation exceeds ``tol``.
+    relative deviation exceeds ``TOLERANCE``.
     """
     if trials < 1:
         raise ContractViolationError("trials must be >= 1")
+    if seed < 0:
+        raise ContractViolationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     gammas = [0.01, 0.1, 1.0, 10.0]
     worst = 0.0
@@ -103,8 +108,8 @@ def verify_equivalence(trials: int = 50, seed: int = 0, tol: float = 1e-8) -> di
     return {
         "trials": trials,
         "seed": seed,
-        "tolerance": tol,
+        "tolerance": TOLERANCE,
         "max_relative_deviation": worst,
-        "passed": worst <= tol,
+        "passed": worst <= TOLERANCE,
         "results": results,
     }

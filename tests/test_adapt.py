@@ -24,7 +24,6 @@ from spectral_tta.network import (
     build_model,
     insert_adapter,
 )
-from spectral_tta.pca import fit as pca_fit
 from spectral_tta.network import fit_pca_from_source
 
 IN_SHAPE = (2, 4, 4)

@@ -563,6 +563,33 @@ def test_cli_verify_ridge(tmp_path, capsys):
     assert "passed" in capsys.readouterr().out
 
 
+def test_cli_verify_ridge_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify-ridge", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, sweep, label",
+    [("ablate-rank", "--ranks", "ablate_rank", "rank"), ("ablate-steps", "--steps", "ablate_steps", "steps")],
+)
+def test_cli_ablation_writes_the_curve_of_its_sweep(command, flag, sweep, label, tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def sweep_stub(cfg, values):
+        seen.append(values)
+        return [{label: v, "mean_error": 0.5, "per_seed": [0.5]} for v in values]
+
+    monkeypatch.setattr(bench, sweep, sweep_stub)
+    out = tmp_path / "curve.json"
+    cfg = write_tiny_cli_config(tmp_path)
+    assert cli.main([command, "--config", str(cfg), flag, "1", "3", "--out", str(out)]) == 0
+    assert seen == [[1, 3]]
+    assert json.loads(out.read_text()) == [{label: v, "mean_error": 0.5, "per_seed": [0.5]} for v in (1, 3)]
+    assert capsys.readouterr().out == f"wrote {label} ablation curve to {out}\n"
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli.main(["train", "--config", str(missing), "--model", str(tmp_path / "m.npz")]) == 2

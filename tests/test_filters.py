@@ -96,7 +96,7 @@ def test_relu_ridge_monotone_decreasing_in_gamma():
 
 
 def _full_rank_basis(rng, n=12, p=5):
-    return pca.fit(rng.normal(size=(n, p)), rank=p)
+    return pca.fit_incremental([rng.normal(size=(n, p))], rank=p)
 
 
 def _filter(basis, f, x):
@@ -122,7 +122,7 @@ def test_apply_zero_filter_returns_mean(rng, monkeypatch):
 
 
 def test_apply_matches_dense_projector(rng):
-    basis = pca.fit(rng.normal(size=(12, 5)), rank=3)
+    basis = pca.fit_incremental([rng.normal(size=(12, 5))], rank=3)
     f = SpectralFilter(NEG_EXP, basis.singular_values, gamma=rng.normal(size=3))
     x = rng.normal(size=(7, 5))
     out, _ = _filter(basis, f, x)
@@ -172,7 +172,7 @@ def test_backward_matches_loss_finite_differences(kind):
     rng = np.random.default_rng(42)
     h = 1e-6
     for trial in range(20):
-        basis = pca.fit(rng.normal(size=(10, 4)), rank=3)
+        basis = pca.fit_incremental([rng.normal(size=(10, 4))], rank=3)
         gamma = rng.uniform(0.3, 2.0, size=3)
         x = rng.normal(size=(5, 4))
         w = rng.normal(size=(5, 4))  # loss = sum(w * out)
@@ -191,7 +191,7 @@ def test_backward_matches_loss_finite_differences(kind):
 
 
 def test_apply_linear_in_centered_features(rng):
-    basis = pca.fit(rng.normal(size=(10, 4)), rank=2)
+    basis = pca.fit_incremental([rng.normal(size=(10, 4))], rank=2)
     f = SpectralFilter(NEG_EXP, basis.singular_values, gamma=[0.3, -0.7])
     x = rng.normal(size=(3, 4))
     y = rng.normal(size=(3, 4))

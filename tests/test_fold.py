@@ -124,7 +124,7 @@ def test_folded_conv_matches_unfolded_reference(
 def test_adapter_input_grad_matches_finite_differences(j, n_absorbed, rng):
     model = small_model(7, rng)
     in_shape = model.layer_output_shapes()[j - 1]  # (3, 4, 4) at both
-    basis = pca.fit(rng.normal(size=(64, int(np.prod(in_shape)))), rank=12)
+    basis = pca.fit_incremental([rng.normal(size=(64, int(np.prod(in_shape))))], rank=12)
     filt = SpectralFilter(RELU_RIDGE, basis.singular_values, rng.uniform(0.1, 2.0, basis.rank))
     adapter = adapter_of(insert_adapter(model, j, basis, filt))
     assert len(adapter.absorbed) == n_absorbed
@@ -191,7 +191,7 @@ def test_remove_adapter_restores_the_absorbed_layers(rng):
     base_logits, _ = model.forward(x)
     for j in (0, 3, 6):
         if j == 0:
-            basis = pca.fit(rng.normal(size=(64, int(np.prod(IN_SHAPE)))), rank=12)
+            basis = pca.fit_incremental([rng.normal(size=(64, int(np.prod(IN_SHAPE))))], rank=12)
         else:
             basis = full_rank_basis_at(model, j - 1, rng)
         folded, _ = both(model, j, basis, RELU_RIDGE, rng.uniform(0.1, 2.0, basis.rank))

@@ -1,10 +1,11 @@
+import contextlib
 import copy
 import re
 
 import numpy as np
 import pytest
 
-from spectral_tta import network, pca
+from spectral_tta import bench, network, pca
 from spectral_tta.adapt import entropy, entropy_grad
 from spectral_tta.errors import ContractViolationError, EmptyBasisError
 from spectral_tta.filters import RELU_RIDGE, SpectralFilter
@@ -22,6 +23,7 @@ from spectral_tta.network import (
     load_model,
     remove_adapter,
     save_model,
+    softmax_cross_entropy,
     train_model,
 )
 
@@ -42,7 +44,7 @@ def full_rank_basis_at(model, j, rng, n=96):
     batches = [rng.normal(size=(n // 2,) + IN_SHAPE) for _ in range(2)]
     if j < 0:
         flat = [b.reshape(len(b), -1) for b in batches]
-        return pca.fit(np.vstack(flat), rank=p)
+        return pca.fit_incremental([np.vstack(flat)], rank=p)
     return fit_pca_from_source(model, batches, j, rank=p)
 
 
@@ -146,7 +148,7 @@ def test_insert_at_every_legal_position(rng):
 
 def test_insert_rejects_mismatched_basis(rng):
     model = small_model()
-    basis = pca.fit(rng.normal(size=(20, 7)), rank=4)
+    basis = pca.fit_incremental([rng.normal(size=(20, 7))], rank=4)
     with pytest.raises(ContractViolationError):
         insert_adapter(model, 3, basis, SpectralFilter(RELU_RIDGE, basis.singular_values))
     # 2-D position (after flatten) is illegal
@@ -286,7 +288,7 @@ def test_fit_pca_streamed_vs_concatenated(rng):
     # rank covering the full stream keeps the incremental update lossless
     streamed = fit_pca_from_source(model, np.array_split(data, 4), 2, rank=48)
     flat = model.forward_until(data, 2).reshape(64, -1)
-    batch = pca.fit(flat, rank=48)
+    batch = pca.fit_incremental([flat], rank=48)
     assert np.allclose(streamed.singular_values, batch.singular_values, rtol=1e-6)
 
 
@@ -294,7 +296,7 @@ def test_fit_pca_records_its_layer_and_model(rng):
     model = small_model(seed=10)
     basis = fit_pca_from_source(model, [rng.normal(size=(16,) + IN_SHAPE)], 2, rank=4)
     assert (basis.insert_index, basis.model_hash) == (3, model.weight_hash())
-    plain = pca.fit(rng.normal(size=(4, 3)), 2)  # fitted on no model
+    plain = pca.fit_incremental([rng.normal(size=(4, 3))], 2)  # fitted on no model
     assert (plain.insert_index, plain.model_hash) == (None, None)
 
 
@@ -684,3 +686,71 @@ def test_training_without_layer0_input_grad_matches_full_backward(monkeypatch, r
         reference = train_model(small_model(seed=4), x, y, epochs=3, batch_size=16, seed=2)
     assert trained.weight_hash() == reference.weight_hash()
     assert trained.weight_hash() != small_model(seed=4).weight_hash()
+
+
+# The log-softmax as each caller wrote it before they shared
+# network.log_softmax: the references the shared helper must reproduce bit
+# for bit, and the overflow warning that only training lets through.
+
+
+def _reference_softmax_cross_entropy(logits, labels):
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    n = len(labels)
+    loss = -logp[np.arange(n), labels].mean()
+    grad = np.exp(logp)
+    grad[np.arange(n), labels] -= 1.0
+    return loss, grad / n
+
+
+def _reference_shifted(logits):
+    with np.errstate(over="ignore"):
+        return logits - logits.max(axis=1, keepdims=True)
+
+
+def _reference_entropy(logits):
+    z = _reference_shifted(logits)
+    lse = np.log(np.exp(z).sum(axis=1))
+    p = np.exp(z - lse[:, None])
+    z = np.where(p > 0, z, 0.0)
+    h = lse - np.sum(p * z, axis=1)
+    return float(h.mean())
+
+
+def _reference_entropy_grad(logits):
+    z = _reference_shifted(logits)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    p = np.exp(z - lse)
+    z = np.where(p > 0, z, 0.0)
+    zbar = np.sum(p * z, axis=1, keepdims=True)
+    return -p * (z - zbar) / logits.shape[0]
+
+
+_LOGITS = {
+    "random": np.random.default_rng(7).normal(scale=4.0, size=(9, 5)),
+    "tied": np.array([[0.37, 0.37, 0.37], [2.0, -1.0, 2.0], [-3.0, 5.0, 5.0], [0.0, 0.0, -0.0]]),
+    "past-float64": np.array([[-1e308, 1e308], [1e308, -1e308]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOGITS))
+def test_entropy_and_cross_entropy_match_their_own_log_softmax_bitwise(case):
+    logits = _LOGITS[case]
+    labels = np.arange(len(logits)) % logits.shape[1]
+    assert _same_bits(np.float64(entropy(logits)), np.float64(_reference_entropy(logits)))
+    assert _same_bits(entropy_grad(logits), _reference_entropy_grad(logits))
+    # training lets an overflow in the shift warn, the entropy pair does not
+    warns = case == "past-float64"
+    with pytest.warns(RuntimeWarning, match="overflow") if warns else contextlib.nullcontext():
+        loss, grad = softmax_cross_entropy(logits, labels)
+    with pytest.warns(RuntimeWarning, match="overflow") if warns else contextlib.nullcontext():
+        ref_loss, ref_grad = _reference_softmax_cross_entropy(logits, labels)
+    assert _same_bits(np.float64(loss), np.float64(ref_loss))
+    assert _same_bits(grad, ref_grad)
+
+
+def test_training_with_the_shared_log_softmax_matches_its_own(monkeypatch, tiny_config, tiny_model):
+    with monkeypatch.context() as patch:
+        patch.setattr(network, "softmax_cross_entropy", _reference_softmax_cross_entropy)
+        reference = bench.train_from_config(tiny_config)
+    assert tiny_model.weight_hash() == reference.weight_hash()

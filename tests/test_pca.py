@@ -11,18 +11,18 @@ from spectral_tta.errors import ContractViolationError, EmptyBasisError
 def test_fit_rank1_line():
     t = np.linspace(-2, 2, 9)
     data = np.stack([1.0 + 2 * t, -1.0 - 4 * t], axis=1)  # points on a line
-    basis = pca.fit(data, rank=1)
+    basis = pca.fit_incremental([data], rank=1)
     direction = np.array([2.0, -4.0]) / np.linalg.norm([2.0, -4.0])
     comp = basis.components[0]
     assert abs(abs(comp @ direction) - 1.0) <= 1e-10
     # the dropped second singular value is zero: rank 2 request still yields 1
-    basis2 = pca.fit(data, rank=2)
+    basis2 = pca.fit_incremental([data], rank=2)
     assert basis2.rank == 1
 
 
 def test_fit_three_points_hand_svd():
     data = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    basis = pca.fit(data, rank=1)
+    basis = pca.fit_incremental([data], rank=1)
     assert np.allclose(basis.components[0], np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
     assert abs(basis.singular_values[0] - 2.0) <= 1e-12
 
@@ -30,7 +30,7 @@ def test_fit_three_points_hand_svd():
 def test_fit_full_rank_noise():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(20, 5))
-    basis = pca.fit(data, rank=5)
+    basis = pca.fit_incremental([data], rank=5)
     assert basis.rank == 5
     assert np.allclose(basis.components @ basis.components.T, np.eye(5), atol=1e-8)
     rec = pca.inverse_transform(basis, pca.transform(basis, data))
@@ -40,30 +40,17 @@ def test_fit_full_rank_noise():
 def test_fit_rank_out_of_range():
     data = np.random.default_rng(2).normal(size=(4, 3))
     with pytest.raises(ContractViolationError):
-        pca.fit(data, rank=0)
+        pca.fit_incremental([data], rank=0)
     with pytest.raises(ContractViolationError):
-        pca.fit(data, rank=4)
+        pca.fit_incremental([data], rank=4)
     with pytest.raises(ContractViolationError):
-        pca.fit(data[:1], rank=1)
-
-
-@pytest.mark.parametrize(
-    "shape, rank",
-    [((12, 4), 3), ((40, 12), 5), ((10, 30), 8), ((64, 48), 48)],
-    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"r{v}",
-)
-def test_incremental_single_batch_matches_fit(shape, rank):
-    data = np.random.default_rng(3).normal(size=shape)
-    a = pca.fit(data, rank=rank)
-    b = pca.fit_incremental([data], rank=rank)
-    for name in ("mean", "components", "singular_values", "n_fitted"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        pca.fit_incremental([data[:1]], rank=1)
 
 
 def test_incremental_matches_batch_split():
     rng = np.random.default_rng(4)
     data = rng.normal(size=(32, 5))
-    batch = pca.fit(data, rank=5)
+    batch = pca.fit_incremental([data], rank=5)
     inc = pca.fit_incremental(np.array_split(data, 4), rank=5)
     assert np.allclose(
         inc.singular_values, batch.singular_values, rtol=1e-6
@@ -74,7 +61,7 @@ def test_incremental_matches_batch_split():
 def test_incremental_subspace_alignment_long_stream():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(512, 6))
-    batch = pca.fit(data, rank=6)
+    batch = pca.fit_incremental([data], rank=6)
     inc = pca.fit_incremental(np.array_split(data, 16), rank=6)
     assert np.allclose(inc.singular_values, batch.singular_values, rtol=1e-6)
     # principal angles between the spans
@@ -87,7 +74,7 @@ def test_incremental_after_a_one_row_first_batch_matches_fit():
     # one centered row has no mode, so the second stack has no factor block
     data = np.random.default_rng(6).normal(size=(20, 4))
     inc = pca.fit_incremental([data[:1], data[1:]], rank=4)
-    batch = pca.fit(data, rank=4)
+    batch = pca.fit_incremental([data], rank=4)
     assert np.allclose(inc.singular_values, batch.singular_values, rtol=1e-10)
     assert np.allclose(np.abs(inc.components), np.abs(batch.components), atol=1e-10)
     assert np.allclose(inc.mean, batch.mean, atol=1e-12)
@@ -124,7 +111,7 @@ def test_incremental_memory_bound_is_rank_by_p():
 def test_transform_trivial_cases():
     rng = np.random.default_rng(7)
     data = rng.normal(size=(10, 4))
-    basis = pca.fit(data, rank=3)
+    basis = pca.fit_incremental([data], rank=3)
     scores = pca.transform(basis, np.tile(basis.mean, (3, 1)))
     assert np.abs(scores).max() <= 1e-12
     # component rows offset by the mean project to identity score rows
@@ -135,7 +122,7 @@ def test_transform_trivial_cases():
 def test_transform_projector_oracle():
     rng = np.random.default_rng(8)
     data = rng.normal(size=(16, 6))
-    basis = pca.fit(data, rank=3)
+    basis = pca.fit_incremental([data], rank=3)
     x = rng.normal(size=(5, 6))
     rec = pca.inverse_transform(basis, pca.transform(basis, x))
     projector = basis.components.T @ basis.components
@@ -146,7 +133,7 @@ def test_transform_projector_oracle():
 def test_inverse_transform_trivial_and_residual():
     rng = np.random.default_rng(9)
     data = rng.normal(size=(16, 6))
-    basis = pca.fit(data, rank=3)
+    basis = pca.fit_incremental([data], rank=3)
     rec = pca.inverse_transform(basis, np.zeros((2, 3)))
     assert np.allclose(rec, np.tile(basis.mean, (2, 1)), atol=1e-12)
     x = rng.normal(size=(4, 6))
@@ -156,7 +143,7 @@ def test_inverse_transform_trivial_and_residual():
 
 def test_shape_mismatches_raise():
     data = np.random.default_rng(10).normal(size=(8, 4))
-    basis = pca.fit(data, rank=2)
+    basis = pca.fit_incremental([data], rank=2)
     with pytest.raises(ContractViolationError):
         pca.transform(basis, np.ones((2, 5)))
     with pytest.raises(ContractViolationError):
@@ -168,7 +155,7 @@ def test_eckart_young_beats_random_bases():
     data = rng.normal(size=(16, 8)) @ np.diag([8, 5, 4, 3, 2, 1.5, 1.0, 0.5])
     centered = data - data.mean(axis=0)
     for rank in range(1, 9):
-        basis = pca.fit(data, rank=rank)
+        basis = pca.fit_incremental([data], rank=rank)
         rec = pca.inverse_transform(basis, pca.transform(basis, data))
         pca_err = np.linalg.norm(rec - data)
         for _ in range(100):
@@ -180,7 +167,7 @@ def test_eckart_young_beats_random_bases():
 
 def test_basis_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(12)
-    basis = pca.fit(rng.normal(size=(10, 5)), rank=3)
+    basis = pca.fit_incremental([rng.normal(size=(10, 5))], rank=3)
     path = tmp_path / "basis.npz"
     basis.save(path)
     loaded = pca.PcaBasis.load(path)

@@ -46,7 +46,7 @@ def test_matches_lstsq_oracle(rng):
 
 
 def test_equivalence_trials():
-    report = verify_equivalence(trials=50, seed=0, tol=1e-8)
+    report = verify_equivalence(trials=50, seed=0)
     assert report["passed"]
     assert report["max_relative_deviation"] <= 1e-8
     assert len(report["results"]) == 50
