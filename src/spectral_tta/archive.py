@@ -29,9 +29,11 @@ def invalid(kind: str, path, problem) -> ContractViolationError:
 
 def read(path, kind: str, version: int) -> tuple[dict, dict]:
     """``(spec, arrays)`` of the archive at ``path``. A missing path raises
-    FileNotFoundError; a file that is not such an archive, of another
-    version, or with an array not of finite real numbers raises
+    FileNotFoundError; a directory, a file that is not such an archive, of
+    another version, or with an array not of finite real numbers raises
     ContractViolationError naming the ``kind`` of file and the path."""
+    if Path(path).is_dir():
+        raise invalid(kind, path, "is a directory")
     if not Path(path).is_file():
         raise FileNotFoundError(f"{kind} not found: {path}")
     with open(path, "rb") as fh:

@@ -90,13 +90,31 @@ class Conv2d:
             pgrads = {"w": gw2.reshape(self.w.shape), "b": gy2.sum(axis=(0, 2))}
         if not need_input_grad:
             return None, pgrads
+        # col2im over the (n, c) planes laid end to end: tap (i, j) moves
+        # every product by one flat offset, (i - p)*w + (j - p), so each tap
+        # is one add, in the (i, j) order of a k*k loop of slice adds. A
+        # product whose pixel (y + i - p, x + j - p) is off the map would
+        # land in a neighbouring row or plane, so it is set to +0.0 first.
+        # Adding +0.0 to a sum that started at +0.0 changes no bit (such a
+        # sum is never -0.0), so every pixel sums the same products in the
+        # same order.
         gcols = np.matmul(w2.T, gy2).reshape(n, c, k, k, h, w)
-        gxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
+        for t in range(k):
+            s = t - p
+            if s:
+                rows = slice(max(h - s, 0), None) if s > 0 else slice(None, -s)
+                columns = slice(max(w - s, 0), None) if s > 0 else slice(None, -s)
+                gcols[:, :, t, :, rows] = 0.0
+                gcols[:, :, :, t, :, columns] = 0.0
+        g = p * w + p  # the largest shift
+        m = n * c * h * w
+        flat = np.zeros(g + m + g)
         for i in range(k):
             for j in range(k):
-                gxp[:, :, i : i + h, j : j + w] += gcols[:, :, i, j]
-        gx = gxp[:, :, p : p + h, p : p + w]
-        return gx, pgrads
+                at = g + (i - p) * w + (j - p)
+                planes = flat[at : at + m].reshape(n, c, h, w)
+                planes += gcols[:, :, i, j]
+        return flat[g : g + m].reshape(n, c, h, w), pgrads
 
 
 class BatchNorm2d:

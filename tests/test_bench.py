@@ -989,6 +989,10 @@ _BAD_N_FITTED = {
 
 def _corrupt_basis(path, case):
     """Break the basis file at ``path`` as ``case`` says."""
+    if case == "directory":  # a directory where the file should be
+        path.unlink()
+        path.mkdir()
+        return
     if case == "format-1-json":  # the first format: JSON text, no archive
         arrays = {"mean": [0.0] * 4, "components": np.eye(4)[:2].ravel().tolist()}
         payload = {"version": 1, "p": 4, "rank": 2, "n_fitted": 10, "singular_values": [2.0, 1.0]}
@@ -1034,6 +1038,7 @@ _BASIS_CAUSES = {
     "non-positive": "singular values must be positive and non-increasing",
     "non-orthonormal": "component rows are not orthonormal",
     "format-1-json": "not a basis file (not an npz archive)",
+    "directory": "is a directory",
     "no-n-fitted": "no entry 'n_fitted'",
     "no-components": "no entry 'components'",
     "version-1": "unsupported version 1, expected 2",
@@ -1116,7 +1121,7 @@ def _corrupt_checkpoint(arrays, case):
         "missing", "non-finite", "conv-in-channels", "bn-channels", "linear-width",
         "negative-variance", "no-kernel", "no-spec", "not-an-archive", "format-1-basis",
         "even-kernel", "one-class", "no-conv-channels", "version-1", "string-array",
-        "complex-array", "compression-99", "compression-12",
+        "complex-array", "compression-99", "compression-12", "directory",
     ],
 )
 def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
@@ -1131,6 +1136,9 @@ def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
         model.write_bytes(model.read_bytes()[:100])  # a truncated download
     elif case == "format-1-basis":  # a basis file of the first format, JSON text
         _corrupt_basis(model, "format-1-json")
+    elif case == "directory":
+        model.unlink()
+        model.mkdir()
     elif case.startswith("compression-"):
         # the compression method of the first central-directory entry: one
         # the zip layer does not know (99), or bzip2 over stored bytes (12)
@@ -1149,6 +1157,9 @@ def test_cli_invalid_checkpoint_exits_2(tmp_path, capsys, case):
     assert err.count(f"invalid checkpoint {model}") == 3
     if case == "format-1-basis":
         assert err.count(f"invalid checkpoint {model}: not a checkpoint (not an npz archive)") == 3
+    if case == "directory":
+        assert err.count(f"invalid checkpoint {model}: is a directory") == 3
+        assert "not found" not in err
     assert "pickle" not in err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "b.npz").exists()

@@ -449,9 +449,99 @@ def test_conv_forward_matches_the_bias_add_formula_bitwise(rng):
     conv = Conv2d(3, 4, 3, rng)
     conv.b = rng.normal(size=4)
     x = rng.normal(size=(16, 3, 8, 8))
-    y, (_, cols) = conv.forward(x)
+    y, _ = conv.forward(x)
+    cols = _reference_im2col(x, 3)
     expected = np.matmul(conv.w.reshape(4, -1), cols) + conv.b[None, :, None]
     assert _same_bits(y, expected.reshape(16, 4, 8, 8))
+
+
+# The per-sample convolution formulas: the np.pad im2col with one matmul
+# per sample, and the k*k loop of slice adds for col2im. Conv2d's forward
+# and its one-add-per-tap col2im must match them bit for bit.
+
+
+def _reference_conv_linear(conv, x):
+    n, _, h, w = x.shape
+    cols = _reference_im2col(x, conv.kernel)
+    return np.matmul(conv.w.reshape(conv.w.shape[0], -1), cols).reshape(n, -1, h, w)
+
+
+def _reference_conv_forward(conv, x):
+    n, _, h, w = x.shape
+    cols = _reference_im2col(x, conv.kernel)
+    y = np.matmul(conv.w.reshape(conv.w.shape[0], -1), cols)
+    y += conv.b[None, :, None]
+    return y.reshape(n, -1, h, w), (x.shape, cols)
+
+
+def _reference_conv_backward(conv, cache, gy, need_param_grads=True, need_input_grad=True):
+    (n, c, h, w), cols = cache
+    k = conv.kernel
+    p = k // 2
+    out_ch = conv.w.shape[0]
+    gy2 = gy.reshape(n, out_ch, h * w)
+    w2 = conv.w.reshape(out_ch, -1)
+    pgrads = {}
+    if need_param_grads:
+        gw2 = np.einsum("nof,ncf->oc", gy2, cols)
+        pgrads = {"w": gw2.reshape(conv.w.shape), "b": gy2.sum(axis=(0, 2))}
+    if not need_input_grad:
+        return None, pgrads
+    gcols = np.matmul(w2.T, gy2).reshape(n, c, k, k, h, w)
+    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i : i + h, j : j + w] += gcols[:, :, i, j]
+    return gxp[:, :, p : p + h, p : p + w], pgrads
+
+
+_CONV_CASES = pytest.mark.parametrize(
+    "n, k, channels, hw",
+    [
+        pytest.param(n, k, channels, hw, id=f"n{n}-k{k}-{channels[0]}to{channels[1]}-{hw[0]}x{hw[1]}")
+        for n in (1, 16, 64)
+        for k in (1, 3, 5)
+        for channels in ((1, 2), (2, 1), (3, 8), (8, 8))
+        for hw in ((8, 8), (5, 9), (3, 1))
+    ]
+    # a map smaller than the kernel's reach, where a tap's shift passes
+    # the whole map
+    + [pytest.param(16, 7, (2, 3), (2, 2), id="n16-k7-2to3-2x2")],
+)
+
+
+def _conv_case(n, k, channels, hw, rng):
+    """A conv with a bias, and an input and an output gradient that each
+    hold a -0.0."""
+    c_in, c_out = channels
+    conv = Conv2d(c_in, c_out, k, rng)
+    conv.b = rng.normal(size=c_out)
+    x = rng.normal(size=(n, c_in) + hw)
+    gy = rng.normal(size=(n, c_out) + hw)
+    x[0, 0, 0, 0] = -0.0
+    gy[0, 0, 0, 0] = -0.0
+    return conv, x, gy
+
+
+@_CONV_CASES
+def test_conv_forward_matches_the_per_sample_formula_bitwise(n, k, channels, hw, rng):
+    conv, x, _ = _conv_case(n, k, channels, hw, rng)
+    y, _ = conv.forward(x)
+    # C order: the batch norm above reduces in memory order
+    assert _same_bits(y, _reference_conv_forward(conv, x)[0]) and y.flags.c_contiguous
+    lin = conv.linear(x)
+    assert _same_bits(lin, _reference_conv_linear(conv, x)) and lin.flags.c_contiguous
+
+
+@_CONV_CASES
+def test_conv_gradients_match_the_per_sample_formulas_bitwise(n, k, channels, hw, rng):
+    conv, x, gy = _conv_case(n, k, channels, hw, rng)
+    _, cache = conv.forward(x)
+    gx, pg = conv.backward(cache, gy)
+    ref_gx, ref_pg = _reference_conv_backward(conv, _reference_conv_forward(conv, x)[1], gy)
+    assert _same_bits(gx, ref_gx) and gx.flags.c_contiguous
+    assert pg.keys() == ref_pg.keys()
+    assert all(_same_bits(pg[name], ref_pg[name]) for name in pg)
 
 
 def _reference_bn_forward(bn, x):
@@ -754,3 +844,22 @@ def test_training_with_the_shared_log_softmax_matches_its_own(monkeypatch, tiny_
         patch.setattr(network, "softmax_cross_entropy", _reference_softmax_cross_entropy)
         reference = bench.train_from_config(tiny_config)
     assert tiny_model.weight_hash() == reference.weight_hash()
+
+
+def test_training_and_adaptation_with_the_per_sample_conv_match_their_own(
+    monkeypatch, tiny_config, tiny_model, tiny_basis
+):
+    cells = [(method, "gaussian-noise", 5) for method in ("bn-modulators", "spectral-relu")]
+    records = [bench.run_cell(tiny_config, tiny_model, tiny_basis, *cell) for cell in cells]
+    with monkeypatch.context() as patch:
+        patch.setattr(Conv2d, "linear", _reference_conv_linear)
+        patch.setattr(Conv2d, "forward", _reference_conv_forward)
+        patch.setattr(Conv2d, "backward", _reference_conv_backward)
+        reference = bench.train_from_config(tiny_config)
+        ref_basis = bench.fit_basis_from_config(tiny_config, reference)
+        ref_records = [bench.run_cell(tiny_config, reference, ref_basis, *cell) for cell in cells]
+    assert tiny_model.weight_hash() == reference.weight_hash()
+    assert _same_bits(tiny_basis.components, ref_basis.components)
+    assert _same_bits(tiny_basis.mean, ref_basis.mean)
+    for rec, ref in zip(records, ref_records):
+        assert rec.batches == ref.batches  # errors, both entropies, params_hash
