@@ -6,8 +6,8 @@ property checks on small instances; criterion 7 runs the full-size
 benchmark over three seeds and is the slow one (about 11 s on 2 cores).
 """
 
-import copy
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -311,19 +311,29 @@ def test_criterion_9_parameter_accounting(rng):
     )
 
 
-def test_criterion_10_reproducibility(tiny_config, tiny_model, tiny_basis, tmp_path):
-    cfg = copy.deepcopy(tiny_config)
-    cfg["corruptions"] = ["gaussian-noise", "brightness"]
-    cfg["severities"] = [2, 5]
-    a, b = tmp_path / "a", tmp_path / "b"
-    bench.run_benchmark(cfg, tiny_model, tiny_basis, out_dir=a)
-    bench.run_benchmark(cfg, tiny_model, tiny_basis, out_dir=b)
-    names = sorted(p.name for p in a.iterdir())
-    identical = names == sorted(p.name for p in b.iterdir()) and all(
-        (a / n).read_bytes() == (b / n).read_bytes() for n in names
-    )
+def test_criterion_10_reproducibility(tiny_config, tiny_model, tiny_basis, tmp_path, monkeypatch):
+    """Two runs of each protocol's grid, and a third in one process (one
+    usable CPU, so no cell is forked), give equal tables and records and
+    the same bytes in every file."""
+    identical, counts = True, []
+    for protocol in ("episodic", "online"):
+        cfg = bench.with_value(tiny_config, "adapt.protocol", protocol)
+        cfg.update(corruptions=["gaussian-noise", "brightness"], severities=[2, 5])
+        dirs = [tmp_path / f"{protocol}_{run}" for run in ("a", "b", "in_process")]
+        runs = [bench.run_benchmark(cfg, tiny_model, tiny_basis, out_dir=d) for d in dirs[:2]]
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            runs.append(bench.run_benchmark(cfg, tiny_model, tiny_basis, out_dir=dirs[2]))
+        names = sorted(p.name for p in dirs[0].iterdir())
+        counts.append(len(names))
+        identical &= len(names) > 1 and all(run == runs[0] for run in runs) and all(
+            sorted(p.name for p in d.iterdir()) == names
+            and all((d / n).read_bytes() == (dirs[0] / n).read_bytes() for n in names)
+            for d in dirs
+        )
     report(
         "criterion 10: reproducibility",
-        identical and len(names) > 1,
-        f"{len(names)} output files byte-identical across reruns",
+        identical,
+        f"{' and '.join(map(str, counts))} output files (episodic, online) byte-identical "
+        "across reruns, on two cores and in one process",
     )

@@ -3,9 +3,13 @@ import copy
 import io
 import json
 import math
+import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -28,7 +32,12 @@ from spectral_tta.bench import (
     make_batches,
     run_benchmark,
 )
-from spectral_tta.errors import ConfigError, ContractViolationError
+from spectral_tta.errors import (
+    ConfigError,
+    ContractViolationError,
+    EmptyBasisError,
+    NumericalFailureError,
+)
 from spectral_tta.network import BatchNorm2d, build_model, load_model, save_model
 from spectral_tta.pca import PcaBasis
 
@@ -1437,6 +1446,154 @@ def test_cli_diverged_bench_exits_3_and_writes_nothing(cli_files, tmp_path, caps
     assert cli.main(args) == 3
     assert not out.exists()
     assert f"{method} adaptation diverged" in capsys.readouterr().err
+
+
+# ---- the grid on two cores ------------------------------------------------------
+
+
+def fork_on_two_cpus(monkeypatch):
+    """Make map_cells fork, whatever CPUs this machine gives the process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail a block that runs past ``seconds``, where it would hang."""
+
+    def expire(signum, frame):
+        # not a TimeoutError: that is an OSError, which os.waitpid's caller
+        # in multiprocessing swallows
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("adapt_over, method, cause", DIVERGING)
+def test_cli_bench_whose_forked_half_diverges_exits_3_and_writes_nothing(
+    cli_files, tmp_path, capsys, monkeypatch, adapt_over, method, cause
+):
+    """Only the grid's last cell, the one the forked child evaluates, is
+    run with the diverging adapt values; the parent ends as the serial
+    loop did, and no child is left."""
+    fork_on_two_cpus(monkeypatch)
+    cfg = json.loads(cli_files[0].read_text())
+    cfg.update(methods=[method], severities=[1, 3, 5])
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(cfg))
+    last = (cfg["corruptions"][-1], 5)
+    cell_batches, evaluate, current = bench._cell_batches, bench._evaluate_cell, {}
+
+    def batches_of(cfg, test_set, corruption, severity):
+        current["cell"] = (corruption, severity)
+        return cell_batches(cfg, test_set, corruption, severity)
+
+    def diverges_on_the_last_cell(model, basis, cfg, method, batches):
+        if current["cell"] == last:
+            cfg = {**cfg, "adapt": {**cfg["adapt"], **adapt_over}}
+        return evaluate(model, basis, cfg, method, batches)
+
+    monkeypatch.setattr(bench, "_cell_batches", batches_of)
+    monkeypatch.setattr(bench, "_evaluate_cell", diverges_on_the_last_cell)
+    _, model, basis = cli_files
+    out = tmp_path / "out"
+    args = [
+        "bench", "--config", str(config), "--model", str(model), "--basis", str(basis),
+        "--out", str(out),
+    ]
+    with within(60):
+        assert cli.main(args) == 3
+    assert not out.exists()
+    assert f"{method} adaptation diverged on batch 0: {cause}" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        ConfigError("invalid config values: adapt.steps_per_batch:0", ["adapt.steps_per_batch:0"]),
+        NumericalFailureError("did not converge", residual=0.25),
+        EmptyBasisError("no variance at layer 2", residual=0.0),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_an_error_raised_in_the_forked_half_reaches_the_caller_whole(exc, monkeypatch):
+    again = pickle.loads(pickle.dumps(exc))
+    assert (type(again), again.args, vars(again)) == (type(exc), exc.args, vars(exc))
+    fork_on_two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def fn(cell):
+        if cell == 1:  # the second half, the child's
+            assert os.getpid() != parent
+            raise exc
+        return cell
+
+    with within(30), pytest.raises(type(exc)) as caught:
+        bench.map_cells(fn, [0, 1])
+    assert (caught.value.args, vars(caught.value)) == (exc.args, vars(exc))
+    assert multiprocessing.active_children() == []
+
+
+def test_results_larger_than_the_pipes_buffer_arrive_in_cell_order(monkeypatch):
+    fork_on_two_cpus(monkeypatch)
+    with within(30):  # a join before the receive would wait for ever
+        cells = bench.map_cells(lambda cell: cell * 2**20, ["a", "b", "c"])
+    assert cells == ["a" * 2**20, "b" * 2**20, "c" * 2**20]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_daemonic_process_runs_every_cell_itself(monkeypatch):
+    """A Pool worker may start no child, so its grid runs in process."""
+    fork_on_two_cpus(monkeypatch)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    args = (lambda grids: bench.map_cells(str, grids), [[0, 1, 2]], send)
+    worker = ctx.Process(target=bench._send_results, args=args, daemon=True)
+    worker.start()
+    send.close()
+    with within(30):
+        assert receive.recv() == (True, [["0", "1", "2"]])
+        worker.join()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_exits_without_sending_raises_naming_its_exit_code(
+    tiny_config, tiny_model, monkeypatch
+):
+    fork_on_two_cpus(monkeypatch)
+    parent, evaluate = os.getpid(), bench._evaluate_cell
+
+    def exits_in_the_child(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(bench, "_evaluate_cell", exits_in_the_child)
+    cfg = one_cell_config(tiny_config)
+    cfg.update(methods=["no-adapt"], severities=[3, 5])
+    with within(30), pytest.raises(RuntimeError, match="exited with code 1 before sending"):
+        run_benchmark(cfg, tiny_model, None)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failure_in_the_parents_half_ends_the_child(monkeypatch):
+    fork_on_two_cpus(monkeypatch)
+
+    def fn(cell):
+        if cell == 0:
+            raise NumericalFailureError("the parent's cell failed")
+        time.sleep(60)
+
+    with within(30), pytest.raises(NumericalFailureError, match="the parent's cell failed"):
+        bench.map_cells(fn, [0, 1])
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("adapt_over", [{"learning_rate": 1e300}, {"gamma_init": 1e300}], ids=str)
