@@ -163,18 +163,24 @@ def _diverged(method: str, b_idx: int, what: str) -> NumericalFailureError:
     return NumericalFailureError(f"{method} adaptation diverged on batch {b_idx}: {what}")
 
 
-def run_adaptation(model: Model, test_batches, cfg: AdaptConfig, method: str = "adapt") -> RunRecord:
+def run_adaptation(
+    model: Model, test_batches, cfg: AdaptConfig, method: str = "adapt", first: int = 0
+) -> RunRecord:
     """Adapt on each batch and evaluate it, in the protocol that
     ``cfg.protocol`` names: ``episodic`` resets the parameters and the
     optimizer before every batch, ``online`` carries them across the
-    stream."""
+    stream.
+
+    ``first`` is the index of the first batch in its whole stream: the
+    records and a divergence message number the batches from it, so an
+    episodic stream run in parts gives the records of the whole."""
     batches = _check_batches(test_batches)
     episodic = cfg.protocol == "episodic"
     n_params = model.adapt_param_count()
     params0 = model.adapt_params()
     record = RunRecord(method=method, protocol=cfg.protocol)
     state = AdamState.zeros(n_params)
-    for b_idx, (x, y) in enumerate(batches):
+    for b_idx, (x, y) in enumerate(batches, first):
         if episodic:
             model.set_adapt_params(params0)
             state = AdamState.zeros(n_params)
@@ -207,10 +213,10 @@ def run_adaptation(model: Model, test_batches, cfg: AdaptConfig, method: str = "
 # ---- baselines ----------------------------------------------------------
 
 
-def _infer(model: Model, test_batches, method: str) -> RunRecord:
+def _infer(model: Model, test_batches, method: str, first: int) -> RunRecord:
     batches = _check_batches(test_batches)
     record = RunRecord(method=method, protocol="none")
-    for b_idx, (x, y) in enumerate(batches):
+    for b_idx, (x, y) in enumerate(batches, first):
         logits, _ = model.forward(x)
         if not np.all(np.isfinite(logits)):
             raise NumericalFailureError(f"{method} gave non-finite logits on batch {b_idx}")
@@ -219,22 +225,28 @@ def _infer(model: Model, test_batches, method: str) -> RunRecord:
     return record
 
 
-def baseline_no_adapt(model: Model, test_batches) -> RunRecord:
-    """Pure inference with frozen statistics."""
-    return _infer(model, test_batches, "no-adapt")
+def baseline_no_adapt(model: Model, test_batches, first: int = 0) -> RunRecord:
+    """Pure inference with frozen statistics; ``first`` numbers the batches
+    as in :func:`run_adaptation`."""
+    return _infer(model, test_batches, "no-adapt", first)
 
 
-def baseline_bn_stats(model: Model, test_batches) -> RunRecord:
-    """Recompute batch-norm statistics per test batch; nothing is learned."""
+def baseline_bn_stats(model: Model, test_batches, first: int = 0) -> RunRecord:
+    """Recompute batch-norm statistics per test batch; nothing is learned
+    or carried to the next batch. ``first`` numbers the batches as in
+    :func:`run_adaptation`."""
     work = model.clone()
     work.set_bn_mode(BN_BATCH)
-    return _infer(work, test_batches, "bn-stats")
+    return _infer(work, test_batches, "bn-stats", first)
 
 
-def baseline_bn_modulators(model: Model, test_batches, cfg: AdaptConfig) -> RunRecord:
-    """Entropy-train the batch-norm scale/shift with batch statistics."""
+def baseline_bn_modulators(
+    model: Model, test_batches, cfg: AdaptConfig, first: int = 0
+) -> RunRecord:
+    """Entropy-train the batch-norm scale/shift with batch statistics;
+    ``first`` numbers the batches as in :func:`run_adaptation`."""
     work = model.clone()
     work.set_bn_mode(BN_BATCH)
     work.adapt_target = BatchNorm2d
-    return run_adaptation(work, test_batches, cfg, method="bn-modulators")
+    return run_adaptation(work, test_batches, cfg, method="bn-modulators", first=first)
 

@@ -7,6 +7,7 @@ import copy
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import multiprocessing
@@ -476,19 +477,20 @@ def _spectral_model(model: Model, cfg: dict, basis: PcaBasis, method: str) -> Mo
     return insert_adapter(model, cfg["model"]["insert_index"], basis, filt)
 
 
-def _evaluate_cell(model, basis, cfg, method, batches) -> RunRecord:
+def _evaluate_cell(model, basis, cfg, method, batches, first=0) -> RunRecord:
+    """``method`` on ``batches``, the cell's batches from index ``first`` on."""
     acfg = _adapt_config(cfg)
     if method == "no-adapt":
-        return baseline_no_adapt(model, batches)
+        return baseline_no_adapt(model, batches, first)
     if method == "bn-stats":
-        return baseline_bn_stats(model, batches)
+        return baseline_bn_stats(model, batches, first)
     if method == "bn-modulators":
-        return baseline_bn_modulators(model, batches, acfg)
+        return baseline_bn_modulators(model, batches, acfg, first)
     if method in _FILTER_KIND:
         if basis is None:
             raise ContractViolationError(f"method {method!r} needs a fitted basis")
         work = _spectral_model(model, cfg, basis, method)
-        return run_adaptation(work, batches, acfg, method=method)
+        return run_adaptation(work, batches, acfg, method=method, first=first)
     raise ConfigError(f"unknown method {shown(method)}", [f"methods:{shown(method)}"])
 
 
@@ -524,29 +526,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _send_results(fn, cells, conn) -> None:
-    """A forked child's work: ``fn`` over ``cells``, sent as one message,
+def _send_results(fn, items, conn) -> None:
+    """A forked child's work: ``fn(items)``, sent as one message,
     ``(True, results)`` or ``(False, the exception raised)``."""
     try:
-        message = (True, [fn(cell) for cell in cells])
+        message = (True, fn(items))
     except BaseException as exc:
         message = (False, exc)
     conn.send(message)
 
 
-def map_cells(fn, cells: list) -> list:
-    """``[fn(cell) for cell in cells]``, on up to two cores: the second half
-    of the cells is evaluated in one forked child process while this one
-    evaluates the first half. With fewer than two cells or usable CPUs, no
-    ``fork`` start method, or in a daemonic process (a ``Pool`` worker,
-    which may start no child), every cell runs in this process.
+def map_cells(fn, items: list) -> list:
+    """``fn(items[:half]) + fn(items[half:])`` on up to two cores: one
+    forked child process makes the second call while this one makes the
+    first. ``fn`` maps a part of ``items`` to a list. With fewer than two
+    items or usable CPUs, no ``fork`` start method, or in a daemonic
+    process (a ``Pool`` worker, which may start no child), this process
+    makes the one call ``fn(items)``.
 
-    ``fn`` must depend only on its cell and on state from before the call,
-    as a grid cell does. A cell that raises raises here, as the serial loop
-    would: the parent's half holds the earlier cells, so its error comes
-    first. The child's exception arrives without its traceback. A child
-    that dies without sending raises a RuntimeError naming its exit code.
-    The child is joined on every path, so none outlives the call.
+    ``fn`` must depend only on its items and on state from before the
+    call, and a part's result must not depend on where the items were
+    cut, as with the grid's episodes. A part that raises raises here, as
+    the one call would: the parent's part holds the earlier items, so its
+    error comes first. The child's exception arrives without its
+    traceback. A child that dies without sending raises a RuntimeError
+    naming its exit code. The child is joined on every path, so none
+    outlives the call.
 
     The child is forked, not spawned, so it inherits the model, the basis
     and the test set without pickling them. A fork ``Pool(2)`` computed
@@ -556,20 +561,20 @@ def map_cells(fn, cells: list) -> list:
     ``MALLOC_ARENA_MAX=1``). One child and a one-way pipe read in the main
     thread leave it where it was."""
     if (
-        len(cells) < 2
+        len(items) < 2
         or _usable_cpus() < 2
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
-        return [fn(cell) for cell in cells]
-    half = (len(cells) + 1) // 2
+        return fn(items)
+    half = (len(items) + 1) // 2
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_results, args=(fn, cells[half:], send))
+    child = ctx.Process(target=_send_results, args=(fn, items[half:], send))
     child.start()
     send.close()
     try:
-        ours = [fn(cell) for cell in cells[:half]]
+        ours = fn(items[:half])
         try:
             # received before the join: a child whose records do not fit
             # the pipe's buffer blocks in send until they are read
@@ -578,7 +583,7 @@ def map_cells(fn, cells: list) -> list:
             child.join()
             raise RuntimeError(
                 f"the grid's child process exited with code {child.exitcode} "
-                "before sending its cells' records"
+                "before sending its records"
             ) from None
     except BaseException:
         child.terminate()
@@ -591,28 +596,64 @@ def map_cells(fn, cells: list) -> list:
     return ours + theirs
 
 
+def _episodes(cfg: dict, n_batches: int) -> list:
+    """The grid's episodes in run order (cell, then method, then batch), as
+    (cell, method, first batch, end batch). An episode is the smallest run
+    of a cell's batches that carries no state into the next one: the whole
+    stream for an entropy method under the online protocol, each batch
+    otherwise (the parameters and Adam state are reset before an episodic
+    batch, and no-adapt and bn-stats learn nothing)."""
+    online = cfg["adapt"]["protocol"] == "online"
+    # a cell or method listed twice gives the same records, so it runs once
+    cells = dict.fromkeys((c, s) for c in cfg["corruptions"] for s in cfg["severities"])
+    episodes = []
+    for cell in cells:
+        for method in dict.fromkeys(cfg["methods"]):
+            if online and method in _ENTROPY_METHODS:
+                episodes.append((cell, method, 0, n_batches))
+            else:
+                episodes += [(cell, method, b, b + 1) for b in range(n_batches)]
+    return episodes
+
+
 def run_benchmark(cfg: dict, model: Model, basis: PcaBasis | None, out_dir=None):
     """Evaluate every configured method on every (corruption, severity).
 
     Returns (ErrorTable, {cell key: RunRecord}). With ``out_dir`` set,
     also writes table.csv and one records JSON-lines file per cell. Each
-    cell is evaluated as :func:`run_cell` does, but each (corruption,
-    severity) is corrupted once for all methods. The cells are shared
-    between two cores by :func:`map_cells`; this process writes every file.
+    cell is evaluated as :func:`run_cell` does. The grid's episodes are
+    shared between two cores by :func:`map_cells`. Each side makes one
+    evaluation per run of a (cell, method)'s episodes in its part, and
+    corrupts a cell when it reaches it, holding one cell's batches at a
+    time. This process joins the parts of a record in batch order and
+    writes every file.
     """
     _, test_set = gen_dataset(_dataset_spec(cfg))
-    cells = [(c, s) for c in cfg["corruptions"] for s in cfg["severities"]]
+    n_batches = len(range(0, len(test_set[1]), cfg["adapt"]["batch_size"]))
 
-    def methods_on(cell):
-        batches = _cell_batches(cfg, test_set, *cell)
-        return [_evaluate_cell(model, basis, cfg, method, batches) for method in cfg["methods"]]
+    def run_part(episodes):
+        parts = []
+        for cell, in_cell in itertools.groupby(episodes, key=lambda e: e[0]):
+            batches = _cell_batches(cfg, test_set, *cell)
+            for method, run in itertools.groupby(in_cell, key=lambda e: e[1]):
+                run = list(run)
+                first, end = run[0][2], run[-1][3]
+                rec = _evaluate_cell(model, basis, cfg, method, batches[first:end], first)
+                parts.append((cell, method, rec))
+            del batches  # freed before the next cell's are made
+        return parts
 
+    joined = {}
+    for cell, method, rec in map_cells(run_part, _episodes(cfg, n_batches)):
+        if (cell, method) in joined:  # the rest of a record cut between the parts
+            joined[cell, method].batches += rec.batches
+        else:
+            joined[cell, method] = rec
     errors = {}
     records = {}
-    for (corruption, severity), recs in zip(cells, map_cells(methods_on, cells)):
-        for method, rec in zip(cfg["methods"], recs):
-            errors[(method, corruption, severity)] = rec.mean_error()
-            records[f"{method}__{corruption}__sev{severity}"] = rec
+    for ((corruption, severity), method), rec in joined.items():
+        errors[(method, corruption, severity)] = rec.mean_error()
+        records[f"{method}__{corruption}__sev{severity}"] = rec
     table = ErrorTable(
         methods=list(cfg["methods"]),
         corruptions=list(cfg["corruptions"]),

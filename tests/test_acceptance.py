@@ -312,16 +312,23 @@ def test_criterion_9_parameter_accounting(rng):
 
 
 def test_criterion_10_reproducibility(tiny_config, tiny_model, tiny_basis, tmp_path, monkeypatch):
-    """Two runs of each protocol's grid, and a third in one process (one
-    usable CPU, so no cell is forked), give equal tables and records and
-    the same bytes in every file."""
+    """Two runs of each protocol's grid on two cores, and a third in one
+    process (one usable CPU, so nothing is forked), give equal tables and
+    records and the same bytes in every file. The one-cell episodic grid
+    is split inside its cell."""
     identical, counts = True, []
-    for protocol in ("episodic", "online"):
+    grids = [
+        ("episodic", ["gaussian-noise", "brightness"], [2, 5]),
+        ("online", ["gaussian-noise", "brightness"], [2, 5]),
+        ("episodic", ["gaussian-noise"], [5]),
+    ]
+    for i, (protocol, corruptions, severities) in enumerate(grids):
         cfg = bench.with_value(tiny_config, "adapt.protocol", protocol)
-        cfg.update(corruptions=["gaussian-noise", "brightness"], severities=[2, 5])
-        dirs = [tmp_path / f"{protocol}_{run}" for run in ("a", "b", "in_process")]
-        runs = [bench.run_benchmark(cfg, tiny_model, tiny_basis, out_dir=d) for d in dirs[:2]]
+        cfg.update(corruptions=corruptions, severities=severities)
+        dirs = [tmp_path / f"{i}_{protocol}_{run}" for run in ("a", "b", "in_process")]
         with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            runs = [bench.run_benchmark(cfg, tiny_model, tiny_basis, out_dir=d) for d in dirs[:2]]
             m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             runs.append(bench.run_benchmark(cfg, tiny_model, tiny_basis, out_dir=dirs[2]))
         names = sorted(p.name for p in dirs[0].iterdir())
@@ -334,6 +341,6 @@ def test_criterion_10_reproducibility(tiny_config, tiny_model, tiny_basis, tmp_p
     report(
         "criterion 10: reproducibility",
         identical,
-        f"{' and '.join(map(str, counts))} output files (episodic, online) byte-identical "
-        "across reruns, on two cores and in one process",
+        f"{' and '.join(map(str, counts))} output files (episodic, online, one episodic cell) "
+        "byte-identical across reruns, on two cores and in one process",
     )

@@ -1209,7 +1209,10 @@ def test_saved_checkpoint_loads_unchanged(tmp_path):
 
 
 @pytest.mark.parametrize("method", list(bench.METHODS))
-def test_run_cell_returns_the_grid_record(method, tiny_config, tiny_model, tiny_basis):
+def test_run_cell_returns_the_grid_record(method, tiny_config, tiny_model, tiny_basis, monkeypatch):
+    """The one-cell grid, split inside its cell between two processes,
+    gives the record of one in-process run over the cell."""
+    fork_on_two_cpus(monkeypatch)
     cfg = one_cell_config(tiny_config)
     cfg["methods"] = [method]
     _, records = run_benchmark(cfg, tiny_model, tiny_basis)
@@ -1217,6 +1220,20 @@ def test_run_cell_returns_the_grid_record(method, tiny_config, tiny_model, tiny_
     rec = bench.run_cell(cfg, tiny_model, tiny_basis, method, "gaussian-noise", 3)
     assert (rec.method, rec.protocol) == (grid.method, grid.protocol)
     assert rec.batches == grid.batches  # errors, both entropies, params_hash
+
+
+def test_a_cell_or_method_listed_twice_gives_its_records_once(
+    tiny_config, tiny_model, tiny_basis, monkeypatch
+):
+    """The config accepts a repeated name; the grid split by episode gives
+    the records of the grid listed without repeats."""
+    fork_on_two_cpus(monkeypatch)
+    cfg = one_cell_config(tiny_config)
+    cfg["methods"] = ["no-adapt", "bn-stats"]
+    once = run_benchmark(cfg, tiny_model, tiny_basis)
+    cfg.update(methods=["no-adapt", "bn-stats", "no-adapt"], corruptions=["gaussian-noise"] * 2)
+    table, records = run_benchmark(load_config(cfg), tiny_model, tiny_basis)
+    assert (table.errors, records) == (once[0].errors, once[1])
 
 
 @pytest.fixture(scope="module")
@@ -1494,10 +1511,10 @@ def test_cli_bench_whose_forked_half_diverges_exits_3_and_writes_nothing(
         current["cell"] = (corruption, severity)
         return cell_batches(cfg, test_set, corruption, severity)
 
-    def diverges_on_the_last_cell(model, basis, cfg, method, batches):
+    def diverges_on_the_last_cell(model, basis, cfg, method, batches, first):
         if current["cell"] == last:
             cfg = {**cfg, "adapt": {**cfg["adapt"], **adapt_over}}
-        return evaluate(model, basis, cfg, method, batches)
+        return evaluate(model, basis, cfg, method, batches, first)
 
     monkeypatch.setattr(bench, "_cell_batches", batches_of)
     monkeypatch.setattr(bench, "_evaluate_cell", diverges_on_the_last_cell)
@@ -1511,6 +1528,48 @@ def test_cli_bench_whose_forked_half_diverges_exits_3_and_writes_nothing(
         assert cli.main(args) == 3
     assert not out.exists()
     assert f"{method} adaptation diverged on batch 0: {cause}" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "diverging, named", [({2}, 2), ({0, 2}, 0)], ids=["batch-2", "batches-0-and-2"]
+)
+def test_cli_bench_whose_record_straddles_the_halves_names_the_diverging_batch(
+    cli_files, tmp_path, capsys, monkeypatch, diverging, named
+):
+    """One cell of three episodic batches, split 2/1: the child's part
+    starts at batch 2 and names it by its index in the cell. Where the
+    parent's part diverges too, its batch is named, since its error comes
+    first. Each batch is evaluated on its own, with the diverging adapt
+    values or without."""
+    fork_on_two_cpus(monkeypatch)
+    cfg = json.loads(cli_files[0].read_text())
+    cfg["methods"] = ["spectral-relu"]
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps(cfg))
+    evaluate = bench._evaluate_cell
+
+    def diverges_on_some_batches(model, basis, cfg, method, batches, first):
+        diverged = {**cfg, "adapt": {**cfg["adapt"], **DIVERGING[0][0]}}
+        recs = [
+            evaluate(model, basis, diverged if b in diverging else cfg, method, [batch], b)
+            for b, batch in enumerate(batches, first)
+        ]
+        recs[0].batches = [row for rec in recs for row in rec.batches]
+        return recs[0]
+
+    monkeypatch.setattr(bench, "_evaluate_cell", diverges_on_some_batches)
+    _, model, basis = cli_files
+    out = tmp_path / "out"
+    args = [
+        "bench", "--config", str(config), "--model", str(model), "--basis", str(basis),
+        "--out", str(out),
+    ]
+    with within(60):
+        assert cli.main(args) == 3
+    assert not out.exists()
+    assert f"spectral-relu adaptation diverged on batch {named}: " in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 
 
@@ -1529,11 +1588,11 @@ def test_an_error_raised_in_the_forked_half_reaches_the_caller_whole(exc, monkey
     fork_on_two_cpus(monkeypatch)
     parent = os.getpid()
 
-    def fn(cell):
-        if cell == 1:  # the second half, the child's
+    def fn(part):
+        if part == [1]:  # the second half, the child's
             assert os.getpid() != parent
             raise exc
-        return cell
+        return part
 
     with within(30), pytest.raises(type(exc)) as caught:
         bench.map_cells(fn, [0, 1])
@@ -1544,7 +1603,7 @@ def test_an_error_raised_in_the_forked_half_reaches_the_caller_whole(exc, monkey
 def test_results_larger_than_the_pipes_buffer_arrive_in_cell_order(monkeypatch):
     fork_on_two_cpus(monkeypatch)
     with within(30):  # a join before the receive would wait for ever
-        cells = bench.map_cells(lambda cell: cell * 2**20, ["a", "b", "c"])
+        cells = bench.map_cells(lambda part: [cell * 2**20 for cell in part], ["a", "b", "c"])
     assert cells == ["a" * 2**20, "b" * 2**20, "c" * 2**20]
     assert multiprocessing.active_children() == []
 
@@ -1554,7 +1613,11 @@ def test_a_daemonic_process_runs_every_cell_itself(monkeypatch):
     fork_on_two_cpus(monkeypatch)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-    args = (lambda grids: bench.map_cells(str, grids), [[0, 1, 2]], send)
+
+    def grids(items):
+        return [bench.map_cells(lambda part: [str(cell) for cell in part], grid) for grid in items]
+
+    args = (grids, [[0, 1, 2]], send)
     worker = ctx.Process(target=bench._send_results, args=args, daemon=True)
     worker.start()
     send.close()
@@ -1586,8 +1649,8 @@ def test_a_child_that_exits_without_sending_raises_naming_its_exit_code(
 def test_a_failure_in_the_parents_half_ends_the_child(monkeypatch):
     fork_on_two_cpus(monkeypatch)
 
-    def fn(cell):
-        if cell == 0:
+    def fn(part):
+        if part == [0]:
             raise NumericalFailureError("the parent's cell failed")
         time.sleep(60)
 
