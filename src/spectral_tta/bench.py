@@ -39,8 +39,6 @@ from .network import (
 )
 from .pca import PcaBasis
 
-GENERATORS = ("gaussian-textures", "shape-patterns")
-
 CORRUPTION_KINDS = (
     "gaussian-noise",
     "impulse-noise",
@@ -67,20 +65,26 @@ _FILTER_KIND = {"spectral-relu": RELU_RIDGE, "spectral-exp": NEG_EXP}
 # ablation's rank or step count can change
 _ENTROPY_METHODS = ("bn-modulators", *_FILTER_KIND)
 
-# (key, rule its value must meet): the grid's lists are non-empty and known;
-# numpy's generators take no negative seed; training for no epochs writes an
-# untrained checkpoint; batch sizes are range() steps, so a value below 1
-# would fail deep inside the batching without naming the key; an ablation
-# over no seeds would average over nothing; a PCA fit needs a rank of at
-# least 1 and at least two samples; a NaN or non-positive train_lr would show
-# only after every epoch, as a divergence; a relu-ridge mode with gamma_i <= 0
-# has zero subgradient, so a negative gamma_init silently makes spectral-relu
-# projection-only; an ablation of a method without entropy steps would train
-# and fit for nothing
+
+def _grid_list(known):
+    """The rule for a grid list: non-empty, every entry known, each named once."""
+    return lambda v: len(v) > 0 and set(v) <= set(known) and len(set(v)) == len(v)
+
+
+# (key, rule its value must meet): a grid list names each entry once, as a
+# repeat would put its rows in the table twice; numpy's generators take no
+# negative seed; training for no epochs writes an untrained checkpoint; batch
+# sizes are range() steps, so a value below 1 would fail deep inside the
+# batching without naming the key; an ablation over no seeds would average
+# over nothing; a PCA fit needs a rank of at least 1 and at least two samples;
+# a NaN or non-positive train_lr would show only after every epoch, as a
+# divergence; a relu-ridge mode with gamma_i <= 0 has zero subgradient, so a
+# negative gamma_init silently makes spectral-relu projection-only; an
+# ablation of a method without entropy steps would train and fit for nothing
 _VALUE_RULES = (
-    ("methods", lambda v: len(v) > 0 and set(v) <= set(METHODS)),
-    ("corruptions", lambda v: len(v) > 0 and set(v) <= set(CORRUPTION_KINDS)),
-    ("severities", lambda v: len(v) > 0 and set(v) <= set(range(1, 6))),
+    ("methods", _grid_list(METHODS)),
+    ("corruptions", _grid_list(CORRUPTION_KINDS)),
+    ("severities", _grid_list(range(1, 6))),
     ("seed", lambda v: v >= 0),
     ("model.train_epochs", lambda v: v >= 1),
     ("model.train_batch", lambda v: v >= 1),
@@ -112,9 +116,9 @@ class DatasetSpec:
         """Each check names its key in the config's ``dataset`` section."""
         sizes = ("n_train", "n_test", "channels", "height", "width", "n_classes")
         checks = [(key, "must be >= 1", getattr(self, key) >= 1) for key in sizes] + [
-            ("generator", f"must be one of {GENERATORS}", self.generator in GENERATORS),
+            ("generator", "must be 'shape-patterns'", self.generator == "shape-patterns"),
             ("n_classes", f"must be at most {len(_PATTERNS)} with shape-patterns",
-             self.generator != "shape-patterns" or self.n_classes <= len(_PATTERNS)),
+             self.n_classes <= len(_PATTERNS)),
         ]
         check_fields("dataset", self, checks)
 
@@ -131,14 +135,14 @@ _PATTERNS = [
 _PATTERN_AMPLITUDE = 0.15
 
 
-def _gaussian_filter(x: np.ndarray, sigma: float, mode: str) -> np.ndarray:
+def _gaussian_filter(x: np.ndarray, sigma: float) -> np.ndarray:
     """``scipy.ndimage.gaussian_filter`` with ``sigma`` on the last two axes
-    (each image plane) and 0 on the rest, bit for bit in float64; ``mode``
-    is "nearest" or "wrap".
+    (each image plane) and 0 on the rest, and ``mode="nearest"``, bit for
+    bit in float64.
 
     It repeats scipy's arithmetic: a radius of ``int(4 * sigma + 0.5)``, the
     normalised kernel, the two axes filtered in order, each extended by the
-    radius (clamped, or periodic however often it wraps), and each output
+    radius with copies of its edge value, and each output
     the centre tap plus the symmetric pairs from the outermost inward.
     Summed in another order the result differs in the last bit. The planes
     go through in blocks of about 2**15 values, so the temporaries stay in
@@ -154,8 +158,7 @@ def _gaussian_filter(x: np.ndarray, sigma: float, mode: str) -> np.ndarray:
         for axis in (1, 2):
             line = np.moveaxis(y, axis, 0)  # the filtered axis first: long contiguous runs
             n = len(line)
-            idx = np.arange(-r, n + r)
-            ext = line[np.clip(idx, 0, n - 1) if mode == "nearest" else idx % n]
+            ext = line[np.clip(np.arange(-r, n + r), 0, n - 1)]
             acc = ext[r : r + n] * w[r]
             pair = np.empty_like(acc)  # one buffer for every pair's (left + right) * w
             for k in range(r):
@@ -167,26 +170,19 @@ def _gaussian_filter(x: np.ndarray, sigma: float, mode: str) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _class_templates(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
+def _class_templates(spec: DatasetSpec) -> np.ndarray:
     c, h, w = spec.channels, spec.height, spec.width
     k = spec.n_classes
     templates = np.empty((k, c, h, w))
-    if spec.generator == "shape-patterns":
-        ys, xs = np.mgrid[0:h, 0:w]
-        for cls in range(k):
-            angle, freq = _PATTERNS[cls]
-            rad = np.deg2rad(angle)
-            phase = 2 * np.pi * freq * (xs * np.cos(rad) + ys * np.sin(rad)) / max(h, w)
-            grating = 0.5 + _PATTERN_AMPLITUDE * np.cos(phase)
-            # slight per-channel amplitude variation keeps channels distinct
-            for ch in range(c):
-                templates[cls, ch] = 0.5 + (grating - 0.5) * (1.0 - 0.15 * ch / max(1, c - 1))
-    else:
-        for cls in range(k):
-            field = rng.normal(size=(c, h, w))
-            field = _gaussian_filter(field, 1.2, "wrap")
-            lo, hi = field.min(), field.max()
-            templates[cls] = 0.25 + 0.5 * (field - lo) / (hi - lo)
+    ys, xs = np.mgrid[0:h, 0:w]
+    for cls in range(k):
+        angle, freq = _PATTERNS[cls]
+        rad = np.deg2rad(angle)
+        phase = 2 * np.pi * freq * (xs * np.cos(rad) + ys * np.sin(rad)) / max(h, w)
+        grating = 0.5 + _PATTERN_AMPLITUDE * np.cos(phase)
+        # slight per-channel amplitude variation keeps channels distinct
+        for ch in range(c):
+            templates[cls, ch] = 0.5 + (grating - 0.5) * (1.0 - 0.15 * ch / max(1, c - 1))
     return templates
 
 
@@ -213,7 +209,7 @@ def gen_dataset(spec: DatasetSpec):
     arrays, and a call with another spec replaces them. The arrays are
     read-only, so no caller can change a later caller's data."""
     rng = np.random.default_rng(spec.seed)
-    templates = _class_templates(spec, rng)
+    templates = _class_templates(spec)
     train_y = _balanced_labels(spec.n_train, spec.n_classes, rng)
     train_x = _sample(templates, train_y, rng)
     test_y = _balanced_labels(spec.n_test, spec.n_classes, rng)
@@ -251,7 +247,7 @@ def corrupt(images: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
         mask = rng.random(x.shape) < level
         out[mask] = (rng.random(x.shape) < 0.5)[mask].astype(np.float64)
     elif spec.kind == "blur":
-        out = _gaussian_filter(x, level, "nearest")
+        out = _gaussian_filter(x, level)
     elif spec.kind == "contrast":
         out = 0.5 + (x - 0.5) * level
     else:  # brightness
@@ -604,11 +600,9 @@ def _episodes(cfg: dict, n_batches: int) -> list:
     otherwise (the parameters and Adam state are reset before an episodic
     batch, and no-adapt and bn-stats learn nothing)."""
     online = cfg["adapt"]["protocol"] == "online"
-    # a cell or method listed twice gives the same records, so it runs once
-    cells = dict.fromkeys((c, s) for c in cfg["corruptions"] for s in cfg["severities"])
     episodes = []
-    for cell in cells:
-        for method in dict.fromkeys(cfg["methods"]):
+    for cell in itertools.product(cfg["corruptions"], cfg["severities"]):
+        for method in cfg["methods"]:
             if online and method in _ENTROPY_METHODS:
                 episodes.append((cell, method, 0, n_batches))
             else:
