@@ -142,18 +142,22 @@ class BatchNorm2d:
         is reused as it is (and moves no running statistics)."""
         if frozen is None:
             if self.mode == BN_FROZEN:
-                mean = self.running_mean
                 var = self.running_var
+                xhat = np.subtract(x, self.running_mean[None, :, None, None])
             else:
-                mean = x.mean(axis=(0, 2, 3))
-                var = x.var(axis=(0, 2, 3))
+                # numpy's mean and var, bit for bit, with x centred once: the
+                # var's reduction and the normalisation share it
+                count = x.shape[0] * x.shape[2] * x.shape[3]
+                mean = np.add.reduce(x, axis=(0, 2, 3), keepdims=True)
+                mean /= count
+                xhat = x - mean
+                var = np.add.reduce(xhat * xhat, axis=(0, 2, 3)) / count
                 if self.mode == BN_TRAIN:
                     m = self.momentum
-                    self.running_mean = (1 - m) * self.running_mean + m * mean
+                    self.running_mean = (1 - m) * self.running_mean + m * mean.reshape(-1)
                     self.running_var = (1 - m) * self.running_var + m * var
             invstd = 1.0 / np.sqrt(var + self.eps)
-            # in place on one new array, in the order (x - mean) * invstd
-            xhat = np.subtract(x, mean[None, :, None, None])
+            # in place on the centred x, in the order (x - mean) * invstd
             xhat *= invstd[None, :, None, None]
             frozen = (xhat, invstd, self.mode)
         y = np.multiply(self.scale[None, :, None, None], frozen[0])

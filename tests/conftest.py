@@ -33,6 +33,16 @@ def tiny_test_set(tiny_config):
     return x, y
 
 
+@pytest.fixture(autouse=True)
+def no_grid_helper():
+    """Each test starts and ends without the grid's helper process: a
+    helper keeps the code it was forked with, so one forked under a test's
+    monkeypatches must serve no other test."""
+    bench._close_helper()
+    yield
+    bench._close_helper()
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -1491,14 +1493,118 @@ def within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def only_the_helper_is_left():
+    """The grid's helper is this process's one child, and closing it
+    leaves none."""
+    assert bench._helper is not None
+    assert multiprocessing.active_children() == [bench._helper[0]]
+    bench._close_helper()
+    assert multiprocessing.active_children() == []
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# the functions below are map_cells's fn in the tests that follow: fn
+# reaches the helper by pickle, so each is defined at module level
+
+
+def pids(part):
+    """The pid of the process that evaluates each item."""
+    return [os.getpid() for _ in part]
+
+
+def as_strings(part):
+    return [str(cell) for cell in part]
+
+
+def a_megabyte_per_cell(part):
+    return [cell * 2**20 for cell in part]
+
+
+def raises_in_the_helper(exc, parent, part):
+    if part == [1]:  # the second half, the helper's
+        assert os.getpid() != parent
+        raise exc
+    return part
+
+
+def raises_in_the_parent(part):
+    if part == [0]:
+        raise NumericalFailureError("the parent's cell failed")
+    time.sleep(60)
+
+
+def exits_in_the_helper(code, part):
+    if part == [1]:
+        os._exit(code)
+    return part
+
+
+class LockHolder(Exception):
+    """An exception that cannot be pickled: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def kills_the_stopped_helper(helper, part):
+    """The parent's half kills the helper, stopped before it read the request."""
+    if part == [0]:
+        os.kill(helper, signal.SIGKILL)
+        while running(helper):
+            time.sleep(0.01)
+    return part
+
+
+class TwoArguments(Exception):
+    """An exception that pickles but cannot be unpickled: its args do not
+    fit its __init__."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def unpicklable_in_the_helper(kind, part):
+    if part == [1]:
+        if kind == "exception":
+            raise LockHolder("the helper's cell failed")
+        if kind == "unpickled":
+            raise TwoArguments("this", "that")
+        return [threading.Lock()]
+    return part
+
+
+def nested_grids(part):
+    """A map_cells call from inside fn."""
+    return [bench.map_cells(pids, [0, 1]) for _ in part]
+
+
+def send_grids(send, items):
+    """A forked worker's work: each grid through map_cells, sent back."""
+    send.send([bench.map_cells(as_strings, grid) for grid in items])
+
+
+def send_helper_pids(send):
+    send.send(bench.map_cells(pids, [0, 1]))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("adapt_over, method, cause", DIVERGING)
 def test_cli_bench_whose_forked_half_diverges_exits_3_and_writes_nothing(
     cli_files, tmp_path, capsys, monkeypatch, adapt_over, method, cause
 ):
-    """Only the grid's last cell, the one the forked child evaluates, is
-    run with the diverging adapt values; the parent ends as the serial
-    loop did, and no child is left."""
+    """Only the grid's last cell, the one the helper evaluates, is run
+    with the diverging adapt values; the parent ends as the serial loop
+    did, with one child during the call, the helper, and none after it
+    is closed."""
     fork_on_two_cpus(monkeypatch)
     cfg = json.loads(cli_files[0].read_text())
     cfg.update(methods=[method], severities=[1, 3, 5])
@@ -1506,12 +1612,14 @@ def test_cli_bench_whose_forked_half_diverges_exits_3_and_writes_nothing(
     config.write_text(json.dumps(cfg))
     last = (cfg["corruptions"][-1], 5)
     cell_batches, evaluate, current = bench._cell_batches, bench._evaluate_cell, {}
+    children = []
 
     def batches_of(cfg, test_set, corruption, severity):
         current["cell"] = (corruption, severity)
         return cell_batches(cfg, test_set, corruption, severity)
 
     def diverges_on_the_last_cell(model, basis, cfg, method, batches, first):
+        children.append(len(multiprocessing.active_children()))
         if current["cell"] == last:
             cfg = {**cfg, "adapt": {**cfg["adapt"], **adapt_over}}
         return evaluate(model, basis, cfg, method, batches, first)
@@ -1528,7 +1636,8 @@ def test_cli_bench_whose_forked_half_diverges_exits_3_and_writes_nothing(
         assert cli.main(args) == 3
     assert not out.exists()
     assert f"{method} adaptation diverged on batch 0: {cause}" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    assert children and set(children) == {1}  # the parent's evaluations saw the helper
+    only_the_helper_is_left()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1538,10 +1647,11 @@ def test_cli_bench_whose_forked_half_diverges_exits_3_and_writes_nothing(
 def test_cli_bench_whose_record_straddles_the_halves_names_the_diverging_batch(
     cli_files, tmp_path, capsys, monkeypatch, diverging, named
 ):
-    """One cell of three episodic batches, split 2/1: the child's part
+    """One cell of three episodic batches, split 2/1: the helper's part
     starts at batch 2 and names it by its index in the cell. Where the
     parent's part diverges too, its batch is named, since its error comes
-    first. Each batch is evaluated on its own, with the diverging adapt
+    first, and the helper is ended; otherwise the helper is the one child
+    left. Each batch is evaluated on its own, with the diverging adapt
     values or without."""
     fork_on_two_cpus(monkeypatch)
     cfg = json.loads(cli_files[0].read_text())
@@ -1549,8 +1659,10 @@ def test_cli_bench_whose_record_straddles_the_halves_names_the_diverging_batch(
     config = tmp_path / "cell.json"
     config.write_text(json.dumps(cfg))
     evaluate = bench._evaluate_cell
+    children = []
 
     def diverges_on_some_batches(model, basis, cfg, method, batches, first):
+        children.append(len(multiprocessing.active_children()))
         diverged = {**cfg, "adapt": {**cfg["adapt"], **DIVERGING[0][0]}}
         recs = [
             evaluate(model, basis, diverged if b in diverging else cfg, method, [batch], b)
@@ -1570,7 +1682,11 @@ def test_cli_bench_whose_record_straddles_the_halves_names_the_diverging_batch(
         assert cli.main(args) == 3
     assert not out.exists()
     assert f"spectral-relu adaptation diverged on batch {named}: " in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    assert children == [1]  # the parent's one evaluation saw the helper
+    if 0 in diverging:
+        assert bench._helper is None and multiprocessing.active_children() == []
+    else:
+        only_the_helper_is_left()
 
 
 @pytest.mark.parametrize(
@@ -1586,26 +1702,19 @@ def test_an_error_raised_in_the_forked_half_reaches_the_caller_whole(exc, monkey
     again = pickle.loads(pickle.dumps(exc))
     assert (type(again), again.args, vars(again)) == (type(exc), exc.args, vars(exc))
     fork_on_two_cpus(monkeypatch)
-    parent = os.getpid()
-
-    def fn(part):
-        if part == [1]:  # the second half, the child's
-            assert os.getpid() != parent
-            raise exc
-        return part
-
+    fn = functools.partial(raises_in_the_helper, exc, os.getpid())
     with within(30), pytest.raises(type(exc)) as caught:
         bench.map_cells(fn, [0, 1])
     assert (caught.value.args, vars(caught.value)) == (exc.args, vars(exc))
-    assert multiprocessing.active_children() == []
+    only_the_helper_is_left()
 
 
 def test_results_larger_than_the_pipes_buffer_arrive_in_cell_order(monkeypatch):
     fork_on_two_cpus(monkeypatch)
     with within(30):  # a join before the receive would wait for ever
-        cells = bench.map_cells(lambda part: [cell * 2**20 for cell in part], ["a", "b", "c"])
+        cells = bench.map_cells(a_megabyte_per_cell, ["a", "b", "c"])
     assert cells == ["a" * 2**20, "b" * 2**20, "c" * 2**20]
-    assert multiprocessing.active_children() == []
+    only_the_helper_is_left()
 
 
 def test_a_daemonic_process_runs_every_cell_itself(monkeypatch):
@@ -1613,16 +1722,11 @@ def test_a_daemonic_process_runs_every_cell_itself(monkeypatch):
     fork_on_two_cpus(monkeypatch)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-
-    def grids(items):
-        return [bench.map_cells(lambda part: [str(cell) for cell in part], grid) for grid in items]
-
-    args = (grids, [[0, 1, 2]], send)
-    worker = ctx.Process(target=bench._send_results, args=args, daemon=True)
+    worker = ctx.Process(target=send_grids, args=(send, [[0, 1, 2]]), daemon=True)
     worker.start()
     send.close()
     with within(30):
-        assert receive.recv() == (True, [["0", "1", "2"]])
+        assert receive.recv() == [["0", "1", "2"]]
         worker.join()
     assert multiprocessing.active_children() == []
 
@@ -1648,15 +1752,179 @@ def test_a_child_that_exits_without_sending_raises_naming_its_exit_code(
 
 def test_a_failure_in_the_parents_half_ends_the_child(monkeypatch):
     fork_on_two_cpus(monkeypatch)
-
-    def fn(part):
-        if part == [0]:
-            raise NumericalFailureError("the parent's cell failed")
-        time.sleep(60)
-
     with within(30), pytest.raises(NumericalFailureError, match="the parent's cell failed"):
-        bench.map_cells(fn, [0, 1])
+        bench.map_cells(raises_in_the_parent, [0, 1])
     assert multiprocessing.active_children() == []
+
+
+def test_one_helper_serves_every_call(tiny_config, tiny_model, monkeypatch):
+    fork_on_two_cpus(monkeypatch)
+    parent = os.getpid()
+    with within(30):
+        first = bench.map_cells(pids, [0, 1, 2])
+        cfg = one_cell_config(tiny_config)
+        cfg.update(methods=["no-adapt"], severities=[3, 5])
+        run_benchmark(cfg, tiny_model, None)
+        second = bench.map_cells(pids, [0, 1])
+    helper = bench._helper[0].pid
+    assert first == [parent, parent, helper] and second == [parent, helper]
+    only_the_helper_is_left()
+
+
+def test_a_failure_in_the_parents_half_ends_that_helper_and_the_next_call_forks_one(monkeypatch):
+    fork_on_two_cpus(monkeypatch)
+    with within(30):
+        helper = bench.map_cells(pids, [0, 1])[1]
+        with pytest.raises(NumericalFailureError, match="the parent's cell failed"):
+            bench.map_cells(raises_in_the_parent, [0, 1])
+        assert bench._helper is None and not running(helper)
+        again = bench.map_cells(pids, [0, 1])
+    assert again == [os.getpid(), bench._helper[0].pid] and again[1] != helper
+    only_the_helper_is_left()
+
+
+def test_a_helper_that_exits_raises_naming_its_code_and_the_next_call_forks_one(monkeypatch):
+    fork_on_two_cpus(monkeypatch)
+    with within(30):
+        helper = bench.map_cells(pids, [0, 1])[1]
+        with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
+            bench.map_cells(functools.partial(exits_in_the_helper, 3), [0, 1])
+        assert bench._helper is None and not running(helper)
+        again = bench.map_cells(pids, [0, 1])
+    assert again == [os.getpid(), bench._helper[0].pid] and again[1] != helper
+    only_the_helper_is_left()
+
+
+@pytest.mark.parametrize("unread", [False, True], ids=["dead-before-the-call", "request-unread"])
+def test_a_killed_helper_raises_naming_its_signal_and_the_next_call_forks_one(monkeypatch, unread):
+    """A helper that is dead before a call refuses the request; one that
+    dies with the request unread resets the connection. Either way the
+    call names the signal."""
+    fork_on_two_cpus(monkeypatch)
+    with within(30):
+        helper = bench.map_cells(pids, [0, 1])[1]
+        if unread:
+            os.kill(helper, signal.SIGSTOP)
+            fn = functools.partial(kills_the_stopped_helper, helper)
+        else:
+            os.kill(helper, signal.SIGKILL)
+            bench._helper[0].join()
+            fn = pids
+        with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL} before sending"):
+            bench.map_cells(fn, [0, 1])
+        assert bench._helper is None
+        again = bench.map_cells(pids, [0, 1])
+    assert again == [os.getpid(), bench._helper[0].pid] and again[1] != helper
+    only_the_helper_is_left()
+
+
+def test_the_helper_leaves_ctrl_c_to_its_parent(monkeypatch):
+    """A terminal sends SIGINT to the whole process group; an idle helper
+    ignores it and serves the next call."""
+    fork_on_two_cpus(monkeypatch)
+    with within(30):
+        helper = bench.map_cells(pids, [0, 1])[1]
+        os.kill(helper, signal.SIGINT)
+        assert bench.map_cells(pids, [0, 1]) == [os.getpid(), helper]
+    only_the_helper_is_left()
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("exception", "could not send LockHolder: the helper's cell failed (TypeError: "),
+        ("result", "could not send its result (TypeError: "),
+        ("unpickled", "sent a reply this process cannot unpickle (TypeError: "),
+    ],
+)
+def test_a_reply_that_cannot_be_pickled_or_unpickled_names_its_cause_and_the_helper_lives_on(
+    monkeypatch, capfd, kind, message
+):
+    fork_on_two_cpus(monkeypatch)
+    with within(30):
+        helper = bench.map_cells(pids, [0, 1])[1]
+        with pytest.raises(RuntimeError) as caught:
+            bench.map_cells(functools.partial(unpicklable_in_the_helper, kind), [0, 1])
+        assert message in str(caught.value) and "pickle" in str(caught.value)
+        assert bench.map_cells(pids, [0, 1]) == [os.getpid(), helper]
+    assert capfd.readouterr().err == ""  # no traceback from a dying helper
+    only_the_helper_is_left()
+
+
+def test_a_call_from_inside_fn_runs_in_process(monkeypatch):
+    """The outer call holds the helper, so the inner one must not wait
+    for it (a deadlock) nor share its pipe."""
+    fork_on_two_cpus(monkeypatch)
+    parent = os.getpid()
+    with within(30):
+        outer = bench.map_cells(nested_grids, [0, 1])
+    helper = bench._helper[0].pid
+    # the parent's inner call ran in process; the helper is daemonic, so its did too
+    assert outer == [[parent, parent], [helper, helper]]
+    only_the_helper_is_left()
+
+
+def test_a_forked_child_forks_its_own_helper(monkeypatch):
+    """A child forked after a two-core call does not talk to its parent's
+    helper, whose pipe it inherited."""
+    fork_on_two_cpus(monkeypatch)
+    ctx = multiprocessing.get_context("fork")
+    with within(30):
+        helper = bench.map_cells(pids, [0, 1])[1]
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=send_helper_pids, args=(send,))
+        child.start()
+        send.close()
+        theirs = receive.recv()
+        child.join()
+        assert child.exitcode == 0
+        assert theirs[0] == child.pid and theirs[1] not in (child.pid, helper)
+        assert bench.map_cells(pids, [0, 1]) == [os.getpid(), helper]
+    only_the_helper_is_left()
+
+
+ONE_CALL = """
+import os, sys, time
+from spectral_tta import bench
+
+os.sched_getaffinity = lambda pid: {0, 1}
+
+
+def part(items):
+    if items == [1]:
+        print(os.getpid(), flush=True)  # the helper's pid
+        time.sleep(float(sys.argv[1]))
+    return items
+
+
+bench.map_cells(part, [0, 1])
+"""
+
+
+@pytest.mark.parametrize("ending", ["exit", "sigkill"])
+def test_the_helper_ends_with_its_parent(ending):
+    """A process that made one two-core call and exited, or was killed
+    while it waited for the helper's reply, leaves no helper behind."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bench.__file__).parents[1])}
+    wait = "0" if ending == "exit" else "2"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ONE_CALL, wait], env=env, stdout=subprocess.PIPE, text=True
+    )
+    try:
+        helper = int(proc.stdout.readline())
+        if ending == "sigkill":
+            proc.kill()
+        assert proc.wait(timeout=30) == (0 if ending == "exit" else -signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    deadline = time.monotonic() + 10
+    while running(helper) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = running(helper)
+    if left:
+        os.kill(helper, signal.SIGKILL)  # so a failing run leaves no process behind
+    assert not left
 
 
 @pytest.mark.parametrize("adapt_over", [{"learning_rate": 1e300}, {"gamma_init": 1e300}], ids=str)

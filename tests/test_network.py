@@ -601,6 +601,32 @@ def test_bn_forward_and_backward_match_the_temporary_formulas_bitwise(mode, rng)
     assert np.array_equal(bn.running_mean, start) == (mode != BN_TRAIN)
 
 
+@pytest.mark.parametrize("mode", [BN_BATCH, BN_TRAIN])
+@pytest.mark.parametrize(
+    "shape", [(1, 3, 5, 7), (5, 4, 1, 1), (7, 1, 3, 3), (1, 1, 1, 1), (3, 5, 7, 9)], ids=str
+)
+def test_bn_batch_statistics_match_numpys_mean_and_var_bitwise(mode, shape, rng):
+    """The forward's batch mean and var, one reduction each on x centred
+    once, are ``x.mean`` and ``x.var`` bit for bit: with one sample, 1x1
+    maps, one channel, odd sizes, -0.0 entries (a whole channel of them),
+    and on a view that is not C-contiguous."""
+    bn = random_bn(rng, ch=shape[1])
+    bn.mode = mode
+    ref = copy.deepcopy(bn)
+    signed_zeros = rng.normal(size=shape)
+    signed_zeros[..., ::2] = -0.0
+    signed_zeros[:, 0] = -0.0
+    n, c, h, w = shape
+    strided = rng.normal(size=(c, h, w, n)).transpose(3, 0, 1, 2)
+    for x in (rng.normal(2.0, 3.0, size=shape), signed_zeros, strided):
+        y, (xhat, invstd, _) = bn.forward(x)
+        y_ref, xhat_ref, invstd_ref = _reference_bn_forward(ref, x)
+        assert _same_bits(y, y_ref) and _same_bits(xhat, xhat_ref)
+        assert _same_bits(invstd, invstd_ref)
+        assert _same_bits(bn.running_mean, ref.running_mean)
+        assert _same_bits(bn.running_var, ref.running_var)
+
+
 @pytest.mark.parametrize("mode", BN_MODES)
 def test_writing_into_the_bn_output_leaves_its_cache_untouched(mode, rng):
     bn = random_bn(rng, ch=3)
