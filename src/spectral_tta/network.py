@@ -19,6 +19,7 @@ at the lowest layer it visits.
 
 import copy
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -40,6 +41,24 @@ BN_TRAIN = "train-stats"
 BN_MODES = (BN_FROZEN, BN_BATCH, BN_TRAIN)
 
 
+@functools.lru_cache(maxsize=8)
+def _im2col_index(c, h, w, k):
+    """The read-only ``(c*k*k, h*w)`` gather index of ``Conv2d._im2col``.
+
+    It is the im2col of the ``(c, h, w)`` map of flat positions, padded
+    with ``c*h*w``, the position of the zero slot after the map, so an
+    off-map tap reads +0.0. It depends on the shape alone, so each conv
+    shape builds it once; it is read-only because every call shares it.
+    """
+    p = k // 2
+    at = np.full((c, h + 2 * p, w + 2 * p), c * h * w)
+    at[:, p : p + h, p : p + w] = np.arange(c * h * w).reshape(c, h, w)
+    windows = np.lib.stride_tricks.sliding_window_view(at, (k, k), axis=(1, 2))
+    index = windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, h * w)
+    index.flags.writeable = False
+    return index
+
+
 class Conv2d:
     """3x3 (or k x k) convolution, stride 1, zero padding keeping h, w."""
 
@@ -53,15 +72,33 @@ class Conv2d:
         return {"w": self.w, "b": self.b}
 
     def _im2col(self, x):
+        """The ``(n, c*k*k, h*w)`` matrix of the zero-padded k x k windows.
+
+        Each sample's map is laid flat with one +0.0 slot after it, and one
+        ``np.take`` through the cached ``_im2col_index`` copies every tap,
+        an off-map tap from the zero slot. ``np.take`` returns a C-order
+        matrix; the matmul and the weight-gradient einsum fix their order
+        of operations by that layout.
+        """
         n, c, h, w = x.shape
         k = self.kernel
-        p = k // 2
-        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, :, p : p + h, p : p + w] = x
-        # (n, c, h, w, k, k) window view -> (n, c, k, k, h, w); the reshape
-        # makes the one copy
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
+        if k > 1 and c == 1 and w == 1 and h > 1:
+            # One input channel on a one-pixel-wide map of several rows: the
+            # reshape of the window view below needs no copy, so it returns an
+            # overlapping strided view of the padded buffer, on which matmul
+            # and einsum run numpy's own loops instead of BLAS, with other
+            # bits than on a contiguous matrix of the same values. These
+            # shapes keep the view. (With k == 1, or a 1x1 map, the view is
+            # C-contiguous and the gather gives the same matrix.)
+            p = k // 2
+            xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+            xp[:, :, p : p + h, p : p + w] = x
+            windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+            return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
+        flat = np.empty((n, c * h * w + 1), dtype=x.dtype)
+        flat[:, :-1] = x.reshape(n, -1)
+        flat[:, -1] = 0.0
+        return np.take(flat, _im2col_index(c, h, w, k), axis=1)
 
     def linear(self, x):
         """The convolution without its bias."""

@@ -424,8 +424,9 @@ def _same_bits(a, b):
 
 
 def _reference_im2col(x, k):
-    """``Conv2d._im2col`` as written with ``np.pad``, which the zeros
-    buffer and slice assignment must reproduce bit for bit."""
+    """``Conv2d._im2col`` as a window view of the ``np.pad``-ded maps,
+    which the gather must reproduce bit for bit, and in the same layout
+    wherever the reshape gives a view."""
     n, c, h, w = x.shape
     p = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
@@ -443,6 +444,46 @@ def test_im2col_matches_the_np_pad_formula_bitwise(k, n, rng):
         cols = conv._im2col(batch)
         assert cols.dtype == batch.dtype
         assert _same_bits(cols, _reference_im2col(batch, k))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_im2col_matches_the_reference_in_bytes_and_layout_on_every_small_shape(dtype, rng):
+    views = 0
+    for n in (1, 2, 16):
+        for c in (1, 2, 3, 8):
+            for h in (1, 2, 3, 5, 8, 9):
+                for w in (1, 2, 3, 5, 8, 9):
+                    x = rng.normal(size=(n, c, h, w)).astype(dtype)
+                    x[0, 0, 0, 0] = -0.0
+                    for k in (1, 3, 5, 7):
+                        cols = Conv2d(c, 2, k, rng)._im2col(x)
+                        ref = _reference_im2col(x, k)
+                        assert _same_bits(cols, ref), (n, c, h, w, k)
+                        assert cols.flags.c_contiguous == ref.flags.c_contiguous, (n, c, h, w, k)
+                        # only an overlapping window view is not C-contiguous
+                        view = k > 1 and c == 1 and w == 1 and h > 1
+                        assert ref.flags.c_contiguous != view
+                        views += not cols.flags.c_contiguous
+    assert views == 45  # of 1728 (n, c, h, w, k) shapes
+
+
+def test_im2col_index_is_a_bounded_read_only_cache():
+    assert network._im2col_index.cache_info().maxsize is not None
+    index = network._im2col_index(3, 8, 8, 3)
+    assert network._im2col_index(3, 8, 8, 3) is index
+    assert not index.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        index[0, 0] = 0
+
+
+def test_im2col_gives_each_conv_of_a_model_its_own_columns(rng):
+    # conv0 (3 -> 8) and conv1 (8 -> 8) take turns through the cache
+    model = build_model(0)
+    for n in (16, 4, 16):
+        x = rng.normal(size=(n, 3, 8, 8))
+        _, caches = model.forward(x)
+        assert _same_bits(caches[0][1], _reference_im2col(x, 3))
+        assert _same_bits(caches[3][1], _reference_im2col(model.forward_until(x, 2), 3))
 
 
 def test_conv_forward_matches_the_bias_add_formula_bitwise(rng):
@@ -531,6 +572,18 @@ def test_conv_forward_matches_the_per_sample_formula_bitwise(n, k, channels, hw,
     assert _same_bits(y, _reference_conv_forward(conv, x)[0]) and y.flags.c_contiguous
     lin = conv.linear(x)
     assert _same_bits(lin, _reference_conv_linear(conv, x)) and lin.flags.c_contiguous
+
+
+@_CONV_CASES
+def test_conv_forward_caches_its_im2col_in_the_reference_layout(n, k, channels, hw, rng):
+    # the weight-gradient einsum picks its order of operations by the
+    # layout of the cached columns
+    conv, x, _ = _conv_case(n, k, channels, hw, rng)
+    _, (_, cols) = conv.forward(x)
+    ref = _reference_conv_forward(conv, x)[1][1]
+    assert _same_bits(cols, ref)
+    assert cols.flags.c_contiguous == ref.flags.c_contiguous
+    assert cols.strides == ref.strides or cols.flags.c_contiguous
 
 
 @_CONV_CASES
