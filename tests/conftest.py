@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectral_tta import bench
+from spectral_tta import bench, twocore
 
 
 TINY_OVERRIDE = {
@@ -38,9 +38,9 @@ def no_grid_helper():
     """Each test starts and ends without the grid's helper process: a
     helper keeps the code it was forked with, so one forked under a test's
     monkeypatches must serve no other test."""
-    bench._close_helper()
+    twocore.close()
     yield
-    bench._close_helper()
+    twocore.close()
 
 
 @pytest.fixture()

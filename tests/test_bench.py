@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from spectral_tta import archive, bench, cli, ridge
+from spectral_tta import archive, bench, cli, ridge, twocore
 from spectral_tta.adapt import AdaptConfig
 from spectral_tta.bench import (
     CORRUPTION_KINDS,
@@ -1471,7 +1471,7 @@ def test_cli_diverged_bench_exits_3_and_writes_nothing(cli_files, tmp_path, caps
 
 
 def fork_on_two_cpus(monkeypatch):
-    """Make map_cells fork, whatever CPUs this machine gives the process."""
+    """Make map_halves fork, whatever CPUs this machine gives the process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
@@ -1496,10 +1496,14 @@ def within(seconds):
 def only_the_helper_is_left():
     """The grid's helper is this process's one child, and closing it
     leaves none."""
-    assert bench._helper is not None
-    assert multiprocessing.active_children() == [bench._helper[0]]
-    bench._close_helper()
+    assert len(multiprocessing.active_children()) == 1
+    twocore.close()
     assert multiprocessing.active_children() == []
+
+
+def child_pids() -> list:
+    """The pids of this process's children that have not exited."""
+    return [child.pid for child in multiprocessing.active_children()]
 
 
 def running(pid: int) -> bool:
@@ -1511,7 +1515,7 @@ def running(pid: int) -> bool:
         return False
 
 
-# the functions below are map_cells's fn in the tests that follow: fn
+# the functions below are map_halves's fn in the tests that follow: fn
 # reaches the helper by pickle, so each is defined at module level
 
 
@@ -1583,17 +1587,17 @@ def unpicklable_in_the_helper(kind, part):
 
 
 def nested_grids(part):
-    """A map_cells call from inside fn."""
-    return [bench.map_cells(pids, [0, 1]) for _ in part]
+    """A map_halves call from inside fn."""
+    return [twocore.map_halves(pids, [0, 1]) for _ in part]
 
 
 def send_grids(send, items):
-    """A forked worker's work: each grid through map_cells, sent back."""
-    send.send([bench.map_cells(as_strings, grid) for grid in items])
+    """A forked worker's work: each grid through map_halves, sent back."""
+    send.send([twocore.map_halves(as_strings, grid) for grid in items])
 
 
 def send_helper_pids(send):
-    send.send(bench.map_cells(pids, [0, 1]))
+    send.send(twocore.map_halves(pids, [0, 1]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1684,7 +1688,7 @@ def test_cli_bench_whose_record_straddles_the_halves_names_the_diverging_batch(
     assert f"spectral-relu adaptation diverged on batch {named}: " in capsys.readouterr().err
     assert children == [1]  # the parent's one evaluation saw the helper
     if 0 in diverging:
-        assert bench._helper is None and multiprocessing.active_children() == []
+        assert multiprocessing.active_children() == []
     else:
         only_the_helper_is_left()
 
@@ -1704,7 +1708,7 @@ def test_an_error_raised_in_the_forked_half_reaches_the_caller_whole(exc, monkey
     fork_on_two_cpus(monkeypatch)
     fn = functools.partial(raises_in_the_helper, exc, os.getpid())
     with within(30), pytest.raises(type(exc)) as caught:
-        bench.map_cells(fn, [0, 1])
+        twocore.map_halves(fn, [0, 1])
     assert (caught.value.args, vars(caught.value)) == (exc.args, vars(exc))
     only_the_helper_is_left()
 
@@ -1712,7 +1716,7 @@ def test_an_error_raised_in_the_forked_half_reaches_the_caller_whole(exc, monkey
 def test_results_larger_than_the_pipes_buffer_arrive_in_cell_order(monkeypatch):
     fork_on_two_cpus(monkeypatch)
     with within(30):  # a join before the receive would wait for ever
-        cells = bench.map_cells(a_megabyte_per_cell, ["a", "b", "c"])
+        cells = twocore.map_halves(a_megabyte_per_cell, ["a", "b", "c"])
     assert cells == ["a" * 2**20, "b" * 2**20, "c" * 2**20]
     only_the_helper_is_left()
 
@@ -1728,6 +1732,38 @@ def test_a_daemonic_process_runs_every_cell_itself(monkeypatch):
     with within(30):
         assert receive.recv() == [["0", "1", "2"]]
         worker.join()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fallback", ["one-item", "one-cpu", "no-fork"])
+def test_each_in_process_fallback_runs_every_item_here_and_forks_nothing(monkeypatch, fallback):
+    """Fewer than two items, one usable CPU or no ``fork`` start method:
+    this process makes the one call, and no helper is forked."""
+    fork_on_two_cpus(monkeypatch)
+    if fallback == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if fallback == "no-fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    items = [0] if fallback == "one-item" else [0, 1, 2]
+    with within(30):
+        assert twocore.map_halves(pids, items) == [os.getpid()] * len(items)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_benchmark_looks_the_map_up_at_call_time(
+    tiny_config, tiny_model, tiny_basis, monkeypatch
+):
+    """A stand-in set on ``twocore.map_halves`` after ``bench`` was
+    imported serves the grid, as a tracer's would: it forks nothing, and
+    the table and records equal a two-core run's."""
+    fork_on_two_cpus(monkeypatch)
+    cfg = one_cell_config(tiny_config)
+    cfg["methods"] = ["no-adapt", "spectral-relu"]
+    with within(60):
+        two_cores = run_benchmark(cfg, tiny_model, tiny_basis)
+    only_the_helper_is_left()
+    monkeypatch.setattr(twocore, "map_halves", lambda fn, items: fn(items))
+    assert run_benchmark(cfg, tiny_model, tiny_basis) == two_cores
     assert multiprocessing.active_children() == []
 
 
@@ -1753,7 +1789,7 @@ def test_a_child_that_exits_without_sending_raises_naming_its_exit_code(
 def test_a_failure_in_the_parents_half_ends_the_child(monkeypatch):
     fork_on_two_cpus(monkeypatch)
     with within(30), pytest.raises(NumericalFailureError, match="the parent's cell failed"):
-        bench.map_cells(raises_in_the_parent, [0, 1])
+        twocore.map_halves(raises_in_the_parent, [0, 1])
     assert multiprocessing.active_children() == []
 
 
@@ -1761,37 +1797,38 @@ def test_one_helper_serves_every_call(tiny_config, tiny_model, monkeypatch):
     fork_on_two_cpus(monkeypatch)
     parent = os.getpid()
     with within(30):
-        first = bench.map_cells(pids, [0, 1, 2])
+        first = twocore.map_halves(pids, [0, 1, 2])
         cfg = one_cell_config(tiny_config)
         cfg.update(methods=["no-adapt"], severities=[3, 5])
         run_benchmark(cfg, tiny_model, None)
-        second = bench.map_cells(pids, [0, 1])
-    helper = bench._helper[0].pid
+        second = twocore.map_halves(pids, [0, 1])
+    helper = first[2]
     assert first == [parent, parent, helper] and second == [parent, helper]
+    assert child_pids() == [helper]
     only_the_helper_is_left()
 
 
 def test_a_failure_in_the_parents_half_ends_that_helper_and_the_next_call_forks_one(monkeypatch):
     fork_on_two_cpus(monkeypatch)
     with within(30):
-        helper = bench.map_cells(pids, [0, 1])[1]
+        helper = twocore.map_halves(pids, [0, 1])[1]
         with pytest.raises(NumericalFailureError, match="the parent's cell failed"):
-            bench.map_cells(raises_in_the_parent, [0, 1])
-        assert bench._helper is None and not running(helper)
-        again = bench.map_cells(pids, [0, 1])
-    assert again == [os.getpid(), bench._helper[0].pid] and again[1] != helper
+            twocore.map_halves(raises_in_the_parent, [0, 1])
+        assert multiprocessing.active_children() == [] and not running(helper)
+        again = twocore.map_halves(pids, [0, 1])
+    assert again == [os.getpid(), *child_pids()] and again[1] != helper
     only_the_helper_is_left()
 
 
 def test_a_helper_that_exits_raises_naming_its_code_and_the_next_call_forks_one(monkeypatch):
     fork_on_two_cpus(monkeypatch)
     with within(30):
-        helper = bench.map_cells(pids, [0, 1])[1]
+        helper = twocore.map_halves(pids, [0, 1])[1]
         with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
-            bench.map_cells(functools.partial(exits_in_the_helper, 3), [0, 1])
-        assert bench._helper is None and not running(helper)
-        again = bench.map_cells(pids, [0, 1])
-    assert again == [os.getpid(), bench._helper[0].pid] and again[1] != helper
+            twocore.map_halves(functools.partial(exits_in_the_helper, 3), [0, 1])
+        assert multiprocessing.active_children() == [] and not running(helper)
+        again = twocore.map_halves(pids, [0, 1])
+    assert again == [os.getpid(), *child_pids()] and again[1] != helper
     only_the_helper_is_left()
 
 
@@ -1802,19 +1839,20 @@ def test_a_killed_helper_raises_naming_its_signal_and_the_next_call_forks_one(mo
     call names the signal."""
     fork_on_two_cpus(monkeypatch)
     with within(30):
-        helper = bench.map_cells(pids, [0, 1])[1]
+        helper = twocore.map_halves(pids, [0, 1])[1]
         if unread:
             os.kill(helper, signal.SIGSTOP)
             fn = functools.partial(kills_the_stopped_helper, helper)
         else:
             os.kill(helper, signal.SIGKILL)
-            bench._helper[0].join()
+            while running(helper):
+                time.sleep(0.01)
             fn = pids
         with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL} before sending"):
-            bench.map_cells(fn, [0, 1])
-        assert bench._helper is None
-        again = bench.map_cells(pids, [0, 1])
-    assert again == [os.getpid(), bench._helper[0].pid] and again[1] != helper
+            twocore.map_halves(fn, [0, 1])
+        assert multiprocessing.active_children() == []
+        again = twocore.map_halves(pids, [0, 1])
+    assert again == [os.getpid(), *child_pids()] and again[1] != helper
     only_the_helper_is_left()
 
 
@@ -1823,9 +1861,9 @@ def test_the_helper_leaves_ctrl_c_to_its_parent(monkeypatch):
     ignores it and serves the next call."""
     fork_on_two_cpus(monkeypatch)
     with within(30):
-        helper = bench.map_cells(pids, [0, 1])[1]
+        helper = twocore.map_halves(pids, [0, 1])[1]
         os.kill(helper, signal.SIGINT)
-        assert bench.map_cells(pids, [0, 1]) == [os.getpid(), helper]
+        assert twocore.map_halves(pids, [0, 1]) == [os.getpid(), helper]
     only_the_helper_is_left()
 
 
@@ -1842,11 +1880,11 @@ def test_a_reply_that_cannot_be_pickled_or_unpickled_names_its_cause_and_the_hel
 ):
     fork_on_two_cpus(monkeypatch)
     with within(30):
-        helper = bench.map_cells(pids, [0, 1])[1]
+        helper = twocore.map_halves(pids, [0, 1])[1]
         with pytest.raises(RuntimeError) as caught:
-            bench.map_cells(functools.partial(unpicklable_in_the_helper, kind), [0, 1])
+            twocore.map_halves(functools.partial(unpicklable_in_the_helper, kind), [0, 1])
         assert message in str(caught.value) and "pickle" in str(caught.value)
-        assert bench.map_cells(pids, [0, 1]) == [os.getpid(), helper]
+        assert twocore.map_halves(pids, [0, 1]) == [os.getpid(), helper]
     assert capfd.readouterr().err == ""  # no traceback from a dying helper
     only_the_helper_is_left()
 
@@ -1857,8 +1895,8 @@ def test_a_call_from_inside_fn_runs_in_process(monkeypatch):
     fork_on_two_cpus(monkeypatch)
     parent = os.getpid()
     with within(30):
-        outer = bench.map_cells(nested_grids, [0, 1])
-    helper = bench._helper[0].pid
+        outer = twocore.map_halves(nested_grids, [0, 1])
+    [helper] = child_pids()
     # the parent's inner call ran in process; the helper is daemonic, so its did too
     assert outer == [[parent, parent], [helper, helper]]
     only_the_helper_is_left()
@@ -1870,7 +1908,7 @@ def test_a_forked_child_forks_its_own_helper(monkeypatch):
     fork_on_two_cpus(monkeypatch)
     ctx = multiprocessing.get_context("fork")
     with within(30):
-        helper = bench.map_cells(pids, [0, 1])[1]
+        helper = twocore.map_halves(pids, [0, 1])[1]
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=send_helper_pids, args=(send,))
         child.start()
@@ -1879,13 +1917,13 @@ def test_a_forked_child_forks_its_own_helper(monkeypatch):
         child.join()
         assert child.exitcode == 0
         assert theirs[0] == child.pid and theirs[1] not in (child.pid, helper)
-        assert bench.map_cells(pids, [0, 1]) == [os.getpid(), helper]
+        assert twocore.map_halves(pids, [0, 1]) == [os.getpid(), helper]
     only_the_helper_is_left()
 
 
 ONE_CALL = """
 import os, sys, time
-from spectral_tta import bench
+from spectral_tta import twocore
 
 os.sched_getaffinity = lambda pid: {0, 1}
 
@@ -1897,7 +1935,7 @@ def part(items):
     return items
 
 
-bench.map_cells(part, [0, 1])
+twocore.map_halves(part, [0, 1])
 """
 
 
