@@ -54,30 +54,29 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def entropy(logits: np.ndarray) -> float:
-    """Mean Shannon entropy (natural log) of softmax(logits) per row. A
-    class past the float64 range has probability 0, and its ``p * z`` is
-    read as 0, not ``0 * -inf``."""
+def _softmax(logits: np.ndarray):
+    """``(p, z, lse)`` of (m, C >= 2) logits as from ``log_softmax``, but with
+    ``z`` read as 0 where ``p`` is 0 (past the float64 range): no ``0 * -inf``."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ContractViolationError("logits must be (m, C) with C >= 2")
     with np.errstate(over="ignore"):
         z, lse = log_softmax(logits)
     p = np.exp(z - lse)
-    z = np.where(p > 0, z, 0.0)
-    h = lse[:, 0] - np.sum(p * z, axis=1)
-    return float(h.mean())
+    return p, np.where(p > 0, z, 0.0), lse
+
+
+def entropy(logits: np.ndarray) -> float:
+    """Mean Shannon entropy (natural log) of softmax(logits) per row."""
+    p, z, lse = _softmax(logits)
+    return float((lse[:, 0] - np.sum(p * z, axis=1)).mean())
 
 
 def entropy_grad(logits: np.ndarray) -> np.ndarray:
     """Gradient of :func:`entropy` with respect to the logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        z, lse = log_softmax(logits)
-    p = np.exp(z - lse)
-    z = np.where(p > 0, z, 0.0)
+    p, z, _ = _softmax(logits)
     zbar = np.sum(p * z, axis=1, keepdims=True)
-    return -p * (z - zbar) / logits.shape[0]
+    return -p * (z - zbar) / len(p)
 
 
 def adam_step(
@@ -163,6 +162,14 @@ def _diverged(method: str, b_idx: int, what: str) -> NumericalFailureError:
     return NumericalFailureError(f"{method} adaptation diverged on batch {b_idx}: {what}")
 
 
+def _first_forward(model: Model, x, method: str, b_idx: int):
+    """A batch's full forward; no entropy or step is made from non-finite logits."""
+    logits, caches = model.forward(x)
+    if not np.all(np.isfinite(logits)):
+        raise NumericalFailureError(f"{method} gave non-finite logits on batch {b_idx}")
+    return logits, caches
+
+
 def run_adaptation(
     model: Model, test_batches, cfg: AdaptConfig, method: str = "adapt", first: int = 0
 ) -> RunRecord:
@@ -176,21 +183,20 @@ def run_adaptation(
     episodic stream run in parts gives the records of the whole."""
     batches = _check_batches(test_batches)
     episodic = cfg.protocol == "episodic"
-    n_params = model.adapt_param_count()
-    params0 = model.adapt_params()
+    params0 = params = model.adapt_params()
     record = RunRecord(method=method, protocol=cfg.protocol)
-    state = AdamState.zeros(n_params)
+    state = AdamState.zeros(params0.size)
     for b_idx, (x, y) in enumerate(batches, first):
         if episodic:
+            params, state = params0, AdamState.zeros(params0.size)
             model.set_adapt_params(params0)
-            state = AdamState.zeros(n_params)
         # the frozen layers run once per batch: each step's forward resumes
         # from the previous forward's caches
-        logits, caches = model.forward(x)
+        logits, caches = _first_forward(model, x, method, b_idx)
         h_before = entropy(logits)
         for step in range(cfg.steps_per_batch):
             grads = model.backward_adapt(caches, entropy_grad(logits))
-            params = adam_step(state, model.adapt_params(), grads, cfg)
+            params = adam_step(state, params, grads, cfg)
             if not np.all(np.isfinite(params)):
                 raise _diverged(method, b_idx, f"non-finite parameters after step {step + 1}")
             model.set_adapt_params(params)
@@ -198,12 +204,7 @@ def run_adaptation(
         if not np.all(np.isfinite(logits)):
             raise _diverged(method, b_idx, "non-finite logits after adaptation")
         record.add(
-            b_idx,
-            len(y),
-            _batch_error(logits, y),
-            h_before,
-            entropy(logits),
-            _params_hash(model.adapt_params()),
+            b_idx, len(y), _batch_error(logits, y), h_before, entropy(logits), _params_hash(params)
         )
     if episodic:
         model.set_adapt_params(params0)
@@ -217,9 +218,7 @@ def _infer(model: Model, test_batches, method: str, first: int) -> RunRecord:
     batches = _check_batches(test_batches)
     record = RunRecord(method=method, protocol="none")
     for b_idx, (x, y) in enumerate(batches, first):
-        logits, _ = model.forward(x)
-        if not np.all(np.isfinite(logits)):
-            raise NumericalFailureError(f"{method} gave non-finite logits on batch {b_idx}")
+        logits, _ = _first_forward(model, x, method, b_idx)
         h = entropy(logits)
         record.add(b_idx, len(y), _batch_error(logits, y), h, h)
     return record

@@ -17,14 +17,30 @@ leave it where it was."""
 
 import multiprocessing
 import os
+import re
 import signal
 import threading
 from multiprocessing.reduction import ForkingPickler
 
 
+def _blas_runs_one_thread() -> bool:
+    """Whether OpenBLAS's environment gives it one thread: its count is the
+    first of these variables that holds a positive integer (read as C's
+    ``atoi`` reads it), and with none, a thread per CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = re.match(r"\s*([+-]?\d+)", os.environ.get(name, ""), re.ASCII)
+        if value and int(value[1]) > 0:
+            return int(value[1]) == 1
+    return False
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on (all of the machine's where the
-    platform cannot say)."""
+    platform cannot say), or 1 unless BLAS runs one thread: two processes
+    that each run a BLAS thread pool on the same cores take several times
+    as long as one process alone."""
+    if not _blas_runs_one_thread():
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -96,10 +112,10 @@ def map_halves(fn, items: list) -> list:
     """``fn(items[:half]) + fn(items[half:])`` on up to two cores: a helper
     process makes the second call while this one makes the first. ``fn``
     maps a part of ``items`` to a list. With fewer than two items or usable
-    CPUs, no ``fork`` start method, in a daemonic process (a ``Pool``
-    worker, which may start no child), or while another call holds the
-    helper (a second thread, or a call from inside ``fn``), this process
-    makes the one call ``fn(items)``.
+    CPUs (BLAS not pinned to one thread leaves one), no ``fork`` start
+    method, in a daemonic process (a ``Pool`` worker, which may start no
+    child), or while another call holds the helper (a second thread, or a
+    call from inside ``fn``), this process makes the one call ``fn(items)``.
 
     ``fn`` must depend only on its items and on state from before the
     call, and a part's result must not depend on where the items were

@@ -92,8 +92,12 @@ def test_entropy_and_grad_finite_past_the_float_range(row, h):
 
 
 def test_entropy_rejects_single_class():
-    with pytest.raises(ContractViolationError):
-        entropy(np.ones((3, 1)))
+    """Both the entropy and its gradient refuse logits that are not (m, C)
+    with C >= 2."""
+    for fn in (entropy, entropy_grad):
+        for shape in [(3, 1), (4,), (2, 3, 4)]:
+            with pytest.raises(ContractViolationError, match=r"\(m, C\) with C >= 2"):
+                fn(np.ones(shape))
 
 
 def test_entropy_grad_uniform_is_zero():

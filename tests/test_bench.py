@@ -1347,17 +1347,24 @@ def test_cli_basis_fitted_elsewhere_exits_2(cli_files, tmp_path, capsys, fitted_
     assert not (tmp_path / "r.jsonl").exists() and not out.exists()
 
 
-@pytest.mark.parametrize("method", ["no-adapt", "bn-stats"])
+@pytest.mark.parametrize(
+    "method", ["no-adapt", "bn-stats", "bn-modulators", "spectral-relu", "spectral-exp"]
+)
 def test_cli_inference_with_overflowing_logits_exits_3(cli_files, tmp_path, capsys, method):
-    """Finite weights whose logits overflow: the inference baselines write
-    no record with a non-finite entropy."""
+    """Finite weights whose logits overflow: every method refuses the
+    batch's first forward, so no record holds a non-finite entropy and no
+    entropy method takes a step from it."""
     model = load_model(cli_files[1])
     head = model.layers[-1]
     head.w *= 1e308 / np.max(np.abs(head.w))
-    path = tmp_path / "huge.npz"
+    path, basis = tmp_path / "huge.npz", tmp_path / "huge_basis.npz"
     save_model(model, path)
     out = tmp_path / "r.jsonl"
     argv = ["adapt", "--config", str(cli_files[0]), "--model", str(path), "--method", method]
+    if method.startswith("spectral"):  # the basis records the checkpoint's hash
+        fit = ["fit-pca", "--config", str(cli_files[0]), "--model", str(path), "--basis", str(basis)]
+        assert cli.main(fit) == 0
+        argv += ["--basis", str(basis)]
     with np.errstate(all="ignore"):  # the overflow is provoked on purpose
         assert cli.main(argv + ["--out", str(out)]) == 3
     assert not out.exists()
@@ -1735,19 +1742,56 @@ def test_a_daemonic_process_runs_every_cell_itself(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("fallback", ["one-item", "one-cpu", "no-fork"])
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("fallback", ["one-item", "one-cpu", "no-fork", "unpinned-blas"])
 def test_each_in_process_fallback_runs_every_item_here_and_forks_nothing(monkeypatch, fallback):
-    """Fewer than two items, one usable CPU or no ``fork`` start method:
-    this process makes the one call, and no helper is forked."""
+    """Fewer than two items, one usable CPU, no ``fork`` start method or
+    BLAS not pinned to one thread (no variable set, or the first that
+    holds a positive integer is not 1): this process makes the one call,
+    and no helper is forked."""
     fork_on_two_cpus(monkeypatch)
     if fallback == "one-cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     if fallback == "no-fork":
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    settings = [{}]
+    if fallback == "unpinned-blas":
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        settings = [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "0"}]
     items = [0] if fallback == "one-item" else [0, 1, 2]
+    for setting in settings:
+        for name, value in setting.items():
+            monkeypatch.setenv(name, value)
+        with within(30):
+            assert twocore.map_halves(pids, items) == [os.getpid()] * len(items)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
+        {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": " 1"},
+        {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1,2"},
+    ],
+    ids=["first", "past-zero", "as-atoi-reads"],
+)
+def test_blas_pinned_by_its_first_positive_variable_forks_the_helper(monkeypatch, setting):
+    """OpenBLAS takes its thread count from the first of its variables
+    that holds a positive integer; a 1 there leaves the second core to the
+    helper."""
+    fork_on_two_cpus(monkeypatch)
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in setting.items():
+        monkeypatch.setenv(name, value)
     with within(30):
-        assert twocore.map_halves(pids, items) == [os.getpid()] * len(items)
-    assert multiprocessing.active_children() == []
+        parent, _, helper = twocore.map_halves(pids, [0, 1, 2])
+    assert parent == os.getpid() != helper
+    only_the_helper_is_left()
 
 
 def test_run_benchmark_looks_the_map_up_at_call_time(

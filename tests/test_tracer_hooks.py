@@ -78,6 +78,12 @@ def test_traced_adaptation_matches_untraced_and_counts_layer_calls(
     # under its own span: once per batch to start, then once per step
     assert tracer.calls[f"network.{span}.fwd"] == len(batches) * (cfg.steps_per_batch + 1)
     assert tracer.calls["network.unkeyed.fwd"] == 0
+    # per batch: the entropy before and after, and one gradient, one Adam
+    # step and one forward per step after the first forward
+    steps = len(batches) * cfg.steps_per_batch
+    assert tracer.calls["adapt.entropy"] == 2 * len(batches)
+    assert tracer.calls["adapt.entropy_grad"] == tracer.calls["adapt.adam_step"] == steps
+    assert tracer.calls["network.model_forward"] == steps + len(batches)
     assert tracer.adapt_batches == len(batches) > 1
     # the frozen prefix below the adaptation layer runs forward once per
     # batch, on that batch, and never backward
