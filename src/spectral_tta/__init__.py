@@ -5,6 +5,7 @@ from .errors import (
     ConfigError,
     ContractViolationError,
     EmptyBasisError,
+    HelperProcessError,
     NumericalFailureError,
     RankDeficientError,
 )

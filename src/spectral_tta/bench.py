@@ -8,7 +8,6 @@ import csv
 import dataclasses
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +44,8 @@ CORRUPTION_KINDS = (
     "contrast",
     "brightness",
 )
+
+SEVERITIES = (1, 2, 3, 4, 5)
 
 # per-kind severity parameter grids (artifact-chosen; validated only via
 # the monotone mean-displacement invariant)
@@ -83,7 +84,7 @@ def _grid_list(known):
 _VALUE_RULES = (
     ("methods", _grid_list(METHODS)),
     ("corruptions", _grid_list(CORRUPTION_KINDS)),
-    ("severities", _grid_list(range(1, 6))),
+    ("severities", _grid_list(SEVERITIES)),
     ("seed", lambda v: v >= 0),
     ("model.train_epochs", lambda v: v >= 1),
     ("model.train_batch", lambda v: v >= 1),
@@ -230,7 +231,7 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in CORRUPTION_KINDS:
             raise ContractViolationError(f"unknown corruption kind {self.kind!r}")
-        if not 1 <= self.severity <= 5:
+        if self.severity not in SEVERITIES:
             raise ContractViolationError(f"severity must be 1..5, got {self.severity}")
 
 
@@ -276,7 +277,7 @@ DEFAULT_CONFIG = {
     "adapt": {**dataclasses.asdict(AdaptConfig()), "gamma_init": 1e-3},
     "methods": list(METHODS),
     "corruptions": list(CORRUPTION_KINDS),
-    "severities": [1, 2, 3, 4, 5],
+    "severities": list(SEVERITIES),
     "ablation": {
         "method": "spectral-relu",
         "n_seeds": 3,
@@ -669,8 +670,3 @@ def ablate_rank(cfg: dict, ranks: list[int]):
 def ablate_steps(cfg: dict, steps: list[int]):
     """Severity-5 online mean error vs steps per batch, seed-averaged."""
     return _sweep(cfg, "adapt.steps_per_batch", steps, "online", "steps")
-
-
-def curve_to_json(curve, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(curve, fh, indent=2, sort_keys=True)

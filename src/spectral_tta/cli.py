@@ -1,9 +1,11 @@
 """Command line entry points.
 
 Subcommands: train, fit-pca, adapt, bench, ablate-rank, ablate-steps,
-verify-ridge. All take a single JSON config file (merged over defaults).
+verify-ridge. All but verify-ridge take a single JSON config file (merged
+over defaults), which ``main`` reads before the command runs.
 Exit codes: 0 success, 2 config error (also a file that cannot be read
-or written, or an array too large to allocate), 3 numerical failure.
+or written, or an array too large to allocate), 3 numerical failure,
+4 the two-core helper process died or its reply could not be sent or read.
 """
 
 import argparse
@@ -12,12 +14,13 @@ import sys
 from pathlib import Path
 
 from . import bench, ridge
-from .errors import ConfigError, ContractViolationError, NumericalFailureError
+from .errors import ConfigError, ContractViolationError, HelperProcessError, NumericalFailureError
 from .network import save_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_HELPER = 4
 
 
 def _read_config(path: str | None) -> dict:
@@ -47,16 +50,19 @@ def _check_output_file(path: str) -> None:
         raise ConfigError(f"cannot write {path}: it is a directory")
 
 
-def _cmd_train(args) -> int:
-    cfg = _read_config(args.config)
+def _write_json(obj, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+
+
+def _cmd_train(args, cfg) -> int:
     _check_output_file(args.model)
     save_model(bench.train_from_config(cfg), args.model)
     print(f"wrote model checkpoint to {args.model}")
     return EXIT_OK
 
 
-def _cmd_fit_pca(args) -> int:
-    cfg = _read_config(args.config)
+def _cmd_fit_pca(args, cfg) -> int:
     if args.rank is not None:
         cfg = bench.with_value(cfg, "pca.rank", args.rank)
     _check_output_file(args.basis)
@@ -66,8 +72,7 @@ def _cmd_fit_pca(args) -> int:
     return EXIT_OK
 
 
-def _cmd_adapt(args) -> int:
-    cfg = _read_config(args.config)
+def _cmd_adapt(args, cfg) -> int:
     _check_output_file(args.out)
     model, basis = bench.load_inputs(cfg, [args.method], args.model, args.basis)
     rec = bench.run_cell(cfg, model, basis, args.method, args.corruption, args.severity)
@@ -76,8 +81,7 @@ def _cmd_adapt(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    cfg = _read_config(args.config)
+def _cmd_bench(args, cfg) -> int:
     nearest = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
     if not nearest.is_dir():  # checked now, as the directory is made only after the grid
         raise ConfigError(f"cannot write into {args.out}: {nearest} is not a directory")
@@ -90,11 +94,9 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ablate(args) -> int:
-    cfg = _read_config(args.config)
+def _cmd_ablate(args, cfg) -> int:
     _check_output_file(args.out)
-    curve = args.sweep(cfg, args.values)
-    bench.curve_to_json(curve, args.out)
+    _write_json(args.sweep(cfg, args.values), args.out)
     print(f"wrote {args.label} ablation curve to {args.out}")
     return EXIT_OK
 
@@ -102,8 +104,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_verify_ridge(args) -> int:
     _check_output_file(args.out)
     report = ridge.verify_equivalence(trials=args.trials, seed=args.seed)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_json(report, args.out)
     status = "passed" if report["passed"] else "FAILED"
     print(
         f"ridge equivalence {status}: max relative deviation "
@@ -113,46 +114,39 @@ def _cmd_verify_ridge(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the options several subcommands share, each declared once as a parent parser
+    config, model, basis = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    config.add_argument("--config", default=None)
+    model.add_argument("--model", default="model.npz")
+    basis.add_argument("--basis", default="basis.npz")
+    files = [config, model, basis]
     parser = argparse.ArgumentParser(prog="spectral-tta")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train the frozen source model")
-    p.add_argument("--config", default=None)
-    p.add_argument("--model", default="model.npz")
+    p = sub.add_parser("train", parents=[config, model], help="train the frozen source model")
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("fit-pca", help="fit the PCA basis at the insertion layer")
-    p.add_argument("--config", default=None)
-    p.add_argument("--model", default="model.npz")
-    p.add_argument("--basis", default="basis.npz")
+    p = sub.add_parser("fit-pca", parents=files, help="fit the PCA basis at the insertion layer")
     p.add_argument("--rank", type=int, default=None, help="overrides pca.rank")
     p.set_defaults(fn=_cmd_fit_pca)
 
-    p = sub.add_parser("adapt", help="run one adaptation session")
-    p.add_argument("--config", default=None)
-    p.add_argument("--model", default="model.npz")
-    p.add_argument("--basis", default="basis.npz")
+    p = sub.add_parser("adapt", parents=files, help="run one adaptation session")
     p.add_argument("--method", default="spectral-relu", choices=bench.METHODS)
     p.add_argument("--corruption", default=None, choices=bench.CORRUPTION_KINDS)
-    p.add_argument("--severity", type=int, default=5, choices=range(1, 6))
+    p.add_argument("--severity", type=int, default=5, choices=bench.SEVERITIES)
     p.add_argument("--out", default="records.jsonl")
     p.set_defaults(fn=_cmd_adapt)
 
-    p = sub.add_parser("bench", help="full method x corruption x severity grid")
-    p.add_argument("--config", default=None)
-    p.add_argument("--model", default="model.npz")
-    p.add_argument("--basis", default="basis.npz")
+    p = sub.add_parser("bench", parents=files, help="full method x corruption x severity grid")
     p.add_argument("--out", default="bench_out")
     p.set_defaults(fn=_cmd_bench)
 
-    p = sub.add_parser("ablate-rank", help="severity-5 error vs PCA rank")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("ablate-rank", parents=[config], help="severity-5 error vs PCA rank")
     p.add_argument("--ranks", type=int, nargs="+", required=True, dest="values", metavar="RANKS")
     p.add_argument("--out", default="rank_curve.json")
     p.set_defaults(fn=_cmd_ablate, sweep=bench.ablate_rank, label="rank")
 
-    p = sub.add_parser("ablate-steps", help="severity-5 error vs adaptation steps")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("ablate-steps", parents=[config], help="severity-5 error vs adaptation steps")
     p.add_argument("--steps", type=int, nargs="+", required=True, dest="values", metavar="STEPS")
     p.add_argument("--out", default="steps_curve.json")
     p.set_defaults(fn=_cmd_ablate, sweep=bench.ablate_steps, label="steps")
@@ -167,9 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if "config" in args:  # every subcommand but verify-ridge: the config is read first
+            return args.fn(args, _read_config(args.config))
         return args.fn(args)
     except (ContractViolationError, OSError, MemoryError) as exc:
         # a refused config value (a ConfigError), a path that cannot be read
@@ -180,6 +175,11 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except HelperProcessError as exc:
+        # the grid's helper died or a reply could not cross the pipe: one
+        # line, while any other RuntimeError, a bug, keeps its traceback
+        print(f"two-core failure: {exc}", file=sys.stderr)
+        return EXIT_HELPER
 
 
 if __name__ == "__main__":

@@ -29,6 +29,11 @@ class NumericalFailureError(RuntimeError):
         self.residual = residual
 
 
+class HelperProcessError(RuntimeError):
+    """The two-core helper process died without replying, or a reply could
+    not be pickled or unpickled: exit 4."""
+
+
 class EmptyBasisError(NumericalFailureError):
     """PCA fitting found no singular value above the drop threshold."""
 

@@ -5,7 +5,7 @@ module after that (a monkeypatch, say) does not reach it; only what each
 call sends does. It exits when this process's end of the pipe closes, so it
 ends with this process, killed or not. A process forked from this one later
 forks a helper of its own. A helper that dies without replying raises a
-RuntimeError naming its exit code. A failure in this process's part, or
+HelperProcessError naming its exit code. A failure in this process's part, or
 while it waits for the reply, terminates the helper. After either, the next
 call forks a new one.
 
@@ -21,6 +21,8 @@ import re
 import signal
 import threading
 from multiprocessing.reduction import ForkingPickler
+
+from .errors import HelperProcessError
 
 
 def _blas_runs_one_thread() -> bool:
@@ -66,7 +68,7 @@ if hasattr(os, "register_at_fork"):
 def _serve(conn, parent_end) -> None:
     """The helper's loop: read ``(fn, items)``, reply ``(True, fn(items))``
     or ``(False, the exception raised)``, until the parent's end closes.
-    A reply that cannot be pickled is replaced by a RuntimeError naming
+    A reply that cannot be pickled is replaced by a HelperProcessError naming
     it, so the parent learns the cause and the helper lives on. Ctrl-C,
     which a terminal sends to the whole process group, is left to the
     parent, whose KeyboardInterrupt terminates the helper."""
@@ -86,7 +88,7 @@ def _serve(conn, parent_end) -> None:
             data = ForkingPickler.dumps(reply)
         except Exception as exc:
             what = "its result" if reply[0] else f"{type(reply[1]).__name__}: {reply[1]}"
-            error = RuntimeError(
+            error = HelperProcessError(
                 f"the grid's helper process could not send {what} ({type(exc).__name__}: {exc})"
             )
             data = ForkingPickler.dumps((False, error))
@@ -126,7 +128,7 @@ def map_halves(fn, items: list) -> list:
     holds the earlier items, so its error comes first. The helper's
     exception arrives without its traceback; an exception or a result
     that cannot be pickled there, or unpickled here, arrives as a
-    RuntimeError naming it."""
+    HelperProcessError naming it."""
     global _helper
     if (
         len(items) < 2
@@ -159,7 +161,7 @@ def map_halves(fn, items: list) -> list:
                 reply = conn.recv_bytes()
             except (EOFError, ConnectionResetError):  # reset: it died with the request unread
                 process.join()
-                raise RuntimeError(
+                raise HelperProcessError(
                     f"the grid's helper process exited with code {process.exitcode} "
                     "before sending its records"
                 ) from None
@@ -171,7 +173,7 @@ def map_halves(fn, items: list) -> list:
     try:
         sent, theirs = ForkingPickler.loads(reply)
     except Exception as exc:  # the reply was read whole, so the helper serves on
-        raise RuntimeError(
+        raise HelperProcessError(
             f"the grid's helper process sent a reply this process cannot unpickle "
             f"({type(exc).__name__}: {exc})"
         ) from None

@@ -494,14 +494,54 @@ def test_ablate_steps_curve(tiny_config):
         bench.ablate_steps(cfg, [1, 1])
 
 
-def test_curve_to_json_round_trip(tmp_path):
-    curve = [{"rank": 2, "mean_error": 0.5, "per_seed": [0.5]}]
-    path = tmp_path / "curve.json"
-    bench.curve_to_json(curve, path)
-    assert json.loads(path.read_text()) == curve
-
-
 # ---- command line -----------------------------------------------------------
+
+
+# each subcommand with only its required arguments, and the namespace it parses to
+PARSED = [
+    (["train"], dict(config=None, model="model.npz", fn=cli._cmd_train)),
+    (
+        ["fit-pca"],
+        dict(config=None, model="model.npz", basis="basis.npz", rank=None, fn=cli._cmd_fit_pca),
+    ),
+    (
+        ["adapt"],
+        dict(
+            config=None, model="model.npz", basis="basis.npz", method="spectral-relu",
+            corruption=None, severity=5, out="records.jsonl", fn=cli._cmd_adapt,
+        ),
+    ),
+    (
+        ["bench"],
+        dict(config=None, model="model.npz", basis="basis.npz", out="bench_out", fn=cli._cmd_bench),
+    ),
+    (
+        ["ablate-rank", "--ranks", "4"],
+        dict(
+            config=None, values=[4], out="rank_curve.json", fn=cli._cmd_ablate,
+            sweep=bench.ablate_rank, label="rank",
+        ),
+    ),
+    (
+        ["ablate-steps", "--steps", "1"],
+        dict(
+            config=None, values=[1], out="steps_curve.json", fn=cli._cmd_ablate,
+            sweep=bench.ablate_steps, label="steps",
+        ),
+    ),
+    (
+        ["verify-ridge"],
+        dict(trials=50, seed=0, out="ridge_report.json", fn=cli._cmd_verify_ridge),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, namespace", PARSED, ids=[argv[0] for argv, _ in PARSED])
+def test_cli_parser_gives_each_subcommand_its_options_and_defaults(argv, namespace):
+    """Each subcommand parsed with only its required arguments: every
+    option it has, with its default, and no other."""
+    args = cli.build_parser().parse_args(argv)
+    assert vars(args) == {"command": argv[0], **namespace}
 
 
 def write_tiny_cli_config(tmp_path):
@@ -1827,6 +1867,33 @@ def test_a_child_that_exits_without_sending_raises_naming_its_exit_code(
     cfg.update(methods=["no-adapt"], severities=[3, 5])
     with within(30), pytest.raises(RuntimeError, match="exited with code 1 before sending"):
         run_benchmark(cfg, tiny_model, None)
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_bench_whose_helper_dies_exits_4_with_one_line_and_writes_nothing(
+    cli_files, tmp_path, capsys, monkeypatch
+):
+    fork_on_two_cpus(monkeypatch)
+    parent, evaluate = os.getpid(), bench._evaluate_cell
+
+    def exits_in_the_child(*args):
+        if os.getpid() != parent:
+            os._exit(9)
+        return evaluate(*args)
+
+    monkeypatch.setattr(bench, "_evaluate_cell", exits_in_the_child)
+    config, model, basis = cli_files
+    out = tmp_path / "out"
+    args = [
+        "bench", "--config", str(config), "--model", str(model), "--basis", str(basis),
+        "--out", str(out),
+    ]
+    with within(60):
+        assert cli.main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("two-core failure: ") and err.count("\n") == 1
+    assert "exited with code 9" in err
+    assert not out.exists()
     assert multiprocessing.active_children() == []
 
 
