@@ -7,7 +7,7 @@ statistic recomputation, entropy-trained batch-norm modulators, and the
 two spectral filters. Only the filter's per-mode gamma (or the BN
 scale/shift) is learned at test time; the backbone stays frozen.
 
-Runs in about half a minute.  python3 demos/04_adaptation_walkthrough.py
+Runs in about five seconds.  python3 demos/04_adaptation_walkthrough.py
 """
 
 from spectral_tta import bench

@@ -37,14 +37,6 @@ from .network import (
 from . import twocore
 from .pca import PcaBasis
 
-CORRUPTION_KINDS = (
-    "gaussian-noise",
-    "impulse-noise",
-    "blur",
-    "contrast",
-    "brightness",
-)
-
 SEVERITIES = (1, 2, 3, 4, 5)
 
 # per-kind severity parameter grids (artifact-chosen; validated only via
@@ -57,13 +49,15 @@ SEVERITY_GRIDS = {
     "brightness": [0.08, 0.16, 0.24, 0.32, 0.40],       # additive shift
 }
 
-METHODS = ("no-adapt", "bn-stats", "bn-modulators", "spectral-relu", "spectral-exp")
+CORRUPTION_KINDS = tuple(SEVERITY_GRIDS)
 
 _FILTER_KIND = {"spectral-relu": RELU_RIDGE, "spectral-exp": NEG_EXP}
 
 # the methods that take entropy steps, the only ones whose error an
 # ablation's rank or step count can change
 _ENTROPY_METHODS = ("bn-modulators", *_FILTER_KIND)
+
+METHODS = ("no-adapt", "bn-stats", *_ENTROPY_METHODS)
 
 
 def _grid_list(known):
@@ -231,8 +225,9 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in CORRUPTION_KINDS:
             raise ContractViolationError(f"unknown corruption kind {self.kind!r}")
-        if self.severity not in SEVERITIES:
-            raise ContractViolationError(f"severity must be 1..5, got {self.severity}")
+        s = self.severity  # an index into a kind's grid: a bool or a float is refused
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in SEVERITIES:
+            raise ContractViolationError(f"severity must be an integer in 1..5, got {s!r}")
 
 
 def corrupt(images: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
@@ -473,7 +468,7 @@ def _spectral_model(model: Model, cfg: dict, basis: PcaBasis, method: str) -> Mo
     return insert_adapter(model, cfg["model"]["insert_index"], basis, filt)
 
 
-def _evaluate_cell(model, basis, cfg, method, batches, first=0) -> RunRecord:
+def _evaluate_cell(model, basis, cfg, method, batches, first) -> RunRecord:
     """``method`` on ``batches``, the cell's batches from index ``first`` on."""
     acfg = _adapt_config(cfg)
     if method == "no-adapt":
@@ -508,10 +503,10 @@ def run_cell(
 ) -> RunRecord:
     """Run one method on one (corruption, severity) cell of the grid, or on
     the clean test set when ``corruption`` is None. ``basis`` is needed only
-    by the spectral methods. The record equals the grid's for that cell."""
-    _, test_set = gen_dataset(_dataset_spec(cfg))
-    batches = _cell_batches(cfg, test_set, corruption, severity)
-    return _evaluate_cell(model, basis, cfg, method, batches)
+    by the spectral methods. The record is the grid's :func:`_run_part` on
+    the cell's whole stream, in this process."""
+    [(_, _, rec)] = _run_part(cfg, model, basis, [((corruption, severity), method, 0, None)])
+    return rec
 
 
 def _run_part(cfg: dict, model: Model, basis: PcaBasis | None, episodes: list) -> list:
@@ -531,19 +526,21 @@ def _run_part(cfg: dict, model: Model, basis: PcaBasis | None, episodes: list) -
     return parts
 
 
-def _episodes(cfg: dict, n_batches: int) -> list:
+def _episodes(cfg: dict) -> list:
     """The grid's episodes in run order (cell, then method, then batch), as
-    (cell, method, first batch, end batch). An episode is the smallest run
-    of a cell's batches that carries no state into the next one: the whole
-    stream for an entropy method under the online protocol, each batch
-    otherwise (the parameters and Adam state are reset before an episodic
-    batch, and no-adapt and bn-stats learn nothing)."""
+    (cell, method, first batch, end batch or None). An episode is the
+    smallest run of a cell's batches (of ``dataset.n_test`` rows) that
+    carries no state into the next one: the whole stream for an entropy
+    method under the online protocol, each batch otherwise (the parameters
+    and Adam state are reset before an episodic batch, and no-adapt and
+    bn-stats learn nothing)."""
     online = cfg["adapt"]["protocol"] == "online"
+    n_batches = len(range(0, cfg["dataset"]["n_test"], cfg["adapt"]["batch_size"]))
     episodes = []
     for cell in itertools.product(cfg["corruptions"], cfg["severities"]):
         for method in cfg["methods"]:
             if online and method in _ENTROPY_METHODS:
-                episodes.append((cell, method, 0, n_batches))
+                episodes.append((cell, method, 0, None))
             else:
                 episodes += [(cell, method, b, b + 1) for b in range(n_batches)]
     return episodes
@@ -553,17 +550,14 @@ def run_benchmark(cfg: dict, model: Model, basis: PcaBasis | None, out_dir=None)
     """Evaluate every configured method on every (corruption, severity).
 
     Returns (ErrorTable, {cell key: RunRecord}). With ``out_dir`` set,
-    also writes table.csv and one records JSON-lines file per cell. Each
-    cell is evaluated as :func:`run_cell` does. The grid's episodes are
-    shared between two cores by :func:`twocore.map_halves`, and :func:`_run_part`
-    evaluates each part. This process joins the parts of a record in
-    batch order and writes every file.
+    also writes table.csv and one records JSON-lines file per cell. The
+    grid's episodes are shared between two cores by :func:`twocore.map_halves`,
+    and :func:`_run_part` evaluates each part. This process joins the parts
+    of a record in batch order and writes every file.
     """
-    _, test_set = gen_dataset(_dataset_spec(cfg))
-    n_batches = len(range(0, len(test_set[1]), cfg["adapt"]["batch_size"]))
     run_part = functools.partial(_run_part, cfg, model, basis)
     joined = {}
-    for cell, method, rec in twocore.map_halves(run_part, _episodes(cfg, n_batches)):
+    for cell, method, rec in twocore.map_halves(run_part, _episodes(cfg)):
         if (cell, method) in joined:  # the rest of a record cut between the parts
             joined[cell, method].batches += rec.batches
         else:

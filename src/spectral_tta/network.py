@@ -575,12 +575,13 @@ def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) 
 
     The adapter consumes the output of layer j - 1 (the raw input for
     j == 0), which must be a 4-D map whose flattened width equals the
-    basis dimension. The frozen Conv2d, Flatten and Linear layers from j
-    up to the first other layer are folded into the adapter's
-    reconstruction (see :class:`SpectralAdapterLayer`); this is exact in
-    real arithmetic, not bitwise. The original model object is left
-    untouched, so dropping the returned model restores pre-insertion
-    behavior exactly.
+    basis dimension; a basis that records its position (one from
+    :func:`fit_pca_from_source`) is refused at any other. The frozen
+    Conv2d, Flatten and Linear layers from j up to the first other layer
+    are folded into the adapter's reconstruction (see
+    :class:`SpectralAdapterLayer`); this is exact in real arithmetic, not
+    bitwise. The original model object is left untouched, so dropping the
+    returned model restores pre-insertion behavior exactly.
     """
     if not 0 <= j <= len(model.layers):
         raise ContractViolationError(f"insertion index {j} out of range")
@@ -593,6 +594,10 @@ def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) 
     if p != basis.p:
         raise ContractViolationError(
             f"flattened width {p} at position {j} != basis dimension {basis.p}"
+        )
+    if basis.insert_index not in (None, j):
+        raise ContractViolationError(
+            f"basis was fitted for position {basis.insert_index}, not position {j}"
         )
     end = j
     while end < len(model.layers) and isinstance(model.layers[end], _FOLDABLE):

@@ -204,6 +204,12 @@ def test_corrupt_validation():
         CorruptionSpec(kind="blur", severity=0)
     with pytest.raises(ContractViolationError):
         CorruptionSpec(kind="blur", severity=6)
+    # a severity indexes the kind's grid: a float equal to a level, or a
+    # bool, is not one, and an integer of numpy's is
+    for severity, text in [(3.0, "3.0"), (np.float64(3.0), "3.0"), (True, "True")]:
+        with pytest.raises(ContractViolationError, match=f"got .*{text}"):
+            CorruptionSpec(kind="blur", severity=severity)
+    assert CorruptionSpec(kind="blur", severity=np.int64(3)).severity == 3
 
 
 # ---- the image filter: scipy's gaussian_filter, bit for bit ---------------
@@ -1247,18 +1253,28 @@ def test_saved_checkpoint_loads_unchanged(tmp_path):
 # ---- the cell evaluator ---------------------------------------------------
 
 
-@pytest.mark.parametrize("method", list(bench.METHODS))
-def test_run_cell_returns_the_grid_record(method, tiny_config, tiny_model, tiny_basis, monkeypatch):
+# at the tiny config's batch size of 40 the 120 test rows make three equal
+# batches; at 50 they make 50, 50 and a tail of 20
+@pytest.mark.parametrize(
+    "method, batch_size",
+    [pytest.param(m, 40, id=m) for m in bench.METHODS]
+    + [pytest.param(m, 50, id=f"{m}-tail") for m in bench.METHODS],
+)
+def test_run_cell_returns_the_grid_record(method, batch_size, tiny_config, tiny_model, tiny_basis, monkeypatch):
     """The one-cell grid, split inside its cell between two processes,
-    gives the record of one in-process run over the cell."""
+    gives the record of one in-process run over the cell. That run forks
+    nothing where the grid does: a helper forked before a test's
+    monkeypatch would serve the patched run with unpatched code."""
     fork_on_two_cpus(monkeypatch)
-    cfg = one_cell_config(tiny_config)
+    cfg = one_cell_config(tiny_config, batch_size=batch_size)
     cfg["methods"] = [method]
+    rec = bench.run_cell(cfg, tiny_model, tiny_basis, method, "gaussian-noise", 3)
+    assert multiprocessing.active_children() == []
     _, records = run_benchmark(cfg, tiny_model, tiny_basis)
     grid = records[f"{method}__gaussian-noise__sev3"]
-    rec = bench.run_cell(cfg, tiny_model, tiny_basis, method, "gaussian-noise", 3)
     assert (rec.method, rec.protocol) == (grid.method, grid.protocol)
     assert rec.batches == grid.batches  # errors, both entropies, params_hash
+    assert [b["n"] for b in rec.batches] == {40: [40, 40, 40], 50: [50, 50, 20]}[batch_size]
 
 
 def test_a_cell_or_method_listed_twice_is_refused(tiny_config):

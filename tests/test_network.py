@@ -157,6 +157,21 @@ def test_insert_rejects_mismatched_basis(rng):
         insert_adapter(model, 7, good, SpectralFilter(RELU_RIDGE, good.singular_values))
 
 
+def test_insert_refuses_a_basis_fitted_for_another_position(rng):
+    """Positions 1 to 5 all take a 48-wide map, so only the position the
+    basis records tells them apart; a basis that records none fits any."""
+    model = small_model()
+    fitted = fit_pca_from_source(model, [rng.normal(size=(40,) + IN_SHAPE)], 2, rank=8)
+    assert fitted.insert_index == 3
+    for j in (1, 2, 4, 5):
+        with pytest.raises(ContractViolationError, match=f"fitted for position 3, not position {j}"):
+            insert_adapter(model, j, fitted, SpectralFilter(RELU_RIDGE, fitted.singular_values))
+    insert_adapter(model, 3, fitted, SpectralFilter(RELU_RIDGE, fitted.singular_values))
+    unplaced = pca.fit_incremental([rng.normal(size=(40, 48))], rank=8)
+    for j in (1, 2, 3, 4, 5):
+        insert_adapter(model, j, unplaced, SpectralFilter(RELU_RIDGE, unplaced.singular_values))
+
+
 def test_backward_adapt_zero_loss_grad(rng):
     model = small_model(seed=5)
     basis = full_rank_basis_at(model, 2, rng)
