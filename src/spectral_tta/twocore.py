@@ -7,7 +7,8 @@ ends with this process, killed or not. A process forked from this one later
 forks a helper of its own. A helper that dies without replying raises a
 HelperProcessError naming its exit code. A failure in this process's part, or
 while it waits for the reply, terminates the helper. After either, the next
-call forks a new one.
+call forks a new one. While a call splits, both processes run BLAS at one
+thread: two thread pools on the same cores take several times as long.
 
 A fork ``Pool(2)`` computed the same, but its result-handler thread
 unpickles the records into a glibc per-thread malloc arena of its own:
@@ -17,32 +18,34 @@ leave it where it was."""
 
 import multiprocessing
 import os
-import re
 import signal
 import threading
+from ctypes import CDLL, c_int
 from multiprocessing.reduction import ForkingPickler
+
+import numpy as np
 
 from .errors import HelperProcessError
 
 
-def _blas_runs_one_thread() -> bool:
-    """Whether OpenBLAS's environment gives it one thread: its count is the
-    first of these variables that holds a positive integer (read as C's
-    ``atoi`` reads it), and with none, a thread per CPU."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = re.match(r"\s*([+-]?\d+)", os.environ.get(name, ""), re.ASCII)
-        if value and int(value[1]) > 0:
-            return int(value[1]) == 1
-    return False
+def _blas_threads():
+    """OpenBLAS's ``(get, set)`` thread-count calls in the BLAS numpy loaded, or None."""
+    try:
+        lib = CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for get_name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+        if hasattr(lib, get_name):
+            get, set_ = lib[get_name], lib[get_name.replace("get", "set")]
+            get.argtypes, get.restype, set_.argtypes, set_.restype = [], c_int, [c_int], None
+            return get, set_
+
+
+_BLAS = _blas_threads()
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on (all of the machine's where the
-    platform cannot say), or 1 unless BLAS runs one thread: two processes
-    that each run a BLAS thread pool on the same cores take several times
-    as long as one process alone."""
-    if not _blas_runs_one_thread():
-        return 1
+    """The CPUs this process may run on (all of the machine's where the platform cannot say)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -114,10 +117,11 @@ def map_halves(fn, items: list) -> list:
     """``fn(items[:half]) + fn(items[half:])`` on up to two cores: a helper
     process makes the second call while this one makes the first. ``fn``
     maps a part of ``items`` to a list. With fewer than two items or usable
-    CPUs (BLAS not pinned to one thread leaves one), no ``fork`` start
-    method, in a daemonic process (a ``Pool`` worker, which may start no
-    child), or while another call holds the helper (a second thread, or a
-    call from inside ``fn``), this process makes the one call ``fn(items)``.
+    CPUs, a BLAS without OpenBLAS's thread calls, no ``fork`` start method,
+    in a daemonic process (a ``Pool`` worker, which may start no child), or
+    while another call holds the helper (a second thread, or a call from
+    inside ``fn``), this process makes the one call ``fn(items)``. Else it
+    sets BLAS to one thread before it may fork, and restores the count.
 
     ``fn`` must depend only on its items and on state from before the
     call, and a part's result must not depend on where the items were
@@ -132,13 +136,16 @@ def map_halves(fn, items: list) -> list:
     global _helper
     if (
         len(items) < 2
+        or _BLAS is None
         or _usable_cpus() < 2
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
         or not _helper_lock.acquire(blocking=False)
     ):
         return fn(items)
+    threads = _BLAS[0]()
     try:
+        _BLAS[1](1)  # before any fork, so that the helper runs one thread too
         half = (len(items) + 1) // 2
         request = ForkingPickler.dumps((fn, items[half:]))  # an unpicklable fn raises here
         if _helper is None:
@@ -169,6 +176,7 @@ def map_halves(fn, items: list) -> list:
             close()
             raise
     finally:
+        _BLAS[1](threads)
         _helper_lock.release()
     try:
         sent, theirs = ForkingPickler.loads(reply)

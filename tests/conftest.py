@@ -34,12 +34,10 @@ def tiny_test_set(tiny_config):
 
 
 @pytest.fixture(autouse=True)
-def no_grid_helper(monkeypatch):
+def no_grid_helper():
     """Each test starts and ends without the grid's helper process: a
     helper keeps the code it was forked with, so one forked under a test's
-    monkeypatches must serve no other test. BLAS reads as pinned to one
-    thread, so the two-core path runs under an unpinned pytest too."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatches must serve no other test."""
     twocore.close()
     yield
     twocore.close()

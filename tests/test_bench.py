@@ -1587,6 +1587,11 @@ def pids(part):
     return [os.getpid() for _ in part]
 
 
+def blas_threads(part):
+    """The BLAS thread count of the process that evaluates each item."""
+    return [twocore._BLAS[0]() for _ in part]
+
+
 def as_strings(part):
     return [str(cell) for cell in part]
 
@@ -1798,56 +1803,43 @@ def test_a_daemonic_process_runs_every_cell_itself(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-@pytest.mark.parametrize("fallback", ["one-item", "one-cpu", "no-fork", "unpinned-blas"])
+@pytest.mark.parametrize("fallback", ["one-item", "one-cpu", "no-fork", "no-blas-calls"])
 def test_each_in_process_fallback_runs_every_item_here_and_forks_nothing(monkeypatch, fallback):
-    """Fewer than two items, one usable CPU, no ``fork`` start method or
-    BLAS not pinned to one thread (no variable set, or the first that
-    holds a positive integer is not 1): this process makes the one call,
+    """Fewer than two items, one usable CPU, no ``fork`` start method or a
+    BLAS without OpenBLAS's thread calls: this process makes the one call,
     and no helper is forked."""
     fork_on_two_cpus(monkeypatch)
     if fallback == "one-cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     if fallback == "no-fork":
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    settings = [{}]
-    if fallback == "unpinned-blas":
-        for name in BLAS_THREAD_VARIABLES:
-            monkeypatch.delenv(name, raising=False)
-        settings = [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "0"}]
+    if fallback == "no-blas-calls":
+        monkeypatch.setattr(twocore, "_BLAS", None)
     items = [0] if fallback == "one-item" else [0, 1, 2]
-    for setting in settings:
-        for name, value in setting.items():
-            monkeypatch.setenv(name, value)
-        with within(30):
-            assert twocore.map_halves(pids, items) == [os.getpid()] * len(items)
-        assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize(
-    "setting",
-    [
-        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
-        {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": " 1"},
-        {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1,2"},
-    ],
-    ids=["first", "past-zero", "as-atoi-reads"],
-)
-def test_blas_pinned_by_its_first_positive_variable_forks_the_helper(monkeypatch, setting):
-    """OpenBLAS takes its thread count from the first of its variables
-    that holds a positive integer; a 1 there leaves the second core to the
-    helper."""
-    fork_on_two_cpus(monkeypatch)
-    for name in BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in setting.items():
-        monkeypatch.setenv(name, value)
     with within(30):
-        parent, _, helper = twocore.map_halves(pids, [0, 1, 2])
-    assert parent == os.getpid() != helper
-    only_the_helper_is_left()
+        assert twocore.map_halves(pids, items) == [os.getpid()] * len(items)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("setting", [None, "2", "1"])  # of OPENBLAS_NUM_THREADS
+def test_both_halves_run_one_blas_thread_and_the_count_comes_back(monkeypatch, request, setting):
+    """OpenBLAS read its variables when numpy loaded, so none decides the
+    split: with the library at two threads, each half runs at one, and the
+    count is two again after a call, also after one whose own half raised."""
+    fork_on_two_cpus(monkeypatch)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if setting is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+    get, set_ = twocore._BLAS
+    request.addfinalizer(functools.partial(set_, get()))
+    set_(2)
+    with within(30):
+        assert twocore.map_halves(blas_threads, [0, 1, 2]) == [1, 1, 1]
+        assert len(child_pids()) == 1 and get() == 2
+        with pytest.raises(NumericalFailureError, match="the parent's cell failed"):
+            twocore.map_halves(raises_in_the_parent, [0, 1])
+    assert get() == 2 and multiprocessing.active_children() == []
 
 
 def test_run_benchmark_looks_the_map_up_at_call_time(
