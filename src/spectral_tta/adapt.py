@@ -151,10 +151,15 @@ def _batch_error(logits: np.ndarray, labels: np.ndarray) -> float:
     return wrong / len(labels)
 
 
-def _check_batches(test_batches):
+def _check_batches(test_batches, first: int):
+    """The stream as a list, refused before any work if it is empty or a
+    batch has no inputs or not one label per input."""
     batches = list(test_batches)
     if not batches:
         raise ContractViolationError("empty batch stream")
+    for b_idx, (x, y) in enumerate(batches, first):
+        if len(x) == 0 or len(x) != len(y):
+            raise ContractViolationError(f"batch {b_idx} has {len(x)} inputs and {len(y)} labels")
     return batches
 
 
@@ -181,7 +186,7 @@ def run_adaptation(
     ``first`` is the index of the first batch in its whole stream: the
     records and a divergence message number the batches from it, so an
     episodic stream run in parts gives the records of the whole."""
-    batches = _check_batches(test_batches)
+    batches = _check_batches(test_batches, first)
     episodic = cfg.protocol == "episodic"
     params0 = params = model.adapt_params()
     record = RunRecord(method=method, protocol=cfg.protocol)
@@ -215,7 +220,7 @@ def run_adaptation(
 
 
 def _infer(model: Model, test_batches, method: str, first: int) -> RunRecord:
-    batches = _check_batches(test_batches)
+    batches = _check_batches(test_batches, first)
     record = RunRecord(method=method, protocol="none")
     for b_idx, (x, y) in enumerate(batches, first):
         logits, _ = _first_forward(model, x, method, b_idx)

@@ -81,24 +81,10 @@ class Conv2d:
         of operations by that layout.
         """
         n, c, h, w = x.shape
-        k = self.kernel
-        if k > 1 and c == 1 and w == 1 and h > 1:
-            # One input channel on a one-pixel-wide map of several rows: the
-            # reshape of the window view below needs no copy, so it returns an
-            # overlapping strided view of the padded buffer, on which matmul
-            # and einsum run numpy's own loops instead of BLAS, with other
-            # bits than on a contiguous matrix of the same values. These
-            # shapes keep the view. (With k == 1, or a 1x1 map, the view is
-            # C-contiguous and the gather gives the same matrix.)
-            p = k // 2
-            xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-            xp[:, :, p : p + h, p : p + w] = x
-            windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-            return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
         flat = np.empty((n, c * h * w + 1), dtype=x.dtype)
         flat[:, :-1] = x.reshape(n, -1)
         flat[:, -1] = 0.0
-        return np.take(flat, _im2col_index(c, h, w, k), axis=1)
+        return np.take(flat, _im2col_index(c, h, w, self.kernel), axis=1)
 
     def linear(self, x):
         """The convolution without its bias."""

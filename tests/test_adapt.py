@@ -21,6 +21,7 @@ from spectral_tta.filters import RELU_RIDGE, SpectralFilter
 from spectral_tta.network import (
     BN_BATCH,
     BatchNorm2d,
+    Model,
     build_model,
     insert_adapter,
 )
@@ -276,6 +277,20 @@ def test_empty_stream_rejected(rng):
         run_adaptation(model, [], AdaptConfig())
     with pytest.raises(ContractViolationError):
         baseline_no_adapt(model, [])
+
+
+@pytest.mark.parametrize("n_inputs, n_labels", [(0, 0), (8, 5), (5, 8)])
+@pytest.mark.parametrize("method", bench.METHODS)
+def test_a_batch_without_rows_or_one_label_per_input_is_refused_before_any_forward(
+    method, n_inputs, n_labels, monkeypatch, tiny_config, tiny_model, tiny_basis, tiny_test_set
+):
+    x, y = tiny_test_set
+    batches = bench.make_batches(x, y, 8)[:2] + [(x[:n_inputs], y[:n_labels])]
+    monkeypatch.setattr(Model, "forward", lambda *a, **k: pytest.fail("a forward ran first"))
+    # the stream starts at batch 10, so the bad batch is batch 12
+    refusal = f"batch 12 has {n_inputs} inputs and {n_labels} labels"
+    with pytest.raises(ContractViolationError, match=refusal):
+        bench._evaluate_cell(tiny_model, tiny_basis, tiny_config, method, batches, 10)
 
 
 def test_gradient_descent_step_does_not_increase_entropy(rng):
