@@ -423,8 +423,7 @@ def fit_basis_from_config(cfg: dict, model: Model) -> PcaBasis:
     fit_x = train_x[: pca_cfg["fit_samples"]]
     batch = pca_cfg["fit_batch"]
     batches = [fit_x[i : i + batch] for i in range(0, len(fit_x), batch)]
-    j = cfg["model"]["insert_index"] - 1  # adapter consumes this layer's output
-    return fit_pca_from_source(model, batches, j, pca_cfg["rank"])
+    return fit_pca_from_source(model, batches, cfg["model"]["insert_index"], pca_cfg["rank"])
 
 
 # ---- benchmark --------------------------------------------------------------

@@ -51,8 +51,8 @@ class SpectralFilter:
         if kind not in KINDS:
             raise ContractViolationError(f"unknown filter kind {kind!r}")
         lambda_ref = np.asarray(lambda_ref, dtype=np.float64)
-        if lambda_ref.ndim != 1 or not np.all(lambda_ref > 0):
-            raise ContractViolationError("lambda_ref must be a strictly positive vector")
+        if lambda_ref.ndim != 1 or not np.all((lambda_ref > 0) & np.isfinite(lambda_ref)):
+            raise ContractViolationError("lambda_ref must be a finite, strictly positive vector")
         if gamma is None:
             gamma = np.zeros_like(lambda_ref)
         gamma = np.asarray(gamma, dtype=np.float64).copy()

@@ -556,6 +556,20 @@ def _unfold(layers):
     return out
 
 
+def _adapter_input_shape(model: Model, j: int):
+    """The per-sample shape an adapter at position j consumes, read from
+    the layers' attributes; ContractViolationError for a position out of
+    range or one whose input is not a 4-D map."""
+    if not 0 <= j <= len(model.layers):
+        raise ContractViolationError(f"insertion index {j} out of range")
+    in_shape = ([model.input_shape] + model.layer_output_shapes())[j]
+    if len(in_shape) != 3:
+        raise ContractViolationError(
+            f"layer at position {j} receives shape {in_shape}, need a 4-D map"
+        )
+    return in_shape
+
+
 def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) -> Model:
     """Insert the spectral adapter at position j of the layer stack.
 
@@ -569,13 +583,7 @@ def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) 
     bitwise. The original model object is left untouched, so dropping the
     returned model restores pre-insertion behavior exactly.
     """
-    if not 0 <= j <= len(model.layers):
-        raise ContractViolationError(f"insertion index {j} out of range")
-    in_shape = ([model.input_shape] + model.layer_output_shapes())[j]
-    if len(in_shape) != 3:
-        raise ContractViolationError(
-            f"layer at position {j} receives shape {in_shape}, need a 4-D map"
-        )
+    in_shape = _adapter_input_shape(model, j)
     p = int(np.prod(in_shape))
     if p != basis.p:
         raise ContractViolationError(
@@ -602,9 +610,10 @@ def remove_adapter(model: Model) -> Model:
 
 
 def fit_pca_from_source(model: Model, source_batches, j: int, rank: int) -> PcaBasis:
-    """Fit a PCA basis on the layer-j outputs of the source batches, for
-    an adapter inserted at ``j + 1``; the basis records that index and
-    ``model.weight_hash()``.
+    """Fit a PCA basis on what an adapter at position ``j`` consumes (see
+    :func:`insert_adapter`): the output of layer ``j - 1`` for each source
+    batch. The basis records ``j`` and ``model.weight_hash()``. A position
+    ``insert_adapter`` refuses is refused here too, before any forward.
 
     Streams batches through :func:`pca.fit_incremental`, so the source
     data is never concatenated or retained. The model's batch norms must
@@ -617,21 +626,13 @@ def fit_pca_from_source(model: Model, source_batches, j: int, rank: int) -> PcaB
         raise ContractViolationError(
             f"fit_pca_from_source needs batch norms in {BN_FROZEN!r} mode, got {sorted(modes)}"
         )
-
-    def feature_stream():
-        for batch in source_batches:
-            out = model.forward_until(batch, j)
-            if out.ndim != 4:
-                raise ContractViolationError(
-                    f"layer {j} output is not a 4-D feature map"
-                )
-            yield out.reshape(len(out), -1)
-
+    _adapter_input_shape(model, j)
+    features = (model.forward_until(b, j - 1).reshape(len(b), -1) for b in source_batches)
     try:
-        basis = pca_mod.fit_incremental(feature_stream(), rank)
+        basis = pca_mod.fit_incremental(features, rank)
     except EmptyBasisError as exc:
-        raise EmptyBasisError(f"layer {j} output has no variance: {exc}") from exc
-    return dataclasses.replace(basis, insert_index=j + 1, model_hash=model.weight_hash())
+        raise EmptyBasisError(f"the input of position {j} has no variance: {exc}") from exc
+    return dataclasses.replace(basis, insert_index=j, model_hash=model.weight_hash())
 
 
 # ---- supervised pre-training ------------------------------------------

@@ -61,7 +61,7 @@ def basis_at(model, j, rng, rank=None):
     batches = [rng.normal(size=(48,) + IN_SHAPE) for _ in range(2)]
     if j < 0:
         return pca.fit_incremental([np.vstack([b.reshape(len(b), -1) for b in batches])], rank=rank)
-    return fit_pca_from_source(model, batches, j, rank=rank)
+    return fit_pca_from_source(model, batches, j + 1, rank=rank)
 
 
 def test_criterion_1_identity_recovery(rng):

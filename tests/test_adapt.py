@@ -33,7 +33,7 @@ IN_SHAPE = (2, 4, 4)
 def small_adapted_model(rng, seed=0, gamma0=0.05):
     model = build_model(seed, input_shape=IN_SHAPE, conv_channels=(3, 3), n_classes=3)
     data = rng.normal(size=(80,) + IN_SHAPE)
-    basis = fit_pca_from_source(model, [data], 2, rank=20)
+    basis = fit_pca_from_source(model, [data], 3, rank=20)
     filt = SpectralFilter(RELU_RIDGE, basis.singular_values, np.full(basis.rank, gamma0))
     return insert_adapter(model, 3, basis, filt), basis
 

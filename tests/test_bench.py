@@ -746,7 +746,7 @@ def test_cli_fit_pca_on_a_constant_feature_map_exits_3(tmp_path, capsys):
     cfg = write_tiny_cli_config(tmp_path)
     assert cli.main(["fit-pca", "--config", str(cfg), "--model", str(path), "--basis", str(basis)]) == 3
     assert not basis.exists()
-    assert "numerical failure: layer 2 output has no variance" in capsys.readouterr().err
+    assert "numerical failure: the input of position 3 has no variance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,8 @@ def test_filter_validation():
         SpectralFilter("other", [1.0])
     with pytest.raises(ContractViolationError):
         SpectralFilter(RELU_RIDGE, [1.0, 0.0])
+    with pytest.raises(ContractViolationError, match="finite"):
+        SpectralFilter(RELU_RIDGE, [np.inf, 1.0])
     with pytest.raises(ContractViolationError):
         SpectralFilter(RELU_RIDGE, [1.0], gamma=[np.inf])
     with pytest.raises(ContractViolationError):

@@ -80,7 +80,7 @@ def both(model, j, basis, kind, gamma):
 def full_rank_basis_at(model, j, rng):
     p = int(np.prod(model.layer_output_shapes()[j]))
     batches = [rng.normal(size=(48,) + IN_SHAPE) for _ in range(2)]
-    return fit_pca_from_source(model, batches, j, rank=p)
+    return fit_pca_from_source(model, batches, j + 1, rank=p)
 
 
 @pytest.mark.parametrize("kind", [RELU_RIDGE, NEG_EXP])

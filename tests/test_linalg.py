@@ -99,6 +99,8 @@ def test_svd_rejects_bad_input():
         linalg.svd(np.array([[np.nan, 1.0]]))
     with pytest.raises(ContractViolationError):
         linalg.svd(np.ones(3))
+    with pytest.raises(ContractViolationError, match="must be non-empty"):
+        linalg.svd(np.zeros((0, 3)))
 
 
 def test_svd_nonconvergence_error_carries_residual(monkeypatch):

@@ -45,7 +45,7 @@ def full_rank_basis_at(model, j, rng, n=96):
     if j < 0:
         flat = [b.reshape(len(b), -1) for b in batches]
         return pca.fit_incremental([np.vstack(flat)], rank=p)
-    return fit_pca_from_source(model, batches, j, rank=p)
+    return fit_pca_from_source(model, batches, j + 1, rank=p)
 
 
 def test_forward_zero_propagation():
@@ -130,6 +130,8 @@ def test_insert_then_remove_is_exact(rng):
     logits, _ = restored.forward(x)
     assert np.array_equal(logits, base_logits)
     assert restored.weight_hash() == model.weight_hash()
+    with pytest.raises(ContractViolationError, match="no adapter layer"):
+        remove_adapter(restored)
 
 
 def test_insert_at_every_legal_position(rng):
@@ -155,13 +157,16 @@ def test_insert_rejects_mismatched_basis(rng):
     good = full_rank_basis_at(model, 2, rng)
     with pytest.raises(ContractViolationError):
         insert_adapter(model, 7, good, SpectralFilter(RELU_RIDGE, good.singular_values))
+    for j in (-1, len(model.layers) + 1):
+        with pytest.raises(ContractViolationError, match=f"insertion index {j} out of range"):
+            insert_adapter(model, j, good, SpectralFilter(RELU_RIDGE, good.singular_values))
 
 
 def test_insert_refuses_a_basis_fitted_for_another_position(rng):
     """Positions 1 to 5 all take a 48-wide map, so only the position the
     basis records tells them apart; a basis that records none fits any."""
     model = small_model()
-    fitted = fit_pca_from_source(model, [rng.normal(size=(40,) + IN_SHAPE)], 2, rank=8)
+    fitted = fit_pca_from_source(model, [rng.normal(size=(40,) + IN_SHAPE)], 3, rank=8)
     assert fitted.insert_index == 3
     for j in (1, 2, 4, 5):
         with pytest.raises(ContractViolationError, match=f"fitted for position 3, not position {j}"):
@@ -268,8 +273,37 @@ def test_fit_pca_refuses_a_model_not_in_frozen_mode(rng, mode):
     before = (model.weight_hash(), running_statistics(model))
     message = re.escape(f"needs batch norms in 'frozen-stats' mode, got ['{mode}']")
     with pytest.raises(ContractViolationError, match=message):
-        fit_pca_from_source(model, [rng.normal(size=(8,) + IN_SHAPE)], 2, rank=4)
+        fit_pca_from_source(model, [rng.normal(size=(8,) + IN_SHAPE)], 3, rank=4)
     assert (model.weight_hash(), running_statistics(model)) == before
+
+
+@pytest.mark.parametrize(
+    "j, refusal",
+    [(-1, "insertion index -1 out of range"), (9, "insertion index 9 out of range"),
+     (7, "layer at position 7 receives shape (512,), need a 4-D map")],
+)
+def test_fit_pca_refuses_a_bad_position_before_any_forward(rng, monkeypatch, j, refusal):
+    """The default stack's 8 layers take positions 0 to 8; position 7
+    consumes Flatten's output. The fit refuses as insert_adapter does."""
+    model = build_model(0)
+
+    def no_forward(*args):
+        raise AssertionError("the fit ran a forward")
+
+    monkeypatch.setattr(Model, "forward_until", no_forward)
+    with pytest.raises(ContractViolationError, match=re.escape(refusal)):
+        fit_pca_from_source(model, [rng.normal(size=(8, 3, 8, 8))], j, rank=4)
+
+
+def test_model_refuses_a_parameter_vector_of_another_length_and_an_unknown_bn_mode(rng):
+    spectral, bn = adapted_models(rng)
+    for model in (spectral, bn):
+        count = model.adapt_param_count()
+        for bad in (np.zeros(count - 1), np.zeros(count + 1)):
+            with pytest.raises(ContractViolationError, match=f"expected {count} adaptation"):
+                model.set_adapt_params(bad)
+        with pytest.raises(ContractViolationError, match="unknown batch-norm mode 'eval'"):
+            model.set_bn_mode("eval")
 
 
 def test_bn_mode_algebra(rng):
@@ -294,14 +328,14 @@ def test_fit_pca_constant_layer_degenerate(rng):
     conv.w[:] = 0.0
     conv.b[:] = 1.0
     with pytest.raises(EmptyBasisError):
-        fit_pca_from_source(model, [rng.normal(size=(8,) + IN_SHAPE)], 0, rank=4)
+        fit_pca_from_source(model, [rng.normal(size=(8,) + IN_SHAPE)], 1, rank=4)
 
 
 def test_fit_pca_streamed_vs_concatenated(rng):
     model = small_model(seed=10)
     data = rng.normal(size=(64,) + IN_SHAPE)
     # rank covering the full stream keeps the incremental update lossless
-    streamed = fit_pca_from_source(model, np.array_split(data, 4), 2, rank=48)
+    streamed = fit_pca_from_source(model, np.array_split(data, 4), 3, rank=48)
     flat = model.forward_until(data, 2).reshape(64, -1)
     batch = pca.fit_incremental([flat], rank=48)
     assert np.allclose(streamed.singular_values, batch.singular_values, rtol=1e-6)
@@ -309,7 +343,7 @@ def test_fit_pca_streamed_vs_concatenated(rng):
 
 def test_fit_pca_records_its_layer_and_model(rng):
     model = small_model(seed=10)
-    basis = fit_pca_from_source(model, [rng.normal(size=(16,) + IN_SHAPE)], 2, rank=4)
+    basis = fit_pca_from_source(model, [rng.normal(size=(16,) + IN_SHAPE)], 3, rank=4)
     assert (basis.insert_index, basis.model_hash) == (3, model.weight_hash())
     plain = pca.fit_incremental([rng.normal(size=(4, 3))], 2)  # fitted on no model
     assert (plain.insert_index, plain.model_hash) == (None, None)
@@ -319,7 +353,7 @@ def test_fit_pca_full_rank_round_trip(rng):
     model = small_model(seed=11)
     data = rng.normal(size=(120,) + IN_SHAPE)
     p = int(np.prod(model.layer_output_shapes()[2]))
-    basis = fit_pca_from_source(model, [data], 2, rank=p)
+    basis = fit_pca_from_source(model, [data], 3, rank=p)
     feats = model.forward_until(data[:10], 2).reshape(10, -1)
     rec = pca.inverse_transform(basis, pca.transform(basis, feats))
     assert np.linalg.norm(rec - feats) / np.linalg.norm(feats) <= 1e-8
@@ -785,6 +819,11 @@ def test_adapter_forward_is_its_input_half_then_its_adapted_half(rng):
         assert shape_reused is cache[0] and fcache_reused.scores is cache[1].scores
         assert np.array_equal(fcache.scores, fcache_reused.scores)
         assert np.array_equal(fcache.diag, fcache_reused.diag)
+        with pytest.raises(ContractViolationError, match="expects a 4-D feature map"):
+            layer.forward(h.reshape(len(h), -1))
+    short = SpectralFilter(RELU_RIDGE, folded.basis.singular_values[:-1])
+    with pytest.raises(ContractViolationError, match="!= filter length"):
+        SpectralAdapterLayer(folded.basis, short, (), h.shape[1:])
 
 
 def test_forward_reusing_the_first_cache_matches_full_forward_bitwise(rng):

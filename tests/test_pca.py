@@ -45,6 +45,8 @@ def test_fit_rank_out_of_range():
         pca.fit_incremental([data], rank=4)
     with pytest.raises(ContractViolationError):
         pca.fit_incremental([data[:1]], rank=1)
+    with pytest.raises(ContractViolationError, match=r"min\(n=2, p=5\)"):
+        pca.fit_incremental([np.random.default_rng(2).normal(size=(2, 5))], rank=3)
 
 
 def test_incremental_matches_batch_split():
@@ -175,6 +177,19 @@ def test_basis_serialization_round_trip(tmp_path):
     assert np.array_equal(loaded.components, basis.components)
     assert np.array_equal(loaded.singular_values, basis.singular_values)
     assert loaded.n_fitted == basis.n_fitted
+
+
+def test_basis_load_lets_a_memory_error_through(tmp_path, monkeypatch):
+    """Running out of memory is not an invalid file."""
+    path = tmp_path / "basis.npz"
+    pca.fit_incremental([np.random.default_rng(12).normal(size=(10, 5))], rank=3).save(path)
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "load", no_memory)
+    with pytest.raises(MemoryError):
+        pca.PcaBasis.load(path)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
