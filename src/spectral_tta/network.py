@@ -86,12 +86,6 @@ class Conv2d:
         flat[:, -1] = 0.0
         return np.take(flat, _im2col_index(c, h, w, self.kernel), axis=1)
 
-    def linear(self, x):
-        """The convolution without its bias."""
-        n, _, h, w = x.shape
-        w2 = self.w.reshape(self.w.shape[0], -1)
-        return np.matmul(w2, self._im2col(x)).reshape(n, -1, h, w)
-
     def forward(self, x):
         n, c, h, w = x.shape
         cols = self._im2col(x)
@@ -228,9 +222,6 @@ class Flatten:
     def params(self):
         return {}
 
-    def linear(self, x):
-        return x.reshape(x.shape[0], -1)
-
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
@@ -246,12 +237,8 @@ class Linear:
     def params(self):
         return {"w": self.w, "b": self.b}
 
-    def linear(self, x):
-        """The map without its bias."""
-        return x @ self.w.T
-
     def forward(self, x):
-        return self.linear(x) + self.b, x
+        return x @ self.w.T + self.b, x
 
     def backward(self, cache, gy, need_param_grads=True, need_input_grad=True):
         pgrads = {}
@@ -264,13 +251,13 @@ class SpectralAdapterLayer:
     """Flatten -> PCA spectral filter -> unflatten, on a 4-D feature map.
 
     ``absorbed`` is a run of frozen layers that follow the filter and are
-    affine whatever the batch-norm mode (Conv2d, Flatten, Linear). Their
-    composition with the reconstruction is computed once here: the linear
-    part of the run applied to each basis row gives ``out_components``
-    (L x q) and the run applied to the mean gives ``out_offset``, so the
-    layer outputs the run's output directly. ``in_shape`` is the per-sample
-    input map shape. With nothing absorbed the reconstruction is views of
-    (V, mean) and the output has the input's shape.
+    affine as they stand (see :func:`_folds`). Their composition with the
+    reconstruction is computed once here, by the run's own forward on one
+    batch of the mean, the zero map and the basis rows: the mean's image is
+    ``out_offset``, and each row's image minus the zero map's is a row of
+    ``out_components`` (L x q). ``in_shape`` is the per-sample input map
+    shape. With nothing absorbed the reconstruction is (V, mean), copied
+    bit for bit, and the output has the input's shape.
     """
 
     def __init__(self, basis: PcaBasis, filt: SpectralFilter, absorbed, in_shape):
@@ -281,14 +268,14 @@ class SpectralAdapterLayer:
         self.basis = basis
         self.filt = filt
         self.absorbed = list(absorbed)
-        rows = basis.components.reshape((basis.rank,) + tuple(in_shape))
-        offset = basis.mean.reshape((1,) + tuple(in_shape))
+        batch = np.vstack([basis.mean, np.zeros_like(basis.mean), basis.components])
+        batch = batch.reshape((basis.rank + 2,) + tuple(in_shape))
         for layer in self.absorbed:
-            rows = layer.linear(rows)
-            offset, _ = layer.forward(offset)
-        self.out_shape = rows.shape[1:]
-        self.out_components = rows.reshape(basis.rank, -1)
-        self.out_offset = offset.reshape(-1)
+            batch, _ = layer.forward(batch)
+        self.out_shape = batch.shape[1:]
+        images = batch.reshape(basis.rank + 2, -1)
+        self.out_offset = images[0].copy()
+        self.out_components = images[2:] - images[1]
 
     def params(self):
         return {"gamma": self.filt.gamma}
@@ -314,9 +301,11 @@ class SpectralAdapterLayer:
         return ginput, pgrads
 
 
-# frozen layers that are affine whatever the batch-norm mode; a run of them
-# right after the adapter folds into its reconstruction
-_FOLDABLE = (Conv2d, Flatten, Linear)
+def _folds(layer) -> bool:
+    """Whether ``layer`` is affine as it stands, so that a run of such layers
+    right after an adapter folds into its reconstruction."""
+    frozen_bn = isinstance(layer, BatchNorm2d) and layer.mode == BN_FROZEN
+    return frozen_bn or isinstance(layer, (Conv2d, Flatten, Linear))
 
 
 class Model:
@@ -453,8 +442,15 @@ class Model:
     # ---- state management ----------------------------------------------
 
     def set_bn_mode(self, mode: str) -> None:
+        """Set each batch norm to ``mode``. One that the adapter absorbed is
+        out of reach, so then every mode but ``BN_FROZEN`` is refused."""
         if mode not in BN_MODES:
             raise ContractViolationError(f"unknown batch-norm mode {mode!r}")
+        folded = [l for a in self.layers for l in getattr(a, "absorbed", ())]
+        if mode != BN_FROZEN and any(isinstance(l, BatchNorm2d) for l in folded):
+            raise ContractViolationError(
+                f"the adapter absorbed a batch norm, which stays {BN_FROZEN!r}, not {mode!r}"
+            )
         for layer in self.layers:
             if isinstance(layer, BatchNorm2d):
                 layer.mode = mode
@@ -576,12 +572,13 @@ def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) 
     The adapter consumes the output of layer j - 1 (the raw input for
     j == 0), which must be a 4-D map whose flattened width equals the
     basis dimension; a basis that records its position (one from
-    :func:`fit_pca_from_source`) is refused at any other. The frozen
-    Conv2d, Flatten and Linear layers from j up to the first other layer
-    are folded into the adapter's reconstruction (see
+    :func:`fit_pca_from_source`) is refused at any other. The layers from
+    j up to the first one not affine as it stands (a ReLU, or a batch norm
+    on batch statistics) are folded into the adapter's reconstruction (see
     :class:`SpectralAdapterLayer`); this is exact in real arithmetic, not
-    bitwise. The original model object is left untouched, so dropping the
-    returned model restores pre-insertion behavior exactly.
+    bitwise, and :meth:`Model.set_bn_mode` then refuses to unfreeze a
+    folded batch norm. The original model object is left untouched, so
+    dropping the returned model restores pre-insertion behavior exactly.
     """
     in_shape = _adapter_input_shape(model, j)
     p = int(np.prod(in_shape))
@@ -594,7 +591,7 @@ def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) 
             f"basis was fitted for position {basis.insert_index}, not position {j}"
         )
     end = j
-    while end < len(model.layers) and isinstance(model.layers[end], _FOLDABLE):
+    while end < len(model.layers) and _folds(model.layers[end]):
         end += 1
     adapter = SpectralAdapterLayer(basis, filt, model.layers[j:end], in_shape)
     layers = model.layers[:j] + [adapter] + model.layers[end:]

@@ -545,12 +545,6 @@ def test_conv_forward_matches_the_bias_add_formula_bitwise(rng):
 # and its one-add-per-tap col2im must match them bit for bit.
 
 
-def _reference_conv_linear(conv, x):
-    n, _, h, w = x.shape
-    cols = _reference_im2col(x, conv.kernel)
-    return np.matmul(conv.w.reshape(conv.w.shape[0], -1), cols).reshape(n, -1, h, w)
-
-
 def _reference_conv_forward(conv, x):
     n, _, h, w = x.shape
     cols = _reference_im2col(x, conv.kernel)
@@ -614,8 +608,6 @@ def test_conv_forward_matches_the_per_sample_formula_bitwise(n, k, channels, hw,
     y, _ = conv.forward(x)
     # C order: the batch norm above reduces in memory order
     assert _same_bits(y, _reference_conv_forward(conv, x)[0]) and y.flags.c_contiguous
-    lin = conv.linear(x)
-    assert _same_bits(lin, _reference_conv_linear(conv, x)) and lin.flags.c_contiguous
 
 
 @_CONV_CASES
@@ -806,7 +798,7 @@ def test_bn_forward_is_its_input_half_then_its_adapted_half(mode, rng):
 def test_adapter_forward_is_its_input_half_then_its_adapted_half(rng):
     spectral, _ = adapted_models(rng)
     folded = spectral.layers[3]
-    assert folded.absorbed  # conv1 is folded into the reconstruction
+    assert folded.absorbed  # conv1 and bn1 are folded into the reconstruction
     h = spectral.forward_until(rng.normal(size=(5,) + IN_SHAPE), 2)
     unfolded = SpectralAdapterLayer(folded.basis, folded.filt, (), h.shape[1:])
     for layer in (folded, unfolded):
@@ -866,11 +858,10 @@ def test_forward_until_minus_1_checks_the_raw_batch(rng):
 
 def test_backward_without_input_grad_returns_none_and_same_param_grads(rng):
     x = rng.normal(size=(5,) + IN_SHAPE)
-    spectral, _ = adapted_models(rng)
-    for mode in (network.BN_FROZEN, BN_BATCH):
-        spectral.set_bn_mode(mode)
+    # every layer kind, the batch norms on stored and on batch statistics
+    for model in adapted_models(rng):
         h = x
-        for layer in spectral.layers:
+        for layer in model.layers:
             out, cache = layer.forward(h)
             gy = rng.normal(size=out.shape)
             gx, pg = layer.backward(cache, gy)
@@ -977,7 +968,6 @@ def test_training_and_adaptation_with_the_per_sample_conv_match_their_own(
     cells = [(method, "gaussian-noise", 5) for method in ("bn-modulators", "spectral-relu")]
     records = [bench.run_cell(tiny_config, tiny_model, tiny_basis, *cell) for cell in cells]
     with monkeypatch.context() as patch:
-        patch.setattr(Conv2d, "linear", _reference_conv_linear)
         patch.setattr(Conv2d, "forward", _reference_conv_forward)
         patch.setattr(Conv2d, "backward", _reference_conv_backward)
         reference = bench.train_from_config(tiny_config)
