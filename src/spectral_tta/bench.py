@@ -26,12 +26,14 @@ from .errors import ConfigError, ContractViolationError, check_fields, shown
 from .filters import NEG_EXP, RELU_RIDGE, SpectralFilter
 from .network import (
     Model,
+    adapter_input_shape,
     bad_model_args,
     build_model,
     fit_pca_from_source,
     insert_adapter,
     load_model,
     model_args,
+    stack_shapes,
     train_model,
 )
 from . import twocore
@@ -331,20 +333,21 @@ def load_config(override: dict | None = None) -> dict:
         v = cfg[section][name] if section else cfg[name]
         if not ok(v):
             bad.append(f"{key}:{shown(v)}")
-    bad_args = bad_model_args(**_model_args(cfg))
+    args = _model_args(cfg)
+    bad_args = bad_model_args(**args)
     bad += [f"{key}:{shown(v)}" for key, v in _config_values(bad_args).items()]
     insert = cfg["model"]["insert_index"]
-    if "conv_channels" not in bad_args and not 1 <= insert <= 3 * len(cfg["model"]["conv_channels"]):
-        # the adapter takes the output of layer insert_index - 1, which
-        # must be one of the conv-bn-relu blocks' 4-D maps
-        bad.append(f"model.insert_index:{shown(insert)}")
+    if "conv_channels" not in bad_args:
+        shapes = stack_shapes(args["input_shape"], args["conv_channels"], args["n_classes"])
+        try:
+            in_shape = adapter_input_shape(shapes, insert)
+        except ContractViolationError:
+            bad.append(f"model.insert_index:{shown(insert)}")
     if bad:
         raise ConfigError(f"invalid config values: {', '.join(bad)}", bad)
-    # a fit keeps at most one mode per sample and per entry of the adapter's
-    # input, the output map of conv-bn-relu block (insert_index - 1) // 3
-    d, rank = cfg["dataset"], cfg["pca"]["rank"]
-    width = cfg["model"]["conv_channels"][(insert - 1) // 3] * d["height"] * d["width"]
-    largest = min(cfg["pca"]["fit_samples"], d["n_train"], width)
+    # a fit keeps at most one mode per sample and per entry of the adapter's input
+    rank = cfg["pca"]["rank"]
+    largest = min(cfg["pca"]["fit_samples"], cfg["dataset"]["n_train"], math.prod(in_shape))
     if rank > largest:
         raise ConfigError(
             f"pca.rank {shown(rank)} is more than the fit can give: at most {largest}",

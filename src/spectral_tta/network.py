@@ -543,6 +543,16 @@ def build_model(
     return Model(layers, input_shape)
 
 
+def stack_shapes(input_shape, conv_channels, n_classes):
+    """The per-sample shape each position of :func:`build_model`'s stack
+    receives: the input, then each layer's output. Nothing is built."""
+    _, h, w = input_shape
+    shapes = [tuple(input_shape)]
+    for ch in conv_channels:
+        shapes += [(ch, h, w)] * 3  # conv, batch norm and ReLU keep h and w
+    return shapes + [(conv_channels[-1] * h * w,), (n_classes,)]
+
+
 def _unfold(layers):
     """The layer stack with each adapter followed by the layers it absorbed."""
     out = []
@@ -552,18 +562,17 @@ def _unfold(layers):
     return out
 
 
-def _adapter_input_shape(model: Model, j: int):
-    """The per-sample shape an adapter at position j consumes, read from
-    the layers' attributes; ContractViolationError for a position out of
-    range or one whose input is not a 4-D map."""
-    if not 0 <= j <= len(model.layers):
+def adapter_input_shape(shapes, j: int):
+    """The per-sample shape an adapter at position j consumes, from the
+    shapes the positions receive (as :func:`stack_shapes` lists them);
+    ContractViolationError if j is out of range or its input is no 4-D map."""
+    if not 0 <= j < len(shapes):
         raise ContractViolationError(f"insertion index {j} out of range")
-    in_shape = ([model.input_shape] + model.layer_output_shapes())[j]
-    if len(in_shape) != 3:
+    if len(shapes[j]) != 3:
         raise ContractViolationError(
-            f"layer at position {j} receives shape {in_shape}, need a 4-D map"
+            f"layer at position {j} receives shape {shapes[j]}, need a 4-D map"
         )
-    return in_shape
+    return shapes[j]
 
 
 def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) -> Model:
@@ -580,7 +589,7 @@ def insert_adapter(model: Model, j: int, basis: PcaBasis, filt: SpectralFilter) 
     folded batch norm. The original model object is left untouched, so
     dropping the returned model restores pre-insertion behavior exactly.
     """
-    in_shape = _adapter_input_shape(model, j)
+    in_shape = adapter_input_shape([model.input_shape, *model.layer_output_shapes()], j)
     p = int(np.prod(in_shape))
     if p != basis.p:
         raise ContractViolationError(
@@ -623,7 +632,7 @@ def fit_pca_from_source(model: Model, source_batches, j: int, rank: int) -> PcaB
         raise ContractViolationError(
             f"fit_pca_from_source needs batch norms in {BN_FROZEN!r} mode, got {sorted(modes)}"
         )
-    _adapter_input_shape(model, j)
+    adapter_input_shape([model.input_shape, *model.layer_output_shapes()], j)
     features = (model.forward_until(b, j - 1).reshape(len(b), -1) for b in source_batches)
     try:
         basis = pca_mod.fit_incremental(features, rank)

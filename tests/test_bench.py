@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from spectral_tta import archive, bench, cli, ridge, twocore
+from conftest import TINY_OVERRIDE
+from spectral_tta import archive, bench, cli, network, ridge, twocore
 from spectral_tta.adapt import AdaptConfig
 from spectral_tta.bench import (
     CORRUPTION_KINDS,
@@ -40,7 +41,8 @@ from spectral_tta.errors import (
     EmptyBasisError,
     NumericalFailureError,
 )
-from spectral_tta.network import BatchNorm2d, build_model, load_model, save_model
+from spectral_tta.filters import RELU_RIDGE, SpectralFilter
+from spectral_tta.network import BatchNorm2d, build_model, insert_adapter, load_model, save_model
 from spectral_tta.pca import PcaBasis
 
 SMALL = DatasetSpec(n_train=60, n_test=40, channels=2, height=4, width=4, seed=3)
@@ -306,7 +308,7 @@ def test_config_invalid_values():
         ({"model": {"kernel": 2}}, "model.kernel:2"),
         ({"model": {"conv_channels": []}}, "model.conv_channels:[]"),
         ({"model": {"conv_channels": [8, 0]}}, "model.conv_channels:[8, 0]"),
-        ({"model": {"insert_index": 0}}, "model.insert_index:0"),
+        ({"model": {"insert_index": -1}}, "model.insert_index:-1"),
         ({"model": {"insert_index": 7}}, "model.insert_index:7"),
         ({"model": {"conv_channels": [8], "insert_index": 4}}, "model.insert_index:4"),
         ({"dataset": {"n_classes": 1}}, "dataset.n_classes:1"),
@@ -315,12 +317,76 @@ def test_config_invalid_values():
         with pytest.raises(ConfigError) as info:
             load_config(override)
         assert info.value.keys == [key]
-    # the bounds themselves are valid
+    # the bounds themselves are valid; position 0 is the raw input
+    assert load_config({"model": {"insert_index": 0}})["model"]["insert_index"] == 0
     assert load_config({"model": {"insert_index": 1}})["model"]["insert_index"] == 1
     assert load_config({"model": {"insert_index": 6}})["model"]["insert_index"] == 6
     assert load_config({"dataset": {"n_classes": 2}})["dataset"]["n_classes"] == 2
     with pytest.raises(ContractViolationError, match="adapt.adam_beta1"):
         load_config({"adapt": {"adam_beta1": 1.0}})  # AdaptConfig's own checks
+
+
+# one input channel on 6x1 maps, as in CI's narrow config
+NARROW_OVERRIDE = {
+    "dataset": {"n_train": 240, "n_test": 120, "channels": 1, "height": 6, "width": 1},
+    "model": {"conv_channels": [3, 3], "train_epochs": 4},
+    "pca": {"rank": 12, "fit_samples": 128},
+    "adapt": {"batch_size": 40, "steps_per_batch": 2},
+}
+
+
+def _at(override, insert_index, rank):
+    """``override`` with the adapter at ``insert_index`` and ``pca.rank``."""
+    return {
+        **override,
+        "model": {**override.get("model", {}), "insert_index": insert_index},
+        "pca": {**override.get("pca", {}), "rank": rank},
+    }
+
+
+@pytest.mark.parametrize(
+    "override", [{}, TINY_OVERRIDE, NARROW_OVERRIDE], ids=["default", "tiny", "narrow"]
+)
+def test_config_and_insert_adapter_accept_the_same_positions(override):
+    """The config accepts model.insert_index = j exactly where insert_adapter
+    takes position j of the built stack, and there caps pca.rank at the
+    least of fit_samples, n_train and the position's flattened width."""
+    cfg = load_config(override)
+    model = build_model(cfg["seed"], **bench._model_args(cfg))
+    shapes = [model.input_shape, *model.layer_output_shapes()]
+    accepted = []
+    for j in range(-1, len(model.layers) + 2):
+        width = math.prod(shapes[j]) if 0 <= j < len(shapes) else 1
+        basis = PcaBasis(np.zeros(width), np.eye(1, width), np.ones(1), n_fitted=2)
+        try:
+            insert_adapter(model, j, basis, SpectralFilter(RELU_RIDGE, np.ones(1)))
+        except ContractViolationError:
+            with pytest.raises(ConfigError) as info:
+                load_config(_at(override, j, 1))
+            assert info.value.keys == [f"model.insert_index:{j}"]
+            continue
+        accepted.append(j)
+        largest = min(cfg["pca"]["fit_samples"], cfg["dataset"]["n_train"], width)
+        assert load_config(_at(override, j, largest))["pca"]["rank"] == largest
+        with pytest.raises(ConfigError) as info:
+            load_config(_at(override, j, largest + 1))
+        assert info.value.keys == [f"pca.rank:{largest + 1}"]
+    assert accepted == list(range(len(model.layers) - 1))  # each map, the raw input's too
+
+
+def test_load_config_builds_no_model(monkeypatch):
+    """The config reads its positions and widths off stack_shapes, so it
+    builds no model and allocates no weights, even for 10**12 channels."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_config built a layer")
+
+    monkeypatch.setattr(network, "build_model", refuse)
+    monkeypatch.setattr(bench, "build_model", refuse)
+    monkeypatch.setattr(network.Conv2d, "__init__", refuse)
+    monkeypatch.setattr(network.Linear, "__init__", refuse)
+    for override in ({}, TINY_OVERRIDE, NARROW_OVERRIDE, {"model": {"conv_channels": [10**12]}}):
+        load_config(override)
 
 
 def test_make_batches_tail():
@@ -962,7 +1028,7 @@ def test_cli_runs_each_accepted_draw_to_a_documented_exit(leaf, value, tmp_path)
     [
         ({"model": {"conv_channels": []}}, "model.conv_channels:[]"),
         ({"model": {"conv_channels": [3, 0]}}, "model.conv_channels:[3, 0]"),
-        ({"model": {"insert_index": 0}}, "model.insert_index:0"),
+        ({"model": {"insert_index": -1}}, "model.insert_index:-1"),
         ({"model": {"insert_index": 7}}, "model.insert_index:7"),
         ({"dataset": {"n_classes": 1}}, "dataset.n_classes:1"),
     ],

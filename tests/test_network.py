@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_tta import bench, network, pca
 from spectral_tta.adapt import entropy, entropy_grad
@@ -24,6 +26,7 @@ from spectral_tta.network import (
     remove_adapter,
     save_model,
     softmax_cross_entropy,
+    stack_shapes,
     train_model,
 )
 
@@ -246,6 +249,20 @@ def test_layer_output_shapes_match_a_forward(rng):
             x, _ = layer.forward(x)
             forwarded.append(x.shape[1:])
         assert m.layer_output_shapes() == forwarded
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    input_shape=st.tuples(*[st.integers(1, 5)] * 3),
+    conv_channels=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    kernel=st.sampled_from([1, 3]),
+    n_classes=st.integers(2, 4),
+)
+def test_stack_shapes_are_the_built_models_position_shapes(input_shape, conv_channels, kernel, n_classes):
+    """stack_shapes gives, from build_model's arguments alone, the shape
+    each position of the built stack receives."""
+    model = build_model(0, input_shape, conv_channels, n_classes, kernel)
+    assert stack_shapes(input_shape, conv_channels, n_classes) == [input_shape] + model.layer_output_shapes()
 
 
 def running_statistics(model):
