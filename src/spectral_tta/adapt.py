@@ -125,9 +125,6 @@ class RunRecord:
             }
         )
 
-    def errors(self) -> list[float]:
-        return [b["error"] for b in self.batches]
-
     def mean_error(self) -> float:
         # weighted by batch size so tail batches count per-sample
         total = sum(b["n"] for b in self.batches)

@@ -149,10 +149,6 @@ class BatchNorm2d:
     def params(self):
         return {"scale": self.scale, "shift": self.shift}
 
-    @property
-    def channels(self) -> int:
-        return len(self.scale)
-
     def forward(self, x, frozen=None):
         """The cache is ``(xhat, invstd, mode)``, the normalisation, which
         the scale and shift do not reach; a ``frozen`` cache of this ``x``
@@ -435,9 +431,6 @@ class Model:
         for a in arrays:
             a[...] = vec[pos : pos + a.size]
             pos += a.size
-
-    def adapt_param_count(self) -> int:
-        return sum(a.size for a in self._adapt_arrays())
 
     # ---- state management ----------------------------------------------
 

@@ -64,6 +64,10 @@ def basis_at(model, j, rng, rank=None):
     return fit_pca_from_source(model, batches, j + 1, rank=rank)
 
 
+def errors(rec):
+    return [b["error"] for b in rec.batches]
+
+
 def test_criterion_1_identity_recovery(rng):
     model = reference_model()
     x = rng.normal(size=(6,) + IN_SHAPE)
@@ -273,20 +277,20 @@ def test_criterion_8_protocol_semantics(rng):
     online = replace(cfg, protocol="online")
     fwd = run_adaptation(adapted.clone(), batches, cfg)
     rev = run_adaptation(adapted.clone(), batches[::-1], cfg)
-    perm_ok = sorted(fwd.errors()) == sorted(rev.errors())
+    perm_ok = sorted(errors(fwd)) == sorted(errors(rev))
     single = batches[:1]
     single_ok = (
-        run_adaptation(adapted.clone(), single, cfg).errors()
-        == run_adaptation(adapted.clone(), single, online).errors()
+        errors(run_adaptation(adapted.clone(), single, cfg))
+        == errors(run_adaptation(adapted.clone(), single, online))
     )
     zero = AdaptConfig(learning_rate=0.0, steps_per_batch=3, batch_size=8)
     base = baseline_no_adapt(adapted, batches)
     collapse_ok = (
-        run_adaptation(adapted.clone(), batches, zero).errors() == base.errors()
-        and run_adaptation(adapted.clone(), batches, replace(zero, protocol="online")).errors()
-        == base.errors()
-        and baseline_bn_modulators(model, batches, zero).errors()
-        == baseline_bn_stats(model, batches).errors()
+        errors(run_adaptation(adapted.clone(), batches, zero)) == errors(base)
+        and errors(run_adaptation(adapted.clone(), batches, replace(zero, protocol="online")))
+        == errors(base)
+        and errors(baseline_bn_modulators(model, batches, zero))
+        == errors(baseline_bn_stats(model, batches))
     )
     report(
         "criterion 8: protocol semantics",
@@ -302,12 +306,12 @@ def test_criterion_9_parameter_accounting(rng):
     adapted = insert_adapter(model, 3, b, SpectralFilter(RELU_RIDGE, b.singular_values))
     modulated = model.clone()
     modulated.adapt_target = BatchNorm2d
-    bn_channels = sum(l.channels for l in modulated.layers if isinstance(l, BatchNorm2d))
+    bn_channels = sum(len(l.scale) for l in modulated.layers if isinstance(l, BatchNorm2d))
     report(
         "criterion 9: parameter accounting",
-        adapted.adapt_param_count() == rank and modulated.adapt_param_count() == 2 * bn_channels,
-        f"filter exposes {adapted.adapt_param_count()} (L={rank}), "
-        f"modulators expose {modulated.adapt_param_count()} (2 x {bn_channels} BN channels)",
+        adapted.adapt_params().size == rank and modulated.adapt_params().size == 2 * bn_channels,
+        f"filter exposes {adapted.adapt_params().size} (L={rank}), "
+        f"modulators expose {modulated.adapt_params().size} (2 x {bn_channels} BN channels)",
     )
 
 

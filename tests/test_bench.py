@@ -429,7 +429,7 @@ def test_gamma_init_zero_makes_adaptation_inert(tiny_config, tiny_model, tiny_ba
         inserted = bench._spectral_model(tiny_model.clone(), cfg, tiny_basis, method)
         plain = baseline_no_adapt(inserted, batches)
         rec = records[f"{method}__gaussian-noise__sev3"]
-        assert rec.errors() == plain.errors()
+        assert [b["error"] for b in rec.batches] == [b["error"] for b in plain.batches]
         assert table.errors[(method, "gaussian-noise", 3)] == plain.mean_error()
 
 

@@ -71,7 +71,7 @@ def randomised(model, rng):
         if isinstance(layer, (Conv2d, Linear)):
             layer.b = rng.normal(size=layer.b.shape)
         if isinstance(layer, BatchNorm2d):
-            ch = layer.channels
+            ch = len(layer.scale)
             layer.scale, layer.shift = rng.uniform(0.5, 1.5, ch), rng.normal(size=ch)
             layer.running_mean, layer.running_var = rng.normal(size=ch), rng.uniform(0.5, 2.0, ch)
     return model

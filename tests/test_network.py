@@ -315,7 +315,7 @@ def test_fit_pca_refuses_a_bad_position_before_any_forward(rng, monkeypatch, j, 
 def test_model_refuses_a_parameter_vector_of_another_length_and_an_unknown_bn_mode(rng):
     spectral, bn = adapted_models(rng)
     for model in (spectral, bn):
-        count = model.adapt_param_count()
+        count = model.adapt_params().size
         for bad in (np.zeros(count - 1), np.zeros(count + 1)):
             with pytest.raises(ContractViolationError, match=f"expected {count} adaptation"):
                 model.set_adapt_params(bad)
@@ -788,7 +788,7 @@ def test_truncated_backward_matches_full_cache_backward(rng):
         _, caches = model.forward(x, frozen=full_caches)
         gloss = entropy_grad(full_logits)
         grads = model.backward_adapt(caches, gloss)
-        assert grads.shape == (model.adapt_param_count(),)
+        assert grads.shape == (model.adapt_params().size,)
         assert np.array_equal(grads, model.backward_adapt(full_caches, gloss))
         assert np.any(grads != 0)
 
@@ -844,7 +844,7 @@ def test_forward_reusing_the_first_cache_matches_full_forward_bitwise(rng):
         k = model.adapt_start()
         _, caches = model.forward(x)
         for _ in range(2):
-            moved = model.adapt_params() + rng.normal(0.0, 0.1, model.adapt_param_count())
+            moved = model.adapt_params() + rng.normal(0.0, 0.1, model.adapt_params().size)
             model.set_adapt_params(moved)
             full_logits, full_caches = model.forward(x)
             logits, caches = model.forward(x, frozen=caches)
