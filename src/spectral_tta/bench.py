@@ -238,7 +238,8 @@ def corrupt(images: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     level = SEVERITY_GRIDS[spec.kind][spec.severity - 1]
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "gaussian-noise":
-        out = x + rng.normal(0.0, level, size=x.shape)
+        out = rng.normal(0.0, level, size=x.shape)
+        out += x  # x + noise, bit for bit, in the noise's buffer
     elif spec.kind == "impulse-noise":
         out = x.copy()
         mask = rng.random(x.shape) < level
@@ -249,7 +250,7 @@ def corrupt(images: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
         out = 0.5 + (x - 0.5) * level
     else:  # brightness
         out = x + level
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0, out=out)  # each branch's out is a new array, never x
 
 
 # ---- configuration ---------------------------------------------------------

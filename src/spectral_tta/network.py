@@ -248,9 +248,11 @@ class SpectralAdapterLayer:
 
     ``absorbed`` is a run of frozen layers that follow the filter and are
     affine as they stand (see :func:`_folds`). Their composition with the
-    reconstruction is computed once here, by the run's own forward on one
-    batch of the mean, the zero map and the basis rows: the mean's image is
-    ``out_offset``, and each row's image minus the zero map's is a row of
+    reconstruction is computed once here, by the run's own forward on two
+    batches, the (mean, zero map) pair and the basis rows, so that at a rank
+    equal to the batch size no fold buffer is larger than an adaptation
+    step's; each sample's image is the same in any batch. The mean's image
+    is ``out_offset``, and each row's image minus the zero map's is a row of
     ``out_components`` (L x q). ``in_shape`` is the per-sample input map
     shape. With nothing absorbed the reconstruction is (V, mean), copied
     bit for bit, and the output has the input's shape.
@@ -264,14 +266,18 @@ class SpectralAdapterLayer:
         self.basis = basis
         self.filt = filt
         self.absorbed = list(absorbed)
-        batch = np.vstack([basis.mean, np.zeros_like(basis.mean), basis.components])
-        batch = batch.reshape((basis.rank + 2,) + tuple(in_shape))
-        for layer in self.absorbed:
-            batch, _ = layer.forward(batch)
-        self.out_shape = batch.shape[1:]
-        images = batch.reshape(basis.rank + 2, -1)
-        self.out_offset = images[0].copy()
-        self.out_components = images[2:] - images[1]
+
+        def absorb(rows):
+            batch = rows.reshape((len(rows),) + tuple(in_shape))
+            for layer in self.absorbed:
+                batch, _ = layer.forward(batch)
+            return batch
+
+        offset, zero = absorb(np.vstack([basis.mean, np.zeros_like(basis.mean)]))
+        images = absorb(basis.components)
+        self.out_shape = images.shape[1:]
+        self.out_offset = offset.reshape(-1)
+        self.out_components = images.reshape(basis.rank, -1) - zero.reshape(-1)
 
     def params(self):
         return {"gamma": self.filt.gamma}

@@ -14,7 +14,23 @@ A fork ``Pool(2)`` computed the same, but its result-handler thread
 unpickles the records into a glibc per-thread malloc arena of its own:
 stream-online's peak RSS rose from 54.3 to 62.4 MB (52.9 MB with
 ``MALLOC_ARENA_MAX=1``). One helper and one pipe read in the main thread
-leave it where it was."""
+leave it where it was.
+
+At import this module also pins glibc malloc's mmap threshold at 32 MiB
+and its trim threshold at 64 MiB, for the whole process: set before any
+set-up, and inherited by the helper through ``fork``. These are glibc's
+own dynamic thresholds frozen at their ceiling
+(``DEFAULT_MMAP_THRESHOLD_MAX``, and trim at twice the mmap threshold).
+The default grid's largest array, a conv1 im2col of 64 samples, is
+2.36 MB, so every one comes from the heap, and the pages a cell frees
+stay for the next. Under the dynamic rule the heap was trimmed after
+large frees: an in-process seed-0 grid-episodic infer sweep faulted in
+9,350 fresh pages, and a repeated default cell about 1,660 in each of
+the two processes; pinned, 0 to 5. Both thresholds must be set, since
+setting either turns the dynamic rule off for both: trim alone gave that
+sweep 128,835 faults, mmap alone 78,174. ``_HEAP`` is whether both
+``mallopt`` calls took, or None where the C library has no ``mallopt``;
+then the process runs as it would unpinned, and computes the same bytes."""
 
 import multiprocessing
 import os
@@ -42,6 +58,24 @@ def _blas_threads():
 
 
 _BLAS = _blas_threads()
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+
+
+def _pin_heap():
+    """Fix glibc malloc's mmap threshold at 32 MiB and its trim threshold at
+    64 MiB: whether both ``mallopt`` calls took, or None where the C
+    library has no ``mallopt``."""
+    try:
+        mallopt = CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # TypeError: no CDLL(None) on Windows
+        return None
+    mallopt.argtypes, mallopt.restype = [c_int, c_int], c_int
+    took = [mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 64 << 20)]
+    return took == [1, 1]
+
+
+_HEAP = _pin_heap()
 
 
 def _usable_cpus() -> int:

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import resource
 import signal
 import subprocess
 import sys
@@ -1725,6 +1726,19 @@ def nested_grids(part):
     return [twocore.map_halves(pids, [0, 1]) for _ in part]
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def repeat_cell_faults(cfg, model, part):
+    """The minor page faults of this process over a repeated no-adapt
+    gaussian-noise cell, after one run of the same cell."""
+    bench.run_cell(cfg, model, None, "no-adapt", "gaussian-noise", 5)
+    before = minor_faults()
+    bench.run_cell(cfg, model, None, "no-adapt", "gaussian-noise", 5)
+    return [minor_faults() - before for _ in part]
+
+
 def send_grids(send, items):
     """A forked worker's work: each grid through map_halves, sent back."""
     send.send([twocore.map_halves(as_strings, grid) for grid in items])
@@ -1885,6 +1899,62 @@ def test_each_in_process_fallback_runs_every_item_here_and_forks_nothing(monkeyp
     with within(30):
         assert twocore.map_halves(pids, items) == [os.getpid()] * len(items)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not twocore._HEAP, reason="the C library has no mallopt, or it set nothing")
+def test_a_repeated_cell_faults_in_no_fresh_pages_in_either_process(monkeypatch):
+    """With malloc's thresholds pinned at import, a default-config cell run
+    a second time reuses the heap pages of the first, in this process and
+    in the helper, which inherits the pin through fork. Unpinned, glibc's
+    dynamic thresholds trim the heap after each large free, and the repeat
+    faulted in about 1,660 fresh pages in each process."""
+    fork_on_two_cpus(monkeypatch)
+    cfg = bench.load_config()
+    model = build_model(0, **bench._model_args(cfg))
+    [alone] = repeat_cell_faults(cfg, model, [0])
+    with within(60):
+        ours, theirs = twocore.map_halves(functools.partial(repeat_cell_faults, cfg, model), [0, 1])
+    assert alone < 64 and ours < 64 and theirs < 64, (alone, ours, theirs)
+    only_the_helper_is_left()
+
+
+UNPINNED_BENCH = """
+import ctypes, sys, types
+
+# the C library as twocore looks it up: without mallopt, or with one that sets nothing
+libc = types.SimpleNamespace()
+if sys.argv[1] == "refused":
+    libc.mallopt = lambda param, value: 0
+real = ctypes.CDLL
+ctypes.CDLL = lambda name, *args, **kwargs: libc if name is None else real(name, *args, **kwargs)
+
+from spectral_tta import cli, twocore
+
+print(repr(twocore._HEAP), flush=True)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("lookup, heap", [("no-mallopt", "None"), ("refused", "False")])
+def test_a_process_whose_heap_pin_did_not_take_writes_the_same_grid(cli_files, tmp_path, lookup, heap):
+    """Where the C library has no ``mallopt``, or its calls set nothing,
+    the import raises nothing, ``_HEAP`` says so, and the grid runs as a
+    pinned process's does, byte for byte."""
+    cfg, model, basis = cli_files
+    argv = ["bench", "--config", str(cfg), "--model", str(model), "--basis", str(basis), "--out"]
+    pinned, unpinned = tmp_path / "pinned", tmp_path / "unpinned"
+    assert cli.main([*argv, str(pinned)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(bench.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", UNPINNED_BENCH, lookup, *argv, str(unpinned)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == heap
+    names = sorted(p.name for p in pinned.iterdir())
+    assert "table.csv" in names and names == sorted(p.name for p in unpinned.iterdir())
+    for name in names:
+        assert (pinned / name).read_bytes() == (unpinned / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("setting", [None, "2", "1"])  # of OPENBLAS_NUM_THREADS
