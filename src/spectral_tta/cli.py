@@ -63,8 +63,6 @@ def _cmd_train(args, cfg) -> int:
 
 
 def _cmd_fit_pca(args, cfg) -> int:
-    if args.rank is not None:
-        cfg = bench.with_value(cfg, "pca.rank", args.rank)
     _check_output_file(args.basis)
     basis = bench.fit_basis_from_config(cfg, bench.load_checkpoint(cfg, args.model))
     basis.save(args.basis)
@@ -127,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("fit-pca", parents=files, help="fit the PCA basis at the insertion layer")
-    p.add_argument("--rank", type=int, default=None, help="overrides pca.rank")
     p.set_defaults(fn=_cmd_fit_pca)
 
     p = sub.add_parser("adapt", parents=files, help="run one adaptation session")

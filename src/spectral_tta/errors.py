@@ -38,8 +38,8 @@ class EmptyBasisError(NumericalFailureError):
     """PCA fitting found no singular value above the drop threshold."""
 
 
-class RankDeficientError(ValueError):
-    """A linear system is singular where full rank was required."""
+class RankDeficientError(ContractViolationError):
+    """A linear system is singular where full rank was required: exit 2."""
 
 
 class ConfigError(ContractViolationError):

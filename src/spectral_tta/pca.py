@@ -70,14 +70,17 @@ class PcaBasis:
             n_fitted = spec["n_fitted"]
         except KeyError as exc:
             raise archive.invalid("basis file", path, f"no entry {exc}") from exc
+        # the spec is parsed JSON, whose integers are exactly int (a bool is not)
+        insert_index = spec.get("insert_index")
         rank, p = comp.shape if comp.ndim == 2 else (0, 0)
-        integer = isinstance(n_fitted, int) and not isinstance(n_fitted, bool)
         problem = None
         if rank < 1 or p < 1:
             problem = f"components have shape {comp.shape}, expected rank x p, both >= 1"
-        elif not (integer and n_fitted >= max(2, rank)):
+        elif not (type(n_fitted) is int and n_fitted >= max(2, rank)):
             # a fit takes at least two samples and keeps at most that many modes
             problem = f"n_fitted must be an integer >= max(2, rank), got {n_fitted!r}"
+        elif not (insert_index is None or type(insert_index) is int and insert_index >= 0):
+            problem = f"insert_index must be null or an integer >= 0, got {insert_index!r}"
         elif mean.shape != (p,):
             problem = f"mean has shape {mean.shape}, expected (p,) = {(p,)}"
         elif sv.shape != (rank,):
@@ -90,7 +93,7 @@ class PcaBasis:
                 problem = f"component rows are not orthonormal (max |V V^T - I| = {residual:.1e})"
         if problem is not None:
             raise archive.invalid("basis file", path, problem)
-        return cls(mean, comp, sv, n_fitted, spec.get("insert_index"), spec.get("model_hash"))
+        return cls(mean, comp, sv, n_fitted, insert_index, spec.get("model_hash"))
 
 
 def fit_incremental(batches: Iterable[np.ndarray], rank: int) -> PcaBasis:

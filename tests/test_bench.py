@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from conftest import TINY_OVERRIDE
-from spectral_tta import archive, bench, cli, network, ridge, twocore
+from spectral_tta import archive, bench, cli, errors, network, ridge, twocore
 from spectral_tta.adapt import AdaptConfig
 from spectral_tta.bench import (
     CORRUPTION_KINDS,
@@ -40,7 +40,9 @@ from spectral_tta.errors import (
     ConfigError,
     ContractViolationError,
     EmptyBasisError,
+    HelperProcessError,
     NumericalFailureError,
+    RankDeficientError,
 )
 from spectral_tta.filters import RELU_RIDGE, SpectralFilter
 from spectral_tta.network import BatchNorm2d, build_model, insert_adapter, load_model, save_model
@@ -575,7 +577,7 @@ PARSED = [
     (["train"], dict(config=None, model="model.npz", fn=cli._cmd_train)),
     (
         ["fit-pca"],
-        dict(config=None, model="model.npz", basis="basis.npz", rank=None, fn=cli._cmd_fit_pca),
+        dict(config=None, model="model.npz", basis="basis.npz", fn=cli._cmd_fit_pca),
     ),
     (
         ["adapt"],
@@ -679,6 +681,29 @@ def test_cli_verify_ridge_refuses_a_negative_seed(tmp_path, capsys):
     assert cli.main(["verify-ridge", "--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
     assert not out.exists()
+
+
+def test_cli_rank_deficient_system_exits_2(tmp_path, capsys, monkeypatch):
+    def singular(trials, seed):
+        raise RankDeficientError("X'X is singular and gamma == 0")
+
+    monkeypatch.setattr(ridge, "verify_equivalence", singular)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify-ridge", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: X'X is singular and gamma == 0\n"
+    assert not out.exists()
+
+
+def test_every_package_error_has_an_exit_code():
+    """Each exception class of the errors module is one that cli.main maps
+    to an exit code, so none ends a command in a traceback."""
+    mapped = (ContractViolationError, NumericalFailureError, HelperProcessError)
+    found = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, BaseException) and cls.__module__ == errors.__name__
+    ]
+    assert RankDeficientError in found
+    assert [cls for cls in found if not issubclass(cls, mapped)] == []
 
 
 @pytest.mark.parametrize(
@@ -1065,18 +1090,33 @@ def test_cli_string_rank_exits_2(tmp_path, capsys):
     assert "'pca.rank' must have the type of its default 64, got '8'" in err
 
 
-def test_cli_fit_pca_rank_overrides_pca_rank(tmp_path, capsys):
+def test_cli_fit_pca_fits_the_config_pca_rank(tmp_path, capsys):
+    """The rank comes from the config file alone: fit-pca has no option
+    that overrides it."""
     cfg = write_tiny_cli_config(tmp_path)
     model, basis = tmp_path / "m.npz", tmp_path / "basis.npz"
     save_model(build_model(0, (2, 4, 4), (3, 3)), model)
     fit_pca = ["fit-pca", "--config", str(cfg), "--model", str(model), "--basis", str(basis)]
-    assert cli.main(fit_pca + ["--rank", "0"]) == 2
-    assert cli.main(fit_pca + ["--rank", "49"]) == 2
+
+    def with_rank(rank):
+        override = json.loads(cfg.read_text())
+        override["pca"]["rank"] = rank
+        cfg.write_text(json.dumps(override))
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(fit_pca + ["--rank", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rank 8" in capsys.readouterr().err
+    with_rank(0)
+    assert cli.main(fit_pca) == 2
+    with_rank(49)
+    assert cli.main(fit_pca) == 2
     assert not basis.exists()
     err = capsys.readouterr().err
     assert "invalid config values: pca.rank:0" in err
     assert "pca.rank 49 is more than the fit can give: at most 48" in err
-    assert cli.main(fit_pca + ["--rank", "8"]) == 0
+    with_rank(8)
+    assert cli.main(fit_pca) == 0
     assert PcaBasis.load(basis).rank == 8
 
 
@@ -1105,6 +1145,15 @@ _BAD_N_FITTED = {
     "n-fitted-zero": 0,
     "n-fitted-float": 1.5,
     "n-fitted-bool": True,
+}
+
+# insert_index values no fit records: a basis fitted on a model names the
+# adapter position, an integer >= 0, and one fitted on bare rows has null
+_BAD_INSERT_INDEX = {
+    "insert-index-bool": True,
+    "insert-index-float": 1.0,
+    "insert-index-negative": -1,
+    "insert-index-string": "1",
 }
 
 
@@ -1146,6 +1195,8 @@ def _corrupt_basis(path, case):
         arrays["components"][0, 0] = 1.5  # row 0 is no longer a unit vector
     elif case in _BAD_N_FITTED:
         spec["n_fitted"] = _BAD_N_FITTED[case]
+    elif case in _BAD_INSERT_INDEX:
+        spec["insert_index"] = _BAD_INSERT_INDEX[case]
     archive.write(path, spec, arrays)
 
 
@@ -1165,6 +1216,10 @@ _BASIS_CAUSES = {
     "version-1": "unsupported version 1, expected 2",
     "string-mean": "mean has dtype <U3, expected real numbers",
     **{case: "n_fitted must be an integer >= max(2, rank)" for case in _BAD_N_FITTED},
+    **{
+        case: f"insert_index must be null or an integer >= 0, got {value!r}"
+        for case, value in _BAD_INSERT_INDEX.items()
+    },
 }
 
 
@@ -1189,6 +1244,28 @@ def test_cli_invalid_basis_file_exits_2(tmp_path, capsys, case):
     assert err.count(f"invalid basis file {basis}: {_BASIS_CAUSES[case]}") == 2
     assert "pickle" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["insert-index-bool", "insert-index-float"])
+def test_cli_adapt_refuses_a_position_1_basis_whose_insert_index_is_not_an_int(tmp_path, capsys, case):
+    """true and 1.0 equal 1, so only the type check tells them from the
+    position a basis fitted at 1 records."""
+    cfg = json.loads(write_tiny_cli_config(tmp_path).read_text())
+    cfg["model"]["insert_index"] = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    model, basis = tmp_path / "m.npz", tmp_path / "basis.npz"
+    save_model(build_model(0, (2, 4, 4), (3, 3)), model)
+    common = ["--config", str(path), "--model", str(model), "--basis", str(basis)]
+    assert cli.main(["fit-pca"] + common) == 0
+    assert cli.main(["adapt"] + common + ["--out", str(tmp_path / "fitted.jsonl")]) == 0
+    _corrupt_basis(basis, case)
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["adapt"] + common + ["--out", str(out)]) == 2
+    value = _BAD_INSERT_INDEX[case]
+    err = capsys.readouterr().err
+    assert f"invalid basis file {basis}: insert_index must be null or an integer >= 0, got {value!r}" in err
+    assert not out.exists()
 
 
 def _respec(arrays, **changes):

@@ -210,7 +210,7 @@ def bases(draw):
         components=q.T[:rank].copy(),
         singular_values=-np.sort(-sv),
         n_fitted=draw(st.integers(max(2, rank), 10**6)),
-        insert_index=draw(st.none() | st.integers(1, 10)),
+        insert_index=draw(st.none() | st.integers(0, 10)),
         model_hash=draw(st.none() | st.text()),
     )
 
