@@ -667,10 +667,10 @@ def train_model(
     model: Model,
     x: np.ndarray,
     y: np.ndarray,
-    epochs: int = 20,
-    lr: float = 0.05,
-    batch_size: int = 64,
-    seed: int = 0,
+    epochs: int,
+    lr: float,
+    batch_size: int,
+    seed: int,
 ) -> Model:
     """Plain SGD training; afterwards all weights are frozen and batch
     norm switches to its stored running statistics."""

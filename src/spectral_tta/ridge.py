@@ -76,7 +76,7 @@ def spectral_ridge(p: RegressionProblem) -> np.ndarray:
     return vt.T @ (coords / (evals[:, None] + p.gamma))
 
 
-def verify_equivalence(trials: int = 50, seed: int = 0) -> dict:
+def verify_equivalence(trials: int, seed: int) -> dict:
     """Compare both solvers on random well-conditioned problems.
 
     Returns a JSON-ready report; ``passed`` is False if any trial's

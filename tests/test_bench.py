@@ -266,11 +266,28 @@ def test_blur_corruption_matches_scipy(spec, severity, monkeypatch):
     assert ours.tobytes() == theirs.tobytes()
 
 
-def test_cli_import_loads_no_scipy():
-    env = {**os.environ, "PYTHONPATH": str(Path(bench.__file__).resolve().parents[1])}
-    code = "import sys, spectral_tta.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+PACKAGE_DIR = Path(bench.__file__).resolve().parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", [*MODULES, ""], ids=[*MODULES, "package"])
+def test_a_module_imports_on_its_own_and_loads_no_scipy(module):
+    """Each module imports first in a fresh interpreter, warnings as errors,
+    and loads no scipy; the package alone loads none of its modules and no
+    numpy."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    if module:
+        name, unwanted = f"spectral_tta.{module}", "m.split('.')[0] == 'scipy'"
+    else:
+        name = "spectral_tta"
+        unwanted = "m.split('.')[0] in ('numpy', 'scipy') or m.startswith('spectral_tta.')"
+    code = f"import sys, {name}; print([m for m in sys.modules if {unwanted}])"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -903,10 +903,10 @@ def test_training_without_layer0_input_grad_matches_full_backward(monkeypatch, r
 
     x = rng.uniform(size=(48,) + IN_SHAPE)
     y = rng.integers(0, 3, size=48)
-    trained = train_model(small_model(seed=4), x, y, epochs=3, batch_size=16, seed=2)
+    trained = train_model(small_model(seed=4), x, y, epochs=3, lr=0.05, batch_size=16, seed=2)
     with monkeypatch.context() as patch:
         patch.setattr(Model, "backward_all", full_backward_all)
-        reference = train_model(small_model(seed=4), x, y, epochs=3, batch_size=16, seed=2)
+        reference = train_model(small_model(seed=4), x, y, epochs=3, lr=0.05, batch_size=16, seed=2)
     assert trained.weight_hash() == reference.weight_hash()
     assert trained.weight_hash() != small_model(seed=4).weight_hash()
 
