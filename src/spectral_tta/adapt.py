@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalFailureError, check_fields
+from .errors import ContractViolationError, NumericalFailureError
 from .network import BN_BATCH, BatchNorm2d, Model, log_softmax
 
 RECORD_FORMAT_VERSION = 1
@@ -21,7 +21,7 @@ RECORD_FORMAT_VERSION = 1
 @dataclass
 class AdaptConfig:
     """The adaptation settings. These defaults are the ``adapt`` section of
-    ``bench.DEFAULT_CONFIG``, and each check names that section's key."""
+    ``bench.DEFAULT_CONFIG``, whose ``load_config`` checks each value."""
 
     protocol: str = "episodic"
     learning_rate: float = 0.25
@@ -30,17 +30,6 @@ class AdaptConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-
-    def __post_init__(self):
-        check_fields("adapt", self, [
-            ("protocol", "must be 'episodic' or 'online'", self.protocol in ("episodic", "online")),
-            ("learning_rate", "must be finite and >= 0", 0 <= self.learning_rate < np.inf),
-            ("steps_per_batch", "must be >= 1", self.steps_per_batch >= 1),
-            ("batch_size", "must be >= 1", self.batch_size >= 1),
-            ("adam_beta1", "must be in [0, 1)", 0 <= self.adam_beta1 < 1),
-            ("adam_beta2", "must be in [0, 1)", 0 <= self.adam_beta2 < 1),
-            ("adam_eps", "must be finite and > 0", 0 < self.adam_eps < np.inf),
-        ])
 
 
 @dataclass

@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .adapt import (
     baseline_bn_modulators,
     run_adaptation,
 )
-from .errors import ConfigError, ContractViolationError, check_fields, shown
+from .errors import ConfigError, ContractViolationError, shown
 from .filters import NEG_EXP, RELU_RIDGE, SpectralFilter
 from .network import (
     Model,
@@ -69,27 +70,41 @@ def _grid_list(known):
 
 # (key, rule its value must meet): a grid list names each entry once, as a
 # repeat would put its rows in the table twice; numpy's generators take no
-# negative seed; training for no epochs writes an untrained checkpoint; batch
-# sizes are range() steps, so a value below 1 would fail deep inside the
-# batching without naming the key; an ablation over no seeds would average
-# over nothing; a PCA fit needs a rank of at least 1 and at least two samples;
-# a NaN or non-positive train_lr would show only after every epoch, as a
-# divergence; a relu-ridge mode with gamma_i <= 0 has zero subgradient, so a
-# negative gamma_init silently makes spectral-relu projection-only; an
-# ablation of a method without entropy steps would train and fit for nothing
+# negative seed; the generator has 8 patterns, one per class; training for no
+# epochs writes an untrained checkpoint; batch sizes and step counts are range()
+# steps, so a value below 1 would fail deep inside the batching without naming
+# the key; an ablation over no seeds would average over nothing; a PCA fit needs
+# a rank of at least 1 and two samples, off the first rows of the train set; a
+# float must be at most the largest float64 (a Python int, such as 10**400,
+# compares with it exactly); a NaN or non-positive train_lr would show only
+# after every epoch, as a divergence; an infinite adam_eps makes every Adam step
+# zero; a relu-ridge mode with gamma_i <= 0 has zero subgradient, so a negative
+# gamma_init silently makes spectral-relu projection-only; an ablation of a
+# method without entropy steps would train and fit for nothing
 _VALUE_RULES = (
     ("methods", _grid_list(METHODS)),
     ("corruptions", _grid_list(CORRUPTION_KINDS)),
     ("severities", _grid_list(SEVERITIES)),
     ("seed", lambda v: v >= 0),
+    ("dataset.n_train", lambda v: v >= 2),
+    ("dataset.n_test", lambda v: v >= 1),
+    ("dataset.n_classes", lambda v: v <= len(_PATTERNS)),
+    ("dataset.generator", lambda v: v == "shape-patterns"),
     ("model.train_epochs", lambda v: v >= 1),
     ("model.train_batch", lambda v: v >= 1),
+    ("model.train_lr", lambda v: 0 < v <= sys.float_info.max),
     ("pca.fit_batch", lambda v: v >= 1),
     ("pca.rank", lambda v: v >= 1),
     ("pca.fit_samples", lambda v: v >= 2),
+    ("adapt.protocol", lambda v: v in ("episodic", "online")),
+    ("adapt.learning_rate", lambda v: 0 <= v <= sys.float_info.max),
+    ("adapt.steps_per_batch", lambda v: v >= 1),
+    ("adapt.batch_size", lambda v: v >= 1),
+    ("adapt.adam_beta1", lambda v: 0 <= v < 1),
+    ("adapt.adam_beta2", lambda v: 0 <= v < 1),
+    ("adapt.adam_eps", lambda v: 0 < v <= sys.float_info.max),
+    ("adapt.gamma_init", lambda v: 0 <= v <= sys.float_info.max),
     ("ablation.n_seeds", lambda v: v >= 1),
-    ("model.train_lr", lambda v: 0 < v < math.inf),
-    ("adapt.gamma_init", lambda v: 0 <= v < math.inf),
     ("ablation.method", lambda v: v in _ENTROPY_METHODS),
 )
 
@@ -107,16 +122,6 @@ class DatasetSpec:
     n_classes: int = 4
     generator: str = "shape-patterns"
     seed: int = 0
-
-    def __post_init__(self):
-        """Each check names its key in the config's ``dataset`` section."""
-        sizes = ("n_train", "n_test", "channels", "height", "width", "n_classes")
-        checks = [(key, "must be >= 1", getattr(self, key) >= 1) for key in sizes] + [
-            ("generator", "must be 'shape-patterns'", self.generator == "shape-patterns"),
-            ("n_classes", f"must be at most {len(_PATTERNS)} with shape-patterns",
-             self.n_classes <= len(_PATTERNS)),
-        ]
-        check_fields("dataset", self, checks)
 
 
 # orientation/frequency pairs for the pattern generator; more classes than
@@ -325,9 +330,9 @@ def load_config(override: dict | None = None) -> dict:
     """Merge a partial config over the defaults and validate it.
 
     Each leaf must have the type of its default (see ``DEFAULT_CONFIG``);
-    the value checks below rely on that."""
+    the value rules below rely on that. Every key whose value breaks a rule
+    of its own is listed in one ConfigError."""
     cfg = _merge_config(DEFAULT_CONFIG, override or {})
-    _dataset_spec(cfg)  # DatasetSpec checks the dataset values, naming each key
     bad = []
     for key, ok in _VALUE_RULES:
         section, _, name = key.rpartition(".")
@@ -336,7 +341,10 @@ def load_config(override: dict | None = None) -> dict:
             bad.append(f"{key}:{shown(v)}")
     args = _model_args(cfg)
     bad_args = bad_model_args(**args)
-    bad += [f"{key}:{shown(v)}" for key, v in _config_values(bad_args).items()]
+    for key, v in _config_values(bad_args).items():
+        # the rule refuses the input shape whole: name a dim only if it breaks it alone
+        if key not in _SHAPE_KEYS or "input_shape" in bad_model_args(**{**args, "input_shape": (v,) * 3}):
+            bad.append(f"{key}:{shown(v)}")
     insert = cfg["model"]["insert_index"]
     if "conv_channels" not in bad_args:
         shapes = stack_shapes(args["input_shape"], args["conv_channels"], args["n_classes"])
@@ -354,7 +362,6 @@ def load_config(override: dict | None = None) -> dict:
             f"pca.rank {shown(rank)} is more than the fit can give: at most {largest}",
             [f"pca.rank:{shown(rank)}"],
         )
-    _adapt_config(cfg)  # AdaptConfig checks the adapt values, naming each key
     return cfg
 
 
@@ -380,11 +387,13 @@ def _model_args(cfg: dict) -> dict:
     }
 
 
+_SHAPE_KEYS = ("dataset.channels", "dataset.height", "dataset.width")
+
+
 def _config_values(args: dict) -> dict:
     """The :func:`build_model` arguments in ``args`` by the config key that
     sets each: the input shape's three dims, then one key per argument."""
-    shape_keys = ("dataset.channels", "dataset.height", "dataset.width")
-    values = dict(zip(shape_keys, args.get("input_shape", ())))
+    values = dict(zip(_SHAPE_KEYS, args.get("input_shape", ())))
     for name, v in args.items():
         if name != "input_shape":
             values[f"{'dataset' if name == 'n_classes' else 'model'}.{name}"] = v

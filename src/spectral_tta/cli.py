@@ -4,7 +4,7 @@ Subcommands: train, fit-pca, adapt, bench, ablate-rank, ablate-steps,
 verify-ridge. All but verify-ridge take a single JSON config file (merged
 over defaults), which ``main`` reads before the command runs.
 Exit codes: 0 success, 2 config error (also a file that cannot be read
-or written, or an array too large to allocate), 3 numerical failure,
+or written, or an array too large to make), 3 numerical failure,
 4 the two-core helper process died or its reply could not be sent or read.
 """
 
@@ -21,6 +21,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_HELPER = 4
+
+# how numpy's message for an array it cannot describe starts: too many bytes,
+# a dimension past its limit, or a size past what a C long holds
+_TOO_LARGE = ("array is too big", "Maximum allowed dimension exceeded", "Python int too large")
 
 
 def _read_config(path: str | None) -> dict:
@@ -163,10 +167,14 @@ def main(argv=None) -> int:
         if "config" in args:  # every subcommand but verify-ridge: the config is read first
             return args.fn(args, _read_config(args.config))
         return args.fn(args)
-    except (ContractViolationError, OSError, MemoryError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         # a refused config value (a ConfigError), a path that cannot be read
         # or written (a missing file, a directory given as a file), or a
-        # config whose arrays cannot be allocated is a bad argument: exit 2
+        # config whose arrays cannot be allocated, or are too large for numpy
+        # to describe, is a bad argument: exit 2; any other ValueError is a bug
+        if not isinstance(exc, (ContractViolationError, OSError, MemoryError)):
+            if not str(exc).startswith(_TOO_LARGE):
+                raise
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailureError as exc:

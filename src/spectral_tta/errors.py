@@ -3,9 +3,11 @@
 import reprlib
 
 # how an error message shows a refused value: a string past 60 characters, a
-# list past 6 entries or a nest past 6 levels is cut short with "..."
+# list past 6 entries or a nest past 6 levels is cut short with "...", but an
+# int is shown whole, so a refused huge number reads exactly as it was given
 _SHOWN = reprlib.Repr()
 _SHOWN.maxstring = _SHOWN.maxother = 60
+_SHOWN.maxlong = float("inf")
 
 
 def shown(value) -> str:
@@ -50,13 +52,3 @@ class ConfigError(ContractViolationError):
     def __init__(self, message: str, keys: list[str] | None = None):
         super().__init__(message)
         self.keys = keys or []
-
-
-def check_fields(section: str, obj, checks) -> None:
-    """Raise a ConfigError for the first of ``checks``, ``(key, rule, ok)``
-    triples, whose ``ok`` is false: ``<section>.<key> <rule>, got <value>``,
-    with the value read off ``obj``."""
-    for key, rule, ok in checks:
-        if not ok:
-            value = shown(getattr(obj, key))
-            raise ConfigError(f"{section}.{key} {rule}, got {value}", [f"{section}.{key}:{value}"])

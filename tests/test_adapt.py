@@ -16,7 +16,7 @@ from spectral_tta.adapt import (
     entropy_grad,
     run_adaptation,
 )
-from spectral_tta.errors import ContractViolationError
+from spectral_tta.errors import ConfigError, ContractViolationError
 from spectral_tta.filters import RELU_RIDGE, SpectralFilter
 from spectral_tta.network import (
     BN_BATCH,
@@ -174,23 +174,25 @@ def test_adam_shape_mismatch():
 
 
 def test_config_validation():
+    """The config's adapt rules refuse each bad value, naming its key."""
     cases = [
-        ({"steps_per_batch": 0}, "adapt.steps_per_batch"),
-        ({"protocol": "sometimes"}, "adapt.protocol"),
-        ({"batch_size": 0}, "adapt.batch_size"),
-        ({"learning_rate": -0.1}, "adapt.learning_rate"),
-        ({"learning_rate": float("inf")}, "adapt.learning_rate"),
-        ({"adam_beta1": 1.0}, "adapt.adam_beta1"),
-        ({"adam_beta1": -0.1}, "adapt.adam_beta1"),
-        ({"adam_beta2": 1.0}, "adapt.adam_beta2"),
-        ({"adam_eps": 0.0}, "adapt.adam_eps"),
-        ({"adam_eps": float("nan")}, "adapt.adam_eps"),
-        ({"adam_eps": float("inf")}, "adapt.adam_eps"),
+        ({"steps_per_batch": 0}, "adapt.steps_per_batch:0"),
+        ({"protocol": "sometimes"}, "adapt.protocol:'sometimes'"),
+        ({"batch_size": 0}, "adapt.batch_size:0"),
+        ({"learning_rate": -0.1}, "adapt.learning_rate:-0.1"),
+        ({"learning_rate": float("inf")}, "adapt.learning_rate:inf"),
+        ({"adam_beta1": 1.0}, "adapt.adam_beta1:1.0"),
+        ({"adam_beta1": -0.1}, "adapt.adam_beta1:-0.1"),
+        ({"adam_beta2": 1.0}, "adapt.adam_beta2:1.0"),
+        ({"adam_eps": 0.0}, "adapt.adam_eps:0.0"),
+        ({"adam_eps": float("nan")}, "adapt.adam_eps:nan"),
+        ({"adam_eps": float("inf")}, "adapt.adam_eps:inf"),
     ]
-    for kwargs, key in cases:
-        with pytest.raises(ContractViolationError, match=key):
-            AdaptConfig(**kwargs)
-    AdaptConfig(adam_beta1=0.0, adam_beta2=0.0)
+    for adapt_values, key in cases:
+        with pytest.raises(ConfigError) as info:
+            bench.load_config({"adapt": adapt_values})
+        assert info.value.keys == [key]
+    bench.load_config({"adapt": {"adam_beta1": 0.0, "adam_beta2": 0.0}})
 
 
 # ---- protocols ---------------------------------------------------------------

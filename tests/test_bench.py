@@ -89,14 +89,19 @@ def test_dataset_classes_differ_in_expectation():
 
 
 def test_dataset_infeasible_class_count():
-    with pytest.raises(ContractViolationError):
-        gen_dataset(DatasetSpec(n_train=10, n_test=10, n_classes=9))
-    with pytest.raises(ContractViolationError):
-        DatasetSpec(n_train=0, n_test=10)
-    with pytest.raises(ContractViolationError):
-        DatasetSpec(generator="photos")
-    with pytest.raises(ContractViolationError):
-        DatasetSpec(generator="gaussian-textures")
+    """The config refuses a dataset the generator cannot make, naming the key."""
+    cases = [
+        ({"n_classes": 9}, "dataset.n_classes:9"),
+        ({"n_train": 0}, "dataset.n_train:0"),
+        ({"n_test": 0}, "dataset.n_test:0"),
+        ({"generator": "photos"}, "dataset.generator:'photos'"),
+        ({"generator": "gaussian-textures"}, "dataset.generator:'gaussian-textures'"),
+    ]
+    for dataset_values, key in cases:
+        with pytest.raises(ConfigError) as info:
+            load_config({"dataset": dataset_values})
+        assert info.value.keys == [key]
+    assert load_config({"dataset": {"n_classes": 8}})["dataset"]["n_classes"] == 8
 
 
 def count_draws(monkeypatch):
@@ -342,8 +347,27 @@ def test_config_invalid_values():
     assert load_config({"model": {"insert_index": 1}})["model"]["insert_index"] == 1
     assert load_config({"model": {"insert_index": 6}})["model"]["insert_index"] == 6
     assert load_config({"dataset": {"n_classes": 2}})["dataset"]["n_classes"] == 2
-    with pytest.raises(ContractViolationError, match="adapt.adam_beta1"):
-        load_config({"adapt": {"adam_beta1": 1.0}})  # AdaptConfig's own checks
+    with pytest.raises(ConfigError, match="adapt.adam_beta1"):
+        load_config({"adapt": {"adam_beta1": 1.0}})  # an adapt rule of the value table
+
+
+def test_config_lists_every_refused_key_in_one_error():
+    """One ConfigError names every key whose value breaks its own rule,
+    whichever section it is in and whichever rule refuses it."""
+    override = {
+        "seed": -1,
+        "dataset": {"n_test": 0, "width": -2},
+        "model": {"kernel": 2},
+        "adapt": {"batch_size": 0, "adam_eps": 10**400},
+    }
+    with pytest.raises(ConfigError) as info:
+        load_config(override)
+    keys = [
+        "seed:-1", "dataset.n_test:0", "adapt.batch_size:0", f"adapt.adam_eps:{10**400!r}",
+        "dataset.width:-2", "model.kernel:2",
+    ]
+    assert info.value.keys == keys
+    assert str(info.value) == f"invalid config values: {', '.join(keys)}"
 
 
 # one input channel on 6x1 maps, as in CI's narrow config
@@ -863,9 +887,11 @@ def test_cli_fit_pca_on_a_constant_feature_map_exits_3(tmp_path, capsys):
     [
         ({"pca": {"rank": 0}}, "invalid config values: pca.rank:0"),
         ({"pca": {"fit_samples": 1}}, "invalid config values: pca.fit_samples:1"),
-        ({"dataset": {"n_train": 0}}, "dataset.n_train must be >= 1, got 0"),
-        ({"dataset": {"width": -2}}, "dataset.width must be >= 1, got -2"),
-        ({"dataset": {"n_classes": 9}}, "dataset.n_classes must be at most 8 with shape-patterns"),
+        ({"dataset": {"n_train": 0}}, "invalid config values: dataset.n_train:0"),
+        # the fit reads its first rows off the train set, and needs two
+        ({"dataset": {"n_train": 1}, "pca": {"rank": 1}}, "invalid config values: dataset.n_train:1"),
+        ({"dataset": {"width": -2}}, "invalid config values: dataset.width:-2"),
+        ({"dataset": {"n_classes": 9}}, "invalid config values: dataset.n_classes:9"),
         ({"seed": -1}, "invalid config values: seed:-1"),
         ({"model": {"train_epochs": -1}}, "invalid config values: model.train_epochs:-1"),
         ({"model": {"train_epochs": 0}}, "invalid config values: model.train_epochs:0"),
@@ -878,7 +904,7 @@ def test_cli_fit_pca_on_a_constant_feature_map_exits_3(tmp_path, capsys):
         ({"ablation": {"method": "no-adapt"}}, "invalid config values: ablation.method:'no-adapt'"),
         (
             {"dataset": {"generator": "gaussian-textures"}},
-            "dataset.generator must be 'shape-patterns', got 'gaussian-textures'",
+            "invalid config values: dataset.generator:'gaussian-textures'",
         ),
         ({"corruptions": ["blur", "blur"]}, "invalid config values: corruptions:['blur', 'blur']"),
     ],
@@ -984,9 +1010,10 @@ def _leaves(cfg, prefix=""):
 
 def _out_of_default_draws(default):
     """Negative, zero, huge, NaN, inf, a wrong type and the empty list; for
-    a list leaf, each but the last as a one-entry list."""
+    a list leaf, each but the last as a one-entry list. A float leaf also
+    draws an int past the float range."""
     entry = default[0] if isinstance(default, list) else default
-    values = [-1.0, 0.0, 1e300] if isinstance(entry, float) else [-1, 0, 10**12]
+    values = [-1.0, 0.0, 1e300, 10**400] if isinstance(entry, float) else [-1, 0, 10**12]
     values += [math.nan, math.inf, "x"]
     if isinstance(default, list):
         values = [[v] for v in values]
@@ -2357,16 +2384,29 @@ def test_cli_adapt_rejects_severity_out_of_range_without_corruption(cli_files, t
 
 
 @pytest.mark.parametrize(
-    "section, key, value",
-    [("model", "conv_channels", [10**13]), ("dataset", "n_train", 10**14)],
-    ids=["conv-weights", "train-labels"],
+    "section, key, value, message",
+    [
+        ("model", "conv_channels", [10**13], "Unable to allocate"),
+        ("dataset", "n_train", 10**14, "Unable to allocate"),
+        ("dataset", "height", 2**62, "array is too big"),
+        ("dataset", "height", 2**63, "Maximum allowed dimension exceeded"),
+        ("dataset", "n_train", 2**62, "array is too big"),
+        ("dataset", "n_train", 10**29, "Python int too large to convert to C"),
+        ("model", "kernel", 2**62 + 1, "array is too big"),
+        ("model", "conv_channels", [2**62], "array is too big"),
+    ],
+    ids=[
+        "conv-weights", "train-labels", "height-bytes", "height-dims", "train-bytes",
+        "train-c-long", "kernel-bytes", "conv-bytes",
+    ],
 )
 def test_cli_train_too_large_to_allocate_exits_2_without_traceback(
-    tmp_path, capsys, section, key, value
+    tmp_path, capsys, section, key, value, message
 ):
     """Each value's first array needs more than 2**47 bytes, more than a
     process can address, so its allocation fails at once whatever the
-    memory overcommit policy."""
+    memory overcommit policy; past 2**62 entries numpy cannot even describe
+    the array. Either way train exits 2 with numpy's message on one line."""
     cfg = json.loads(write_tiny_cli_config(tmp_path).read_text())
     cfg[section][key] = value
     path = tmp_path / "cfg.json"
@@ -2374,7 +2414,7 @@ def test_cli_train_too_large_to_allocate_exits_2_without_traceback(
     model = tmp_path / "m.npz"
     assert cli.main(["train", "--config", str(path), "--model", str(model)]) == 2
     out, err = capsys.readouterr()
-    assert "Unable to allocate" in err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
     assert "Traceback" not in out + err
     assert not model.exists()
 
