@@ -153,12 +153,11 @@ def _diverged(method: str, b_idx: int, what: str) -> NumericalFailureError:
     return NumericalFailureError(f"{method} adaptation diverged on batch {b_idx}: {what}")
 
 
-def _first_forward(model: Model, x, method: str, b_idx: int):
-    """A batch's full forward; no entropy or step is made from non-finite logits."""
-    logits, caches = model.forward(x)
+def _check_first_logits(logits, method: str, b_idx: int) -> None:
+    """Refuse a batch's non-finite first logits: no entropy or step is made
+    from them."""
     if not np.all(np.isfinite(logits)):
         raise NumericalFailureError(f"{method} gave non-finite logits on batch {b_idx}")
-    return logits, caches
 
 
 def run_adaptation(
@@ -182,8 +181,9 @@ def run_adaptation(
             params, state = params0, AdamState.zeros(params0.size)
             model.set_adapt_params(params0)
         # the frozen layers run once per batch: each step's forward resumes
-        # from the previous forward's caches
-        logits, caches = _first_forward(model, x, method, b_idx)
+        # from the previous forward's caches, which its backward consumed
+        logits, caches = model.forward(x)
+        _check_first_logits(logits, method, b_idx)
         h_before = entropy(logits)
         for step in range(cfg.steps_per_batch):
             grads = model.backward_adapt(caches, entropy_grad(logits))
@@ -192,6 +192,7 @@ def run_adaptation(
                 raise _diverged(method, b_idx, f"non-finite parameters after step {step + 1}")
             model.set_adapt_params(params)
             logits, caches = model.forward(x, frozen=caches)
+        del caches  # no reader: the next batch's forward makes its own
         if not np.all(np.isfinite(logits)):
             raise _diverged(method, b_idx, "non-finite logits after adaptation")
         record.add(
@@ -206,10 +207,12 @@ def run_adaptation(
 
 
 def _infer(model: Model, test_batches, method: str, first: int) -> RunRecord:
+    """Each batch's logits, from a forward that keeps no layer caches."""
     batches = _check_batches(test_batches, first)
     record = RunRecord(method=method, protocol="none")
     for b_idx, (x, y) in enumerate(batches, first):
-        logits, _ = _first_forward(model, x, method, b_idx)
+        logits = model.forward_until(x, len(model.layers) - 1)
+        _check_first_logits(logits, method, b_idx)
         h = entropy(logits)
         record.add(b_idx, len(y), _batch_error(logits, y), h, h)
     return record

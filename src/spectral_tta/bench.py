@@ -195,11 +195,16 @@ def _balanced_labels(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sample(templates, labels, rng):
+    """``clip(0.5 + (templates[labels] - 0.5) * amp + jitter, 0, 1)``, bit
+    for bit, in the one buffer of the gathered templates."""
     amp = rng.uniform(0.85, 1.15, size=(len(labels), 1, 1, 1))
     jitter = rng.normal(0.0, 0.05, size=(len(labels),) + templates.shape[1:])
-    base = templates[labels]
-    x = 0.5 + (base - 0.5) * amp + jitter
-    return np.clip(x, 0.0, 1.0)
+    x = templates[labels]
+    x -= 0.5
+    x *= amp
+    x += 0.5
+    x += jitter
+    return np.clip(x, 0.0, 1.0, out=x)
 
 
 @functools.lru_cache(maxsize=1)
@@ -567,7 +572,9 @@ def run_benchmark(cfg: dict, model: Model, basis: PcaBasis | None, out_dir=None)
     and :func:`_run_part` evaluates each part. This process joins the parts
     of a record in batch order and writes every file.
     """
-    run_part = functools.partial(_run_part, cfg, model, basis)
+    # only a spectral method reads the basis, so only then is it sent to the helper
+    spectral = any(m in _FILTER_KIND for m in cfg["methods"])
+    run_part = functools.partial(_run_part, cfg, model, basis if spectral else None)
     joined = {}
     for cell, method, rec in twocore.map_halves(run_part, _episodes(cfg)):
         if (cell, method) in joined:  # the rest of a record cut between the parts

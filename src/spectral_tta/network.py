@@ -10,6 +10,14 @@ An adaptation layer's ``forward(x, frozen=cache)`` takes its own cache
 from an earlier forward on the same ``x`` and reuses the part of it that
 no adaptation parameter reaches.
 
+A model's caches hold only what a backward will read. A backward consumes
+them: it sets each cache above the layer where it stops to ``None`` once
+that layer's backward has run, and keeps the stop layer's, which a
+resumed forward reads. A conv's cache keeps its im2col columns only when
+the conv trains (a model with no ``adapt_target``, or one whose target is
+``Conv2d``); they feed its weight gradient alone, as its input gradient
+reads only the weights.
+
 Every layer's ``backward(cache, gy, need_param_grads, need_input_grad)``
 returns ``(input_grad, param_grads)``. With ``need_param_grads=False`` the
 dict is empty; with ``need_input_grad=False`` the input gradient is
@@ -103,6 +111,8 @@ class Conv2d:
         w2 = self.w.reshape(out_ch, -1)
         pgrads = {}
         if need_param_grads:
+            if cols is None:
+                raise ContractViolationError("the conv's cache holds no columns: it does not train")
             gw2 = np.einsum("nof,ncf->oc", gy2, cols)
             pgrads = {"w": gw2.reshape(self.w.shape), "b": gy2.sum(axis=(0, 2))}
         if not need_input_grad:
@@ -337,13 +347,18 @@ class Model:
         """Logits and per-layer caches.
 
         ``frozen``, if given, is the cache list of an earlier forward on
-        the same ``x``. The forward then resumes at :meth:`adapt_start`,
-        whose layer reuses the input-only part of its cache; the frozen
-        layers below it are not run and get ``None`` caches, so the cache
-        list still lines up with the layer stack.
+        the same ``x``; only its entry at :meth:`adapt_start` is read, so a
+        list that a backward has consumed resumes as well. The forward then
+        resumes at that layer, which reuses the input-only part of its
+        cache; the frozen layers below it are not run and get ``None``
+        caches, so the cache list still lines up with the layer stack. A
+        conv that does not train (the model has an ``adapt_target`` other
+        than ``Conv2d``) caches no columns, which only its weight gradient
+        reads.
         """
         x = self._check_input(x)
         caches, start = [], 0
+        convs_train = self.adapt_target in (None, Conv2d)
         if frozen is not None:
             self._check_caches(frozen)
             start = self.adapt_start()
@@ -353,6 +368,8 @@ class Model:
             start += 1
         for layer in self.layers[start:]:
             x, cache = layer.forward(x)
+            if isinstance(layer, Conv2d) and not convs_train:
+                cache = (cache[0], None)
             caches.append(cache)
         return x, caches
 
@@ -369,7 +386,12 @@ class Model:
     def _backward(self, caches, gloss, stop, collect):
         """The backward pass from the top down to layer ``stop``, which
         computes no input gradient; ``{index: param grads}`` for the layers
-        in ``collect``."""
+        in ``collect``.
+
+        It consumes ``caches``: each entry above ``stop`` is set to ``None``
+        once its layer's backward has run, so its arrays go as soon as
+        they are read. The entry at ``stop`` is kept, for a forward that
+        resumes from this list."""
         self._check_caches(caches)
         grads = {}
         g = gloss
@@ -378,6 +400,8 @@ class Model:
             g, pg = self.layers[idx].backward(
                 caches[idx], g, need_param_grads=need, need_input_grad=idx > stop
             )
+            if idx > stop:
+                caches[idx] = None
             if need:
                 grads[idx] = pg
         return grads

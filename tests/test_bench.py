@@ -2116,6 +2116,29 @@ def test_run_benchmark_looks_the_map_up_at_call_time(
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize(
+    "methods, sent", [(["no-adapt", "bn-stats", "bn-modulators"], False), (["no-adapt", "spectral-exp"], True)]
+)
+def test_run_benchmark_sends_the_basis_only_to_a_spectral_grid(
+    methods, sent, tiny_config, tiny_model, tiny_basis, monkeypatch
+):
+    """The grid's part function carries the basis only when a spectral
+    method reads it; the records are the same either way."""
+    cfg = {**one_cell_config(tiny_config), "methods": methods}
+    parts = []
+
+    def in_process(fn, items):
+        parts.append(fn)
+        return fn(items)
+
+    monkeypatch.setattr(twocore, "map_halves", in_process)
+    table, records = run_benchmark(cfg, tiny_model, tiny_basis)
+    [fn] = parts
+    assert fn.args[2] is (tiny_basis if sent else None)
+    if not sent:
+        assert (table, records) == run_benchmark(cfg, tiny_model, None)
+
+
 def test_a_child_that_exits_without_sending_raises_naming_its_exit_code(
     tiny_config, tiny_model, monkeypatch
 ):

@@ -856,6 +856,47 @@ def test_forward_reusing_the_first_cache_matches_full_forward_bitwise(rng):
             )
 
 
+def test_backward_adapt_consumes_the_caches_above_the_adaptation_start(rng):
+    """The entries above adapt_start() are released once read; the rest,
+    the stop layer's too, are left as they were, and still resume a
+    forward bitwise."""
+    x = rng.normal(size=(6,) + IN_SHAPE)
+    for model in adapted_models(rng):
+        k = model.adapt_start()
+        logits, caches = model.forward(x)
+        kept = list(caches[: k + 1])
+        resumed, _ = model.forward(x, frozen=caches)
+        model.backward_adapt(caches, entropy_grad(logits))
+        assert caches[k + 1 :] == [None] * (len(model.layers) - k - 1)
+        assert all(a is b for a, b in zip(caches, kept))
+        assert _same_bits(model.forward(x, frozen=caches)[0], resumed)
+
+
+def test_backward_all_consumes_every_cache_above_layer_0(rng):
+    x = rng.normal(size=(6,) + IN_SHAPE)
+    model = small_model()
+    logits, caches = model.forward(x)
+    first = caches[0]
+    model.backward_all(caches, softmax_cross_entropy(logits, np.arange(6) % 3)[1])
+    assert caches[0] is first and caches[1:] == [None] * (len(model.layers) - 1)
+
+
+def test_a_conv_that_does_not_train_keeps_no_columns(rng):
+    """An adapted model trains only its adaptation layers, so its convs
+    cache no im2col columns, and a weight gradient through them is refused;
+    a model with no adaptation target keeps them (see
+    test_im2col_gives_each_conv_of_a_model_its_own_columns)."""
+    x = rng.normal(size=(6,) + IN_SHAPE)
+    for model in adapted_models(rng):
+        logits, caches = model.forward(x)
+        convs = [i for i, layer in enumerate(model.layers) if isinstance(layer, Conv2d)]
+        assert convs and all(caches[i][1] is None for i in convs)
+        with pytest.raises(ContractViolationError, match="holds no columns"):
+            model.backward_all(caches, entropy_grad(logits))
+    _, caches = small_model().forward(x)
+    assert caches[0][1] is not None and caches[3][1] is not None
+
+
 def test_forward_until_minus_1_checks_the_raw_batch(rng):
     model = small_model()
     basis = full_rank_basis_at(model, -1, rng)
